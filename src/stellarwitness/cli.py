@@ -224,6 +224,12 @@ def _bound_from_separation(witness, value, threshold):
 
 def cmd_certify(args) -> int:
     margin = args.margin
+    # certify_pair also rejects a negative margin, but the --witness path
+    # compares against threshold + margin directly.
+    if not (math.isfinite(margin) and margin >= 0.0):
+        raise ValueError(f"--margin must be finite and >= 0, got {margin}")
+    if args.pair is not None and not all(math.isfinite(p) for p in args.pair):
+        raise ValueError(f"--pair values must be finite, got {args.pair}")
     report = {"margin": margin}
     if args.curves:
         manifest, curves = _load_curves(args.curves)

@@ -8,9 +8,13 @@ with displacement ``D(alpha) = exp(alpha a† - alpha* a)``, squeezing
 Two independent evaluation paths are provided:
 
 * an analytic path built from Hermite-polynomial sums (plus the exact
-  Laguerre-form displacement element when the squeezing is negligible), and
+  Laguerre-form displacement element when the squeezing is negligible); a
+  coherent input reduces to the vacuum column of a displaced squeezer, which
+  is computed directly from the single-term (m = 0) sum, bit-identical to the
+  general element formula, and
 * an oracle path that exponentiates truncated annihilation/creation
-  generators, either densely or column-by-column with a sparse operator.
+  generators, either densely or column-by-column through a Chebyshev
+  expansion of the sparse generator's action.
 
 Every analytic code path is pinned against the oracle in the test suite; the
 branch convention is principal square roots with ``r >= 0`` (squeezing along
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import TailBoundError
 from .numerics import log_factorial, matrix_exponential
@@ -144,31 +147,33 @@ def _scaled_hermite(x: complex, n_max: int):
     return units, logs
 
 
-class _ElementContext:
-    """Per-parameter workspace so block assembly and single elements share bits.
+#: phase_k[k] * phase_m[0] of an element context at theta = vartheta = 0:
+#: exactly 1 + 0j, kept as a factor because the product fixes signs of zeros.
+_UNIT_PHASE = np.complex128(1.0)
+
+
+class _HermiteTables:
+    """Per-parameter factors of the Hermite sum for <k|D(alpha)S(r)|m>.
 
     All magnitudes (factorial ratios, Hermite growth, the Gaussian envelope)
     are assembled in log space and exponentiated once per term, which keeps
-    any block size the validation suites ask for inside double range.
+    any block size the validation suites ask for inside double range.  Below
+    ``SQUEEZING_DEGENERACY_CUTOFF`` no tables are built: elements come from the
+    Laguerre form of the displacement.
     """
 
     __slots__ = (
-        "params", "degenerate", "u1", "l1", "u2", "l2", "e0_phase", "log_e0",
-        "log_ratio", "log_two_over_nu", "phase_k", "phase_m", "i_pow",
+        "mu", "alpha", "degenerate", "u1", "l1", "u2", "l2", "e0_phase", "log_e0",
+        "log_ratio", "log_two_over_nu", "i_pow",
     )
 
-    def __init__(self, params: GaussianUnitaryParams, k_max: int, m_max: int):
-        self.params = params
-        nu = params.nu
+    def __init__(self, r: float, alpha: complex, k_max: int, m_max: int):
+        mu, nu = math.cosh(r), math.sinh(r)
+        self.mu = mu
+        self.alpha = alpha
         self.degenerate = nu < SQUEEZING_DEGENERACY_CUTOFF
-        ks = np.arange(k_max + 1)
-        ms = np.arange(m_max + 1)
-        self.phase_k = np.exp(-1j * params.theta * ks)
-        self.phase_m = np.exp(1j * params.vartheta * ms)
         if self.degenerate:
             return
-        mu = params.mu
-        alpha = complex(params.alpha)
         ac = alpha.conjugate()
         s = math.sqrt(2.0 * mu * nu)
         x1 = -ac / s
@@ -183,15 +188,26 @@ class _ElementContext:
         self.log_two_over_nu = math.log(2.0 / nu)
         self.i_pow = 1j ** np.arange(k_max + 1)
 
+
+class _ElementContext(_HermiteTables):
+    """Per-parameter workspace so block assembly and single elements share bits."""
+
+    __slots__ = ("phase_k", "phase_m")
+
+    def __init__(self, params: GaussianUnitaryParams, k_max: int, m_max: int):
+        super().__init__(params.r, complex(params.alpha), k_max, m_max)
+        self.phase_k = np.exp(-1j * params.theta * np.arange(k_max + 1))
+        self.phase_m = np.exp(1j * params.vartheta * np.arange(m_max + 1))
+
     def element(self, k: int, m: int) -> complex:
         if k < 0 or m < 0:
             raise ValueError("Fock indices must be >= 0")
         phases = self.phase_k[k] * self.phase_m[m]
         if self.degenerate:
-            return phases * _displacement_element(complex(self.params.alpha), k, m)
+            return phases * _displacement_element(self.alpha, k, m)
         base = (
             0.5 * (log_factorial(k) + log_factorial(m))
-            - 0.5 * math.log(self.params.mu)
+            - 0.5 * math.log(self.mu)
             + 0.5 * (k + m) * self.log_ratio
             + self.log_e0
         )
@@ -213,6 +229,33 @@ class _ElementContext:
                 * self.u2[k - j]
             )
         return phases * self.e0_phase * total
+
+
+def _vacuum_column(r: float, alpha: complex, k_max: int) -> np.ndarray:
+    """<k|D(alpha)S(r)|0> for k <= k_max.
+
+    Bit-identical to column 0 of :meth:`_ElementContext.element` at
+    theta = vartheta = 0: the Hermite sum has the single term j = 0, whose
+    operations run in the same order, unit phase included.  Only the
+    exponent's zero summands (log 0!, j log(2/nu)) are left out; they can
+    change nothing but the sign of a zero, which exp() ignores.
+    """
+    tables = _HermiteTables(r, alpha, k_max, 0)
+    out = np.empty(k_max + 1, dtype=complex)
+    if tables.degenerate:
+        for k in range(k_max + 1):
+            out[k] = _UNIT_PHASE * _displacement_element(alpha, k, 0)
+        return out
+    half_log_mu = 0.5 * math.log(tables.mu)
+    lead = _UNIT_PHASE * tables.e0_phase
+    log_ratio, log_e0 = tables.log_ratio, tables.log_e0
+    u1, u2, l2, i_pow = tables.u1[0], tables.u2, tables.l2, tables.i_pow
+    for k in range(k_max + 1):
+        log_k = log_factorial(k)
+        base = 0.5 * log_k - half_log_mu + 0.5 * k * log_ratio + log_e0
+        term = math.exp(base - log_k + l2[k]) * i_pow[k] * u1 * u2[k]
+        out[k] = lead * (0.0j + term)
+    return out
 
 
 def gaussian_matrix_element(params: GaussianUnitaryParams, k: int, m: int) -> complex:
@@ -258,7 +301,9 @@ def transform_coherent(
 
     Uses the displaced-squeezed reduction: commuting the input phase and the
     squeezer through the coherent displacement leaves a vacuum column with the
-    composite displacement ``alpha + beta_tilde``, times an exact phase.
+    composite displacement ``alpha + beta_tilde``, times an exact phase.  The
+    column comes straight from the Hermite tables, with no parameter object
+    or element loop.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -268,8 +313,10 @@ def transform_coherent(
     beta_tilde = rotated * mu + rotated.conjugate() * nu
     alpha = complex(params.alpha)
     phase = cmath.exp((alpha * beta_tilde.conjugate() - alpha.conjugate() * beta_tilde) / 2.0)
-    shifted = GaussianUnitaryParams(theta=0.0, vartheta=0.0, r=params.r, alpha=alpha + beta_tilde)
-    column = block_columns(shifted, k_max + 1, [0])[:, 0]
+    shifted = alpha + beta_tilde
+    if not cmath.isfinite(shifted):
+        raise ValueError("coherent input and displacement must be finite")
+    column = _vacuum_column(params.r, shifted, k_max)
     amps = phase * np.exp(-1j * params.theta * np.arange(k_max + 1)) * column
     norm_sq = float(np.sum(np.abs(amps) ** 2))
     return FockVector(amps, tail_bound=max(0.0, 1.0 - norm_sq))
@@ -362,6 +409,38 @@ def oracle_dimension(params: GaussianUnitaryParams, col_max: int) -> int:
     return int(math.ceil(total))
 
 
+def _exp_action(generator, block: np.ndarray) -> np.ndarray:
+    """exp(G) @ block for an anti-Hermitian sparse generator G.
+
+    Chebyshev expansion exp(-i rho x) = sum_k (2 - [k=0]) (-i)^k J_k(rho) T_k(x)
+    of the Hermitian x = iG / rho, with rho the Gershgorin bound on the
+    spectrum of iG.  The Bessel coefficients fall below 1e-19 once k exceeds
+    rho by 16 (rho/2)^(1/3), so that many orders (plus 20) are summed, one
+    sparse product each, with no step-size or norm search per step.
+    """
+    # imported here: scipy.special adds ~50 ms to every start-up, and only
+    # the oracle needs it.
+    from scipy.special import jv
+
+    hermitian = (1j * generator).tocsr()
+    rho = float(abs(hermitian).sum(axis=1).max())
+    if rho == 0.0:
+        return block.copy()
+    hermitian = hermitian / rho
+    orders = np.arange(int(rho + 16.0 * (rho / 2.0) ** (1.0 / 3.0)) + 20)
+    coeffs = 2.0 * (-1j) ** orders * jv(orders, rho)
+    coeffs[0] /= 2.0
+    twice = 2.0 * hermitian
+    prev, cur = block, hermitian @ block
+    out = coeffs[0] * prev + coeffs[1] * cur
+    for c in coeffs[2:]:
+        nxt = twice @ cur
+        nxt -= prev
+        out += c * nxt
+        prev, cur = cur, nxt
+    return out
+
+
 def oracle_columns(
     params: GaussianUnitaryParams,
     row_max: int,
@@ -372,7 +451,7 @@ def oracle_columns(
 
     Equivalent to slicing :func:`oracle_gaussian_matrix` but scales to the
     large truncation dimensions that strong squeezing requires, because only
-    the requested columns are propagated.
+    the requested columns are propagated (by :func:`_exp_action`).
     """
     cols = list(cols)
     if not cols:
@@ -385,8 +464,8 @@ def oracle_columns(
     basis = np.zeros((dim, len(cols)), dtype=complex)
     for i, m in enumerate(cols):
         basis[m, i] = cmath.exp(1j * params.vartheta * m)
-    propagated = expm_multiply(0.5 * params.r * (raise_op @ raise_op - lower @ lower), basis)
-    propagated = expm_multiply(
+    propagated = _exp_action(0.5 * params.r * (raise_op @ raise_op - lower @ lower), basis)
+    propagated = _exp_action(
         params.alpha * raise_op - np.conjugate(params.alpha) * lower, propagated
     )
     propagated *= np.exp(-1j * params.theta * np.arange(dim))[:, None]

@@ -14,8 +14,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-HERMITICITY_RTOL = 1e-12
-
 
 class Spectrum(NamedTuple):
     """Eigenvalues sorted descending with unit-norm eigenvectors as columns."""
@@ -38,14 +36,6 @@ def _require_square(A: np.ndarray, op: str) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{op} requires finite entries")
     return A
-
-
-def is_hermitian(A: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
-    A = np.asarray(A, dtype=complex)
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    if scale == 0.0:
-        return True
-    return float(np.max(np.abs(A - A.conj().T))) <= rtol * scale
 
 
 def hermitian_spectrum(A: np.ndarray) -> Spectrum:

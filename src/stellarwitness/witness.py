@@ -174,6 +174,16 @@ def assemble_matrix(witness: WitnessOperator, cutoff: int | None = None) -> np.n
     return out
 
 
+def _coherent_columns(witness: WitnessOperator, params: GaussianUnitaryParams, k_max: int):
+    """<k|U|beta>, k <= k_max, once per distinct coherent input of the witness.
+
+    The cat terms share their inputs (±beta), so every coherent superposition
+    is summed from these columns instead of transforming each beta per term.
+    """
+    betas = {beta for t in witness.terms if t.kind == COHERENT_SUM for _, beta in t.data}
+    return {beta: transform_coherent(params, beta, k_max).amplitudes for beta in betas}
+
+
 def conjugated_term_vectors(
     witness: WitnessOperator, params: GaussianUnitaryParams, n: int
 ):
@@ -189,6 +199,7 @@ def conjugated_term_vectors(
     if fock_indices:
         block = block_columns(params, n, fock_indices)
         fock_cols = {m: block[:, i] for i, m in enumerate(fock_indices)}
+    coherent_cols = _coherent_columns(witness, params, n - 1)
     rank_one = []
     mixed = []
     for term in witness.terms:
@@ -201,7 +212,7 @@ def conjugated_term_vectors(
         elif term.kind == COHERENT_SUM:
             vec = np.zeros(n, dtype=complex)
             for coef, beta in term.data:
-                vec += coef * transform_coherent(params, beta, n - 1).amplitudes
+                vec += coef * coherent_cols[beta]
             rank_one.append((term.weight, vec))
         elif term.kind == DENSITY:
             dim = term.data.matrix.shape[0]
@@ -315,6 +326,7 @@ def conjugate_witness(
     Pure terms become truncated Fock vectors (tail bounds recorded); the
     symbolic identity component is untouched.
     """
+    coherent_cols = _coherent_columns(witness, params, cutoff)
     terms = []
     for term in witness.terms:
         if term.kind == FOCK:
@@ -329,7 +341,7 @@ def conjugate_witness(
         elif term.kind == COHERENT_SUM:
             vec = np.zeros(cutoff + 1, dtype=complex)
             for coef, beta in term.data:
-                vec += coef * transform_coherent(params, beta, cutoff).amplitudes
+                vec += coef * coherent_cols[beta]
             tail = max(0.0, 1.0 - float(np.sum(np.abs(vec) ** 2)))
             terms.append(WitnessTerm(term.weight, PURE, FockVector(vec, tail_bound=tail)))
         elif term.kind == DENSITY:

@@ -197,6 +197,25 @@ class TestCertifyCommand:
     def test_missing_inputs_exit_one(self):
         assert main(["certify", "--pair", "0.5", "0.5"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags", [["--pair", "0", "1", "--margin", "nan"], ["--pair", "nan", "1"],
+                  ["--pair", "0", "inf"], ["--pair", "0", "1", "--margin=-inf"]]
+    )
+    def test_non_finite_inputs_exit_one(self, boundary_dir, flags, capsys):
+        assert main(["certify", "--curves", str(boundary_dir), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
+    def test_negative_margin_rejected_in_witness_mode(self, tmp_path, capsys):
+        witness = write_json(tmp_path / "w.json",
+                             {"type": "fock_pair", "j": 0, "k": 2, "omega": math.pi / 2})
+        tfile = write_json(tmp_path / "t.json", {"rank": 2, "value": 0.9})
+        code = main(["certify", "--pair", "0", "0.5", "--witness", witness, "--rank", "2",
+                     "--threshold-file", tfile, "--margin", "-0.5"])
+        assert code == 1
+        assert "must be finite and >= 0" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_hull_suite_passes(self, tmp_path):

@@ -6,6 +6,8 @@ import pytest
 from stellarwitness.errors import TailBoundError
 from stellarwitness.fock_gaussian import (
     GaussianUnitaryParams,
+    _vacuum_column,
+    block_columns,
     gaussian_block,
     gaussian_matrix_element,
     oracle_columns,
@@ -156,16 +158,42 @@ class TestTransformCoherent:
         expected = np.array([math.exp(-0.5) / math.sqrt(math.factorial(k)) for k in range(13)])
         assert np.max(np.abs(vec.amplitudes - expected)) < 1e-12
 
-    def test_matches_oracle_product(self):
-        p = GaussianUnitaryParams(theta=0.0, vartheta=0.4, r=0.7, alpha=1.0)
-        beta = 0.5
-        got = transform_coherent(p, beta, 10).amplitudes
-        dim = 151
+    @staticmethod
+    def oracle_transform(p, beta, k_max, relevant_cols, dim=151):
         ks = np.arange(dim)
         lgf = np.array([math.lgamma(k + 1) for k in ks])
         coherent_amps = np.exp(-abs(beta) ** 2 / 2 + ks * math.log(abs(beta)) - 0.5 * lgf)
-        oracle = oracle_gaussian_matrix(p, dim - 1, relevant_cols=12)
-        expected = (oracle @ coherent_amps)[:11]
+        oracle = oracle_gaussian_matrix(p, dim - 1, relevant_cols=relevant_cols)
+        return (oracle @ coherent_amps)[: k_max + 1]
+
+    def test_matches_oracle_product(self):
+        p = GaussianUnitaryParams(theta=0.0, vartheta=0.4, r=0.7, alpha=1.0)
+        got = transform_coherent(p, 0.5, 10).amplitudes
+        expected = self.oracle_transform(p, 0.5, 10, relevant_cols=12)
+        assert np.max(np.abs(got - expected)) < 1e-8
+
+    def test_vacuum_column_bit_identical_to_block_columns(self):
+        # the direct m = 0 path must reproduce the general element formula to
+        # the last bit, on both sides of the degeneracy cutoff and at large |alpha|
+        rng = np.random.default_rng(2412)
+        edge_r = (0.0, 1e-12, 5e-11, 1e-9)
+        for i in range(400):
+            r = edge_r[i % 4] if i % 2 else rng.uniform(0.0, 3.0)
+            alpha = complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
+            if i % 7 == 0:
+                alpha = complex(alpha.real, 0.0)
+            rows = 1 + i % 11
+            column = _vacuum_column(r, alpha, rows - 1)
+            reference = block_columns(GaussianUnitaryParams(r=r, alpha=alpha), rows, [0])[:, 0]
+            assert column.tobytes() == reference.tobytes(), f"r={r} alpha={alpha} rows={rows}"
+
+    @pytest.mark.parametrize("r", [0.0, 1e-11])
+    def test_degenerate_squeezing_matches_oracle(self, r):
+        # below SQUEEZING_DEGENERACY_CUTOFF the coherent input takes the
+        # Laguerre displacement branch, as at every optimizer start clipped to r = 0
+        p = GaussianUnitaryParams(theta=0.8, vartheta=1.9, r=r, alpha=0.6 - 0.3j)
+        got = transform_coherent(p, 2.0, 8).amplitudes
+        expected = self.oracle_transform(p, 2.0, 8, relevant_cols=40, dim=121)
         assert np.max(np.abs(got - expected)) < 1e-8
 
     def test_final_phase_applied(self):

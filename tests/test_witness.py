@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from stellarwitness import witness as witness_module
 from stellarwitness.errors import DegenerateWitnessError
-from stellarwitness.fock_gaussian import GaussianUnitaryParams, oracle_gaussian_matrix
+from stellarwitness.fock_gaussian import (
+    GaussianUnitaryParams,
+    oracle_gaussian_matrix,
+    transform_coherent,
+)
 from stellarwitness.numerics import hermitian_spectrum
 from stellarwitness.states import FockVector, cat, coherent, thermal
+from stellarwitness.threshold import objective
 from stellarwitness.witness import (
     CoreState,
     WitnessOperator,
@@ -15,6 +21,7 @@ from stellarwitness.witness import (
     cat_pair_witness,
     compress_conjugated,
     conjugate_witness,
+    conjugated_term_vectors,
     expectation,
     fock_diagonal_witness,
     fock_pair_witness,
@@ -169,6 +176,40 @@ class TestCompress:
 
         psi = FockVector(block_columns(params, 1, range(41)).conj()[0])
         assert abs(out[0, 0].real - expectation(w, psi)) < 1e-8
+
+
+class TestCoherentTransforms:
+    PARAMS = GaussianUnitaryParams(theta=0.3, vartheta=1.1, r=0.6, alpha=0.9 - 0.4j)
+
+    def counting(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return transform_coherent(*args)
+
+        monkeypatch.setattr(witness_module, "transform_coherent", counted)
+        return calls
+
+    def test_one_transform_per_distinct_beta(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        objective(cat_pair_witness(2.0, 0.7), 3, self.PARAMS)
+        assert len(calls) == 2
+        assert sorted(c.real for c in calls) == [-2.0, 2.0]
+        calls.clear()
+        conjugate_witness(cat_pair_witness(2.0, 0.7), self.PARAMS, 12)
+        assert len(calls) == 2
+
+    def test_shared_columns_bit_identical_to_per_term_transforms(self):
+        w = cat_pair_witness(1.3 + 0.4j, 2.2)
+        rank_one, _ = conjugated_term_vectors(w, self.PARAMS, 4)
+        conjugated = conjugate_witness(w, self.PARAMS, 9)
+        for term, (_, vec), pure in zip(w.terms, rank_one, conjugated.terms):
+            for size, got in ((4, vec), (10, pure.data.amplitudes)):
+                expected = np.zeros(size, dtype=complex)
+                for coef, beta in term.data:
+                    expected += coef * transform_coherent(self.PARAMS, beta, size - 1).amplitudes
+                assert got.tobytes() == expected.tobytes()
 
 
 class TestExpectation:
