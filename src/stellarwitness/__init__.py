@@ -37,7 +37,7 @@ from .multimode import (
     multimode_gaussian_block,
     multimode_threshold,
 )
-from .numerics import Spectrum, hermite_sequence, hermitian_spectrum, matrix_exponential
+from .numerics import Spectrum, hermitian_spectrum, matrix_exponential
 from .states import (
     FockDensity,
     FockVector,

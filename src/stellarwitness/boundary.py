@@ -28,6 +28,8 @@ from .witness import (
 )
 
 CSV_HEADER = "omega,rank,p_first,p_second,threshold,on_hull,flagged"
+# pairs per step of the separation kernel, which bounds its temporaries
+_PAIR_BLOCK = 32
 
 
 class BoundaryPoint(NamedTuple):
@@ -234,21 +236,36 @@ def support_region_contains(curve: BoundaryCurve, point, slack: float = 1e-6) ->
     cos(w) x + sin(w) y = threshold(w); the inscribed vertex hull only samples
     it, so region-nesting statements are tested against this form.
     """
-    sep, _, _ = _separation(curve, point)
-    return sep <= slack
+    sep, _, _ = separations([curve], [point])
+    return bool(sep[0, 0] <= slack)
 
 
-def _separation(curve: BoundaryCurve, pair) -> tuple:
-    """Best (value - threshold, omega, threshold) over the swept directions."""
-    best = (-math.inf, math.nan, math.nan)
-    for point in curve.points:
-        if point.flagged or point.is_corner:
-            continue
-        value = math.cos(point.omega) * pair[0] + math.sin(point.omega) * pair[1]
-        sep = value - point.threshold
-        if sep > best[0]:
-            best = (sep, point.omega, point.threshold)
-    return best
+def separations(curves: Sequence[BoundaryCurve], pairs) -> tuple:
+    """Best (value - threshold, omega, threshold) of every pair against every curve.
+
+    The support test cos(w) x + sin(w) y - threshold(w), evaluated in that
+    order over each curve's usable swept points (neither flagged nor a
+    corner), with the omega and threshold of the first point attaining the
+    maximum.  NaN separations count as -inf; (-inf, NaN, NaN) where no point
+    scores above -inf.  Each array has shape (n_pairs, n_curves).
+    """
+    pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    best, best_omega, best_threshold = (np.empty((len(pairs), len(curves))) for _ in range(3))
+    for j, curve in enumerate(curves):
+        omega, _, _, threshold, flagged = tuple(zip(*curve.points)) or ((),) * 5
+        usable = ~np.array(flagged, dtype=bool) & ~np.isnan(omega)
+        # a leading NaN direction scores -inf: it wins where nothing scores more
+        omega = np.append(np.nan, np.array(omega)[usable])
+        threshold = np.append(np.nan, np.array(threshold)[usable])
+        cos, sin = np.cos(omega), np.sin(omega)
+        for start in range(0, len(pairs), _PAIR_BLOCK):
+            rows = slice(start, start + _PAIR_BLOCK)
+            sep = np.fmax(cos * pairs[rows, :1] + sin * pairs[rows, 1:] - threshold, -np.inf)
+            first = sep.argmax(axis=1)
+            best[rows, j] = sep[np.arange(len(sep)), first]
+            best_omega[rows, j] = omega[first]
+            best_threshold[rows, j] = threshold[first]
+    return best, best_omega, best_threshold
 
 
 def _check_consistency(curves: Sequence[BoundaryCurve]) -> None:
@@ -256,17 +273,35 @@ def _check_consistency(curves: Sequence[BoundaryCurve]) -> None:
     if ranks != sorted(ranks) or any(b - a != 1 for a, b in zip(ranks, ranks[1:])):
         raise ValueError(f"curves must cover consecutive ranks, got {ranks}")
     for low, high in zip(curves, curves[1:]):
-        high_by_omega = {p.omega: p.threshold for p in high.points if not p.is_corner}
-        for point in low.points:
-            if point.is_corner or point.flagged:
-                continue
-            upper = high_by_omega.get(point.omega)
-            if upper is not None and not math.isnan(upper):
-                if upper < point.threshold - MONOTONICITY_SLACK:
-                    raise ValueError(
-                        "inconsistent hull nesting: threshold at rank "
-                        f"{high.rank} below rank {low.rank} at omega={point.omega}"
-                    )
+        # NaN thresholds and omegas (flagged points, corners) compare false
+        upper = {p.omega: p.threshold for p in high.points}
+        for omega, _, _, threshold, flagged in low.points:
+            if not flagged and upper.get(omega, math.nan) < threshold - MONOTONICITY_SLACK:
+                raise ValueError(
+                    "inconsistent hull nesting: threshold at rank "
+                    f"{high.rank} below rank {low.rank} at omega={omega}"
+                )
+
+
+def certify_pairs(pairs, curves: Sequence[BoundaryCurve], margin: float = 1e-4) -> tuple:
+    """Certified rank of every pair, with the direction that certifies it.
+
+    Returns (ranks, omega, threshold) arrays of length n_pairs: the largest n
+    whose rank-n curve separates the pair by more than the margin (0 if none),
+    and the best separating omega and its threshold on that curve (NaN where
+    the rank is 0).  The curves are checked for consistency once per call.
+    """
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ValueError(f"margin must be finite and >= 0, got {margin}")
+    _check_consistency(curves)
+    sep, omega, threshold = separations(curves, pairs)
+    ranks = np.array([c.rank for c in curves], dtype=int)
+    certified = np.max(np.where(sep > margin, ranks, 0), axis=1, initial=0)
+    # rank 0 picks a leading NaN column, rank n the column of the rank-n curve
+    column = np.searchsorted(ranks, certified, side="right")
+    rows, nan = np.arange(len(sep)), np.full((len(sep), 1), np.nan)
+    omega, threshold = (np.hstack([nan, a])[rows, column] for a in (omega, threshold))
+    return certified, omega, threshold
 
 
 def certify_pair(pair, curves: Sequence[BoundaryCurve], margin: float = 1e-4) -> int:
@@ -276,15 +311,8 @@ def certify_pair(pair, curves: Sequence[BoundaryCurve], margin: float = 1e-4) ->
     separates it: cos(w) p1 + sin(w) p2 > threshold(w) + margin.  Returns 0 if
     the pair is inside every region.
     """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    _check_consistency(curves)
-    certified = 0
-    for curve in curves:
-        sep, _, _ = _separation(curve, pair)
-        if sep > margin:
-            certified = max(certified, curve.rank)
-    return certified
+    ranks, _, _ = certify_pairs([pair], curves, margin)
+    return int(ranks[0])
 
 
 def tangent_witness(curve: BoundaryCurve, pair, margin: float = 0.0) -> tuple:
@@ -293,13 +321,13 @@ def tangent_witness(curve: BoundaryCurve, pair, margin: float = 0.0) -> tuple:
     Raises if the pair is not certified against this curve (no separating
     direction).  The returned threshold carries no margin.
     """
-    sep, omega, threshold = _separation(curve, pair)
-    if not sep > margin:
+    sep, omega, threshold = separations([curve], [pair])
+    if not sep[0, 0] > margin:
         raise ValueError(
             f"pair {tuple(pair)} is not certified by the rank-{curve.rank} curve; "
             "no separating witness exists"
         )
-    return omega, threshold
+    return float(omega[0, 0]), float(threshold[0, 0])
 
 
 # ---------------------------------------------------------------------------

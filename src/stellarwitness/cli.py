@@ -12,18 +12,18 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from ._util import atomic_write_text, dumps_stable, resolve_threads
 from .boundary import (
-    certify_pair,
+    certify_pairs,
     curves_from_csv,
     curves_to_csv,
     family_witness,
     hull_to_json,
     sweep_family_ranks,
-    tangent_witness,
 )
 from .errors import OptimizerError
 from .fock_gaussian import GaussianUnitaryParams, gaussian_block
@@ -101,7 +101,7 @@ def cmd_threshold(args) -> int:
 
 
 def _recheck_threshold(path: str, rank: int, threads: int) -> int:
-    stored = open(path).read()
+    stored = Path(path).read_text()
     obj = _load_json(path)
     config = OptimizerConfig.from_json(obj["diagnostics"]["config"], seed=obj["seed"])
     if "modes" in obj:
@@ -184,7 +184,7 @@ def cmd_boundary(args) -> int:
             manifest["family"], manifest["ranks"], manifest["omegas"], config, threads
         )
         for name, text in regenerated.items():
-            if open(os.path.join(args.out, name)).read() != text:
+            if Path(args.out, name).read_text() != text:
                 sys.stderr.write(f"recheck failed: {name} differs\n")
                 return EXIT_VALIDATION
     return EXIT_OK
@@ -195,7 +195,7 @@ def _load_curves(directory: str):
     csv_path = os.path.join(directory, "boundary.csv")
     if not os.path.exists(csv_path):
         raise ValueError(f"missing boundary.csv in {directory}")
-    curves = curves_from_csv(open(csv_path).read(), manifest["family"])
+    curves = curves_from_csv(Path(csv_path).read_text(), manifest["family"])
     return manifest, curves
 
 
@@ -224,7 +224,7 @@ def _bound_from_separation(witness, value, threshold):
 
 def cmd_certify(args) -> int:
     margin = args.margin
-    # certify_pair also rejects a negative margin, but the --witness path
+    # certify_pairs also rejects such a margin, but the --witness path
     # compares against threshold + margin directly.
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"--margin must be finite and >= 0, got {margin}")
@@ -240,11 +240,11 @@ def cmd_certify(args) -> int:
             pair = _pair_from_state(state_from_json(_load_json(args.state)), family)
         else:
             raise ValueError("certify needs --pair or --state")
-        rank = certify_pair(pair, curves, margin)
+        ranks, omegas, thresholds = certify_pairs([pair], curves, margin)
+        rank = int(ranks[0])
         report.update({"pair": [pair[0], pair[1]], "certified_rank": rank})
         if rank > 0:
-            curve = next(c for c in curves if c.rank == rank)
-            omega, threshold = tangent_witness(curve, pair, margin=margin)
+            omega, threshold = float(omegas[0]), float(thresholds[0])
             witness = family_witness(family, omega)
             value = math.cos(omega) * pair[0] + math.sin(omega) * pair[1]
             report.update(

@@ -12,7 +12,7 @@ import inspect
 
 import numpy as np
 
-from .boundary import certify_pair, sweep_family_ranks, tangent_witness
+from .boundary import certify_pairs, separations, sweep_family_ranks
 from .threshold import OptimizerConfig
 
 
@@ -126,36 +126,21 @@ class StellarRankCertifier:
     def predict(self, X) -> np.ndarray:
         """Largest certified stellar rank for each probability pair."""
         self._require_fitted()
-        X = check_pair_array(X)
-        return np.array(
-            [certify_pair((row[0], row[1]), self.curves_, self.margin) for row in X],
-            dtype=int,
-        )
+        ranks, _, _ = certify_pairs(check_pair_array(X), self.curves_, self.margin)
+        return ranks
 
     def decision_function(self, X) -> np.ndarray:
         """Per-rank separations value - threshold (positive means certified
         before the margin); shape (n_samples, max_rank)."""
         self._require_fitted()
-        X = check_pair_array(X)
-        out = np.empty((X.shape[0], len(self.curves_)))
-        for i, row in enumerate(X):
-            for jdx, curve in enumerate(self.curves_):
-                best = -np.inf
-                for point in curve.points:
-                    if point.flagged or point.is_corner:
-                        continue
-                    value = np.cos(point.omega) * row[0] + np.sin(point.omega) * row[1]
-                    best = max(best, value - point.threshold)
-                out[i, jdx] = best
-        return out
+        sep, _, _ = separations(self.curves_, check_pair_array(X))
+        return sep
 
     def separating_witness(self, pair) -> tuple:
         """(rank, omega, threshold) of the strongest certifying direction."""
         self._require_fitted()
         pair = tuple(check_pair_array(pair)[0])
-        rank = certify_pair(pair, self.curves_, self.margin)
-        if rank == 0:
+        ranks, omegas, thresholds = certify_pairs([pair], self.curves_, self.margin)
+        if ranks[0] == 0:
             raise ValueError(f"pair {pair} is not certified at any fitted rank")
-        curve = next(c for c in self.curves_ if c.rank == rank)
-        omega, threshold = tangent_witness(curve, pair, margin=self.margin)
-        return rank, omega, threshold
+        return int(ranks[0]), float(omegas[0]), float(thresholds[0])

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import TailBoundError
 from .numerics import log_factorial, matrix_exponential
@@ -120,9 +119,9 @@ def _displacement_element(alpha: complex, k: int, m: int) -> complex:
 def _scaled_hermite(x: complex, n_max: int):
     """Hermite values split as H_d(x) = units[d] * exp(logs[d]).
 
-    Same forward recurrence as :func:`stellarwitness.numerics.hermite_sequence`
-    but renormalized every step, so arbitrarily high degrees stay inside double
-    range; the log magnitudes are folded into the per-term exponents.
+    Forward recurrence H_{d+1} = 2x H_d - 2d H_{d-1}, renormalized every step
+    so arbitrarily high degrees stay inside double range; the log magnitudes
+    are folded into the per-term exponents.
     """
     units = np.empty(n_max + 1, dtype=complex)
     logs = np.empty(n_max + 1, dtype=float)
@@ -453,6 +452,8 @@ def oracle_columns(
     large truncation dimensions that strong squeezing requires, because only
     the requested columns are propagated (by :func:`_exp_action`).
     """
+    from scipy import sparse  # imported on first use, like scipy.linalg in numerics
+
     cols = list(cols)
     if not cols:
         return np.zeros((row_max + 1, 0), dtype=complex)

@@ -12,7 +12,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 
 class Spectrum(NamedTuple):
@@ -63,6 +62,8 @@ def hermitian_spectrum(A: np.ndarray) -> Spectrum:
 
 def matrix_exponential(A: np.ndarray) -> np.ndarray:
     """exp(A) for a square complex matrix (scaling-and-squaring, Padé core)."""
+    import scipy.linalg  # imported on first use: the package's largest import
+
     A = _require_square(A, "matrix_exponential")
     E = scipy.linalg.expm(A)
     if not np.all(np.isfinite(E.view(float))):
@@ -70,23 +71,6 @@ def matrix_exponential(A: np.ndarray) -> np.ndarray:
             f"matrix_exponential overflowed (input norm {np.linalg.norm(A):.3e})"
         )
     return E
-
-
-def hermite_sequence(x: complex, n_max: int) -> np.ndarray:
-    """Physicists' Hermite polynomials H_0(x) .. H_{n_max}(x).
-
-    Forward recurrence H_{k+1} = 2x H_k - 2k H_{k-1}; degrees stay small enough
-    here that no normalization is needed.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    out = np.empty(n_max + 1, dtype=complex)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 2.0 * x
-    for k in range(1, n_max):
-        out[k + 1] = 2.0 * x * out[k] - 2.0 * k * out[k - 1]
-    return out
 
 
 _LOG_FACTORIAL_CACHE = [0.0]

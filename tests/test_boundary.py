@@ -7,12 +7,14 @@ from stellarwitness.boundary import (
     BoundaryCurve,
     BoundaryPoint,
     certify_pair,
+    certify_pairs,
     curves_from_csv,
     curves_to_csv,
     family_witness,
     gift_wrap,
     hull_contains,
     hull_to_json,
+    separations,
     signed_area,
     support_region_contains,
     sweep_family,
@@ -29,6 +31,26 @@ FOCK12 = {"type": "fock_pair", "j": 1, "k": 2}
 
 def grid(count):
     return [2.0 * math.pi * i / count for i in range(count)]
+
+
+def reference_separation(curve, pair):
+    """Per-point support test: best (value - threshold, omega, threshold),
+    the first maximum winning ties."""
+    best = (-math.inf, math.nan, math.nan)
+    for point in curve.points:
+        if point.flagged or point.is_corner:
+            continue
+        sep = math.cos(point.omega) * pair[0] + math.sin(point.omega) * pair[1] - point.threshold
+        if sep > best[0]:
+            best = (sep, point.omega, point.threshold)
+    return best
+
+
+def hand_curve(rank, rows, flagged=False):
+    """A curve from (omega, threshold) rows plus the closure corner."""
+    points = tuple(BoundaryPoint(w, 0.5, 0.5, t, flagged) for w, t in rows)
+    corner = BoundaryPoint(math.nan, 0.0, 0.0, math.nan, False)
+    return BoundaryCurve(rank=rank, family=FOCK02, points=points + (corner,))
 
 
 class TestGiftWrap:
@@ -168,6 +190,46 @@ class TestCertify:
                 except ValueError:
                     separable = False
                 assert separable == (certified >= curve.rank)
+
+    def test_kernel_matches_per_point_reference(self, fock02_curves):
+        rng = np.random.default_rng(21)
+        pairs = rng.random((200, 2))
+        sep, omega, threshold = separations(fock02_curves, pairs)
+        assert sep.shape == omega.shape == threshold.shape == (200, 3)
+        for i, pair in enumerate(pairs):
+            for j, curve in enumerate(fock02_curves):
+                expected = reference_separation(curve, pair)
+                assert (sep[i, j], omega[i, j], threshold[i, j]) == expected
+
+    def test_all_flagged_curve_certifies_nothing(self):
+        curve = hand_curve(1, [(0.0, math.nan), (1.0, math.nan)], flagged=True)
+        assert certify_pair((0.0, 1.0), [curve], margin=0.0) == 0
+        with pytest.raises(ValueError):
+            tangent_witness(curve, (0.0, 1.0))
+        sep, omega, threshold = separations([curve], [(0.0, 1.0)])
+        assert sep[0, 0] == -math.inf
+        assert math.isnan(omega[0, 0]) and math.isnan(threshold[0, 0])
+
+    @pytest.mark.parametrize("first", [0.5, -0.5])
+    def test_tie_returns_earlier_omega(self, first):
+        # cos(w) x + sin(w) y - t is equal at w = +-0.5 for the pair (x, 0)
+        curve = hand_curve(1, [(first, 0.2), (-first, 0.2), (2.0, 0.2)])
+        pair = (1.0, 0.0)
+        seps = {math.cos(w) * 1.0 + math.sin(w) * 0.0 - 0.2 for w in (first, -first)}
+        assert len(seps) == 1
+        assert tangent_witness(curve, pair) == (first, 0.2)
+        ranks, omega, threshold = certify_pairs([pair], [curve], margin=1e-4)
+        assert (ranks[0], omega[0], threshold[0]) == (1, first, 0.2)
+
+    def test_nan_pair_certifies_nothing(self, fock02_curves):
+        assert certify_pair((math.nan, 0.5), fock02_curves) == 0
+        sep, omega, _ = separations(fock02_curves, [(math.nan, 0.5)])
+        assert np.all(sep == -np.inf) and np.all(np.isnan(omega))
+
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf, -1e-4])
+    def test_bad_margin_rejected(self, fock02_curves, margin):
+        with pytest.raises(ValueError, match="margin"):
+            certify_pair((0.0, 1.0), fock02_curves, margin=margin)
 
     def test_non_consecutive_ranks_rejected(self, fock02_curves):
         with pytest.raises(ValueError):

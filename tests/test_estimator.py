@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from stellarwitness.boundary import BoundaryCurve, BoundaryPoint, certify_pair
 from stellarwitness.estimator import StellarRankCertifier, check_pair_array
 
 
@@ -89,3 +92,59 @@ class TestFitPredict:
         for a, b in zip(twin.curves_, fitted.curves_):
             assert a.points == b.points
             assert a.hull == b.hull
+
+
+def seeded_pairs(seed, count):
+    """Uniform pairs folded into the simplex p_first + p_second <= 1."""
+    u = np.random.default_rng(seed).random((count, 2))
+    folded = u.sum(axis=1) > 1.0
+    u[folded] = 1.0 - u[folded]
+    return np.vstack([u, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]])
+
+
+class TestSeparationKernel:
+    def test_predict_matches_per_row_certify_pair(self, fitted):
+        X = seeded_pairs(31, 300)
+        expected = [certify_pair((x, y), fitted.curves_, fitted.margin) for x, y in X]
+        ranks = fitted.predict(X)
+        assert ranks.dtype.kind == "i"
+        assert ranks.tolist() == expected
+
+    def test_decision_function_byte_equal_to_reference_loop(self, fitted):
+        X = seeded_pairs(32, 300)
+        expected = np.empty((len(X), len(fitted.curves_)))
+        for i, (x, y) in enumerate(X):
+            for j, curve in enumerate(fitted.curves_):
+                best = -math.inf
+                for point in curve.points:
+                    if not (point.flagged or point.is_corner):
+                        value = math.cos(point.omega) * x + math.sin(point.omega) * y
+                        best = max(best, value - point.threshold)
+                expected[i, j] = best
+        assert fitted.decision_function(X).tobytes() == expected.tobytes()
+
+    def test_all_flagged_curve_scores_minus_infinity(self, fitted):
+        flagged = tuple(
+            BoundaryPoint(p.omega, math.nan, math.nan, math.nan, True)
+            for p in fitted.curves_[1].points
+            if not p.is_corner
+        )
+        est = StellarRankCertifier(max_rank=2)
+        est.curves_ = [
+            fitted.curves_[0],
+            BoundaryCurve(rank=2, family=fitted.family_, points=flagged),
+        ]
+        values = est.decision_function([[0.0, 1.0], [0.2, 0.2]])
+        assert np.all(values[:, 1] == -np.inf)
+        assert np.array_equal(values[:, 0], fitted.decision_function([[0.0, 1.0], [0.2, 0.2]])[:, 0])
+        assert est.predict([[0.0, 1.0]]).tolist() == [1]
+        assert est.separating_witness([0.0, 1.0])[0] == 1
+
+    @pytest.mark.parametrize("margin", [math.nan, math.inf])
+    def test_non_finite_margin_rejected(self, fitted, margin):
+        est = StellarRankCertifier(margin=margin)
+        est.curves_ = fitted.curves_
+        with pytest.raises(ValueError, match="margin"):
+            est.predict([[0.0, 1.0]])
+        with pytest.raises(ValueError, match="margin"):
+            est.separating_witness([0.0, 1.0])
