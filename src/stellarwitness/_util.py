@@ -1,14 +1,10 @@
-"""Small shared helpers: stable number formatting, atomic writes, worker pools."""
+"""Small shared helpers: stable number formatting, complex parsing, atomic writes."""
 
 from __future__ import annotations
 
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
-
-THREADS_ENV = "STELLAR_THREADS"
 
 
 def fmt17(x: float) -> str:
@@ -82,27 +78,3 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else STELLAR_THREADS, else 1."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return 1
-
-
-def ordered_map(fn: Callable, items: Sequence, threads: int | None = None) -> list:
-    """Apply `fn` to items, possibly in parallel, returning results in input order.
-
-    Each item is processed independently; the gather is by index, so the result
-    is identical for any worker count.
-    """
-    workers = resolve_threads(threads)
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import fmt17, ordered_map, parse_complex
+from ._util import fmt17, parse_complex
 from .errors import OptimizerError
 from .threshold import MONOTONICITY_SLACK, OptimizerConfig, compute_thresholds
 from .witness import (
@@ -94,9 +94,11 @@ def sweep_family_ranks(
 ) -> list:
     """One BoundaryCurve per rank over a shared omega grid.
 
-    Per-omega tasks are independent (parallelizable); within a task the ranks
-    are computed as a batch so each inherits the previous rank's optimum and
-    the recorded thresholds are nondecreasing in rank.
+    Each omega is computed on its own; within it the ranks are computed as a
+    batch so each inherits the previous rank's optimum and the recorded
+    thresholds are nondecreasing in rank.  A direction whose search fails is
+    kept as a flagged point.  `threads` is accepted for compatibility and
+    ignored: the omegas run serially.
     """
     config = config or OptimizerConfig()
     ranks = list(ranks)
@@ -106,19 +108,19 @@ def sweep_family_ranks(
     base_starts = tuple(config.initial_points) + _family_starts(family)
     cfg = replace(config, initial_points=base_starts)
 
-    def one_omega(omega):
+    per_omega = []
+    for omega in omegas:
         witness = family_witness(family, omega)
         try:
-            results = compute_thresholds(witness, ranks, cfg, threads=1)
+            results = compute_thresholds(witness, ranks, cfg)
         except OptimizerError:
-            return [BoundaryPoint(omega, math.nan, math.nan, math.nan, True) for _ in ranks]
-        rows = []
-        for result in results:
-            p1, p2 = _probability_pair(witness, result)
-            rows.append(BoundaryPoint(omega, p1, p2, result.value, False))
-        return rows
-
-    per_omega = ordered_map(one_omega, omegas, threads)
+            flagged = BoundaryPoint(omega, math.nan, math.nan, math.nan, True)
+            per_omega.append([flagged] * len(ranks))
+            continue
+        per_omega.append([
+            BoundaryPoint(omega, *_probability_pair(witness, result), result.value, False)
+            for result in results
+        ])
     curves = []
     for i, rank in enumerate(ranks):
         points = [rows[i] for rows in per_omega]
@@ -143,7 +145,8 @@ def sweep_family(
     config: OptimizerConfig | None = None,
     threads: int | None = None,
 ) -> BoundaryCurve:
-    return sweep_family_ranks(family, [n], omegas, config, threads)[0]
+    """The rank-n curve of `sweep_family_ranks`; `threads` is ignored."""
+    return sweep_family_ranks(family, [n], omegas, config)[0]
 
 
 def gift_wrap(points) -> list:

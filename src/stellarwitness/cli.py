@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 malformed input, 2 optimizer failure, 3 validation
 or recheck failure.  All outputs are written atomically and, for a fixed
-config and seed, are byte-identical across runs and worker counts.
+config and seed, are byte-identical across runs.  `--threads` is accepted
+for compatibility and ignored: every computation runs serially.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import atomic_write_text, dumps_stable, resolve_threads
+from ._util import atomic_write_text, dumps_stable
 from .boundary import (
     certify_pairs,
     curves_from_csv,
@@ -82,35 +83,36 @@ def _build_config(args) -> OptimizerConfig:
 
 
 def cmd_threshold(args) -> int:
+    if args.recheck and not args.out:
+        raise ValueError("--recheck needs --out")
     witness_obj = _load_json(args.witness)
     config = _build_config(args)
-    threads = resolve_threads(args.threads)
     if "modes" in witness_obj:
         witness = MultimodeWitness.from_json(witness_obj)
-        result = multimode_threshold(witness, witness.modes, args.rank, config, threads=threads)
+        result = multimode_threshold(witness, witness.modes, args.rank, config)
         payload = multimode_result_to_json(witness, result)
     else:
         witness = witness_from_json(witness_obj)
-        result = compute_threshold(witness, args.rank, config, threads=threads)
+        result = compute_threshold(witness, args.rank, config)
         payload = result_to_json(witness, result)
     text = dumps_stable(payload) + "\n"
     _emit(text, args.out)
-    if args.recheck and args.out:
-        return _recheck_threshold(args.out, args.rank, threads)
+    if args.recheck:
+        return _recheck_threshold(args.out, args.rank)
     return EXIT_OK
 
 
-def _recheck_threshold(path: str, rank: int, threads: int) -> int:
+def _recheck_threshold(path: str, rank: int) -> int:
     stored = Path(path).read_text()
     obj = _load_json(path)
     config = OptimizerConfig.from_json(obj["diagnostics"]["config"], seed=obj["seed"])
     if "modes" in obj:
         witness = MultimodeWitness.from_json(obj["witness"])
-        result = multimode_threshold(witness, obj["modes"], rank, config, threads=threads)
+        result = multimode_threshold(witness, obj["modes"], rank, config)
         regenerated = dumps_stable(multimode_result_to_json(witness, result)) + "\n"
     else:
         witness = witness_from_json(obj["witness"])
-        result = compute_threshold(witness, rank, config, threads=threads)
+        result = compute_threshold(witness, rank, config)
         regenerated = dumps_stable(result_to_json(witness, result)) + "\n"
     if regenerated != stored:
         sys.stderr.write("recheck failed: regenerated threshold file differs\n")
@@ -145,9 +147,10 @@ def _omega_grid(count: int) -> list:
     return [2.0 * math.pi * i / count for i in range(count)]
 
 
-def _boundary_outputs(family, ranks, omega_count, config, threads):
+def _boundary_outputs(family, ranks, omega_count, config, threads=None):
+    """The boundary directory's files by name; `threads` is ignored."""
     omegas = _omega_grid(omega_count)
-    curves = sweep_family_ranks(family, ranks, omegas, config, threads=threads)
+    curves = sweep_family_ranks(family, ranks, omegas, config)
     manifest = {
         "family": family,
         "ranks": list(ranks),
@@ -173,15 +176,14 @@ def cmd_boundary(args) -> int:
     if ranks != list(range(ranks[0], ranks[-1] + 1)) or ranks[0] < 1:
         raise ValueError(f"ranks must be consecutive and start at >= 1, got {ranks}")
     config = _build_config(args)
-    threads = resolve_threads(args.threads)
-    files = _boundary_outputs(family, ranks, args.omegas, config, threads)
+    files = _boundary_outputs(family, ranks, args.omegas, config)
     for name, text in files.items():
         atomic_write_text(os.path.join(args.out, name), text)
     if args.recheck:
         manifest = _load_json(os.path.join(args.out, "manifest.json"))
         config = OptimizerConfig.from_json(manifest["config"], seed=manifest["seed"])
         regenerated = _boundary_outputs(
-            manifest["family"], manifest["ranks"], manifest["omegas"], config, threads
+            manifest["family"], manifest["ranks"], manifest["omegas"], config
         )
         for name, text in regenerated.items():
             if Path(args.out, name).read_text() != text:
@@ -282,9 +284,7 @@ def cmd_certify(args) -> int:
             threshold = float(stored["value"])
         else:
             config = _build_config(args)
-            threshold = compute_threshold(
-                witness, args.rank, config, threads=resolve_threads(args.threads)
-            ).value
+            threshold = compute_threshold(witness, args.rank, config).value
         certified = args.rank if value > threshold + margin else 0
         report.update(
             {
@@ -334,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--starts", type=int, help="multi-start count")
         p.add_argument("--max-iterations", dest="max_iterations", type=int,
                        help="function evaluation budget per start")
-        p.add_argument("--threads", type=int, help="worker cap (or STELLAR_THREADS)")
+        p.add_argument("--threads", type=int,
+                       help="ignored; kept for compatibility (computations run serially)")
 
     p = sub.add_parser("threshold", help="compute a witness threshold at a rank")
     p.add_argument("witness", help="witness JSON file")

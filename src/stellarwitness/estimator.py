@@ -42,7 +42,7 @@ class StellarRankCertifier:
     n_omegas : size of the swept direction grid over [0, 2pi)
     margin : certification safety margin added to thresholds
     starts, max_iterations, seed : optimizer budget per swept direction
-    threads : worker cap for the sweep (results do not depend on it)
+    threads : ignored; kept for compatibility (the sweep runs serially)
 
     After `fit`, `predict(X)` maps each (p_first, p_second) row to the largest
     certified rank (0 when the pair is explainable at every fitted rank).
@@ -114,9 +114,8 @@ class StellarRankCertifier:
             seed=self.seed,
         )
         self.family_ = family
-        self.curves_ = sweep_family_ranks(
-            family, list(range(1, self.max_rank + 1)), omegas, config, threads=self.threads
-        )
+        ranks = list(range(1, self.max_rank + 1))
+        self.curves_ = sweep_family_ranks(family, ranks, omegas, config)
         return self
 
     def _require_fitted(self):

@@ -17,13 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._util import complex_pair, ordered_map, parse_complex
-from .errors import OptimizerError
+from ._util import complex_pair, parse_complex
 from .fock_gaussian import GaussianUnitaryParams, block_columns
 from .numerics import hermitian_spectrum, matrix_exponential
-from .threshold import OptimizerConfig, _halton, _nelder_mead
-
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+from .threshold import OptimizerConfig, _top_eigenvalue, multistart, search_diagnostics
 
 
 def enumerate_subspace(modes: int, total: int) -> list:
@@ -265,18 +262,24 @@ def apply_passive_cached(amplitudes: dict, propagators: list, modes: int) -> dic
     return out
 
 
+def _generator(params: MultimodeGaussianParams) -> np.ndarray:
+    """The interferometer's anti-Hermitian generator; recovered by a matrix
+    logarithm when the params were built from the unitary alone."""
+    if params.generator is not None:
+        return params.generator
+    import scipy.linalg
+
+    X = scipy.linalg.logm(np.asarray(params.interferometer, dtype=complex))
+    return 0.5 * (X - X.conj().T)
+
+
 def compress_conjugated_multimode(
     witness: MultimodeWitness, params: MultimodeGaussianParams, n: int
 ) -> np.ndarray:
     """Π_{n-1,N} U W U† Π_{n-1,N} on the graded multi-index basis."""
     if n < 1:
         raise ValueError("rank must be >= 1")
-    X = params.generator
-    if X is None:
-        import scipy.linalg
-
-        X = scipy.linalg.logm(np.asarray(params.interferometer, dtype=complex))
-        X = 0.5 * (X - X.conj().T)
+    X = _generator(params)
     support = witness.support_total()
     propagators = _sector_propagators(X, support)
     mode_blocks = [
@@ -302,12 +305,7 @@ def multimode_gaussian_block(
     import itertools
 
     modes = params.modes
-    X = params.generator
-    if X is None:
-        import scipy.linalg
-
-        X = scipy.linalg.logm(np.asarray(params.interferometer, dtype=complex))
-        X = 0.5 * (X - X.conj().T)
+    X = _generator(params)
     cols = list(itertools.product(range(cutoff + 1), repeat=modes))
     max_total = max(sum(c) for c in cols)
     propagators = _sector_propagators(X, max_total)
@@ -385,10 +383,7 @@ def _multimode_box(config: OptimizerConfig, modes: int):
 def multimode_objective(
     witness: MultimodeWitness, n: int, params: MultimodeGaussianParams
 ) -> float:
-    matrix = compress_conjugated_multimode(witness, params, n)
-    if matrix.shape[0] == 1:
-        return float(matrix[0, 0].real)
-    return float(np.linalg.eigvalsh(matrix)[-1])
+    return _top_eigenvalue(compress_conjugated_multimode(witness, params, n))
 
 
 def multimode_threshold(
@@ -400,9 +395,12 @@ def multimode_threshold(
 ) -> MultimodeThresholdResult:
     """Multi-start threshold over the (N^2 + 3N)-parameter manifold.
 
-    Same determinism and diagnostics contract as the single-mode optimizer:
-    seeded low-discrepancy starts, order-independent reduction, and the value
-    re-evaluated from the winning parameters.
+    Runs the same search as single-mode thresholds, `threshold.multistart`,
+    on this box, so it has the same determinism and diagnostics contract:
+    seeded low-discrepancy starts, a tie-break on the full search vector, and
+    the value re-evaluated from the winning parameters.  Initial points of
+    another length than the search vector are skipped.  `threads` is
+    accepted for compatibility and ignored.
     """
     if modes > 3:
         raise ValueError("multimode thresholds are desk-scale: modes <= 3")
@@ -412,65 +410,26 @@ def multimode_threshold(
         raise ValueError("rank must be >= 1")
     config = config or OptimizerConfig()
     lo, hi = _multimode_box(config, modes)
-    dims = lo.size
 
     def fun(vec):
-        return -multimode_objective(witness, n, _unpack_vector(vec, modes))
+        return multimode_objective(witness, n, _unpack_vector(vec, modes))
 
-    points = [np.zeros(dims)]
-    for extra in config.initial_points:
-        vec = np.asarray(extra, dtype=float)
-        if vec.size == dims:
-            points.append(np.clip(vec, lo, hi))
-    shift = np.random.default_rng(config.seed).random(dims)
-    index = 1
-    while len(points) < config.starts:
-        u = np.array([(_halton(index, p) + s) % 1.0 for p, s in zip(_PRIMES[:dims], shift)])
-        points.append(lo + u * (hi - lo))
-        index += 1
-
-    def one_start(x0):
-        x, f, evals, converged = _nelder_mead(
-            fun, x0, lo, hi, config.simplex_tolerance, config.max_iterations
-        )
-        return x, -f, evals, converged
-
-    outcomes = ordered_map(one_start, points, threads)
-    if not any(conv for *_, conv in outcomes):
-        raise OptimizerError(
-            "no multimode optimizer start converged",
-            trace=[{"value": v, "evals": e} for _, v, e, _ in outcomes],
-        )
-    best = None
-    for x, value, _evals, _conv in outcomes:
-        key = tuple(float(v) for v in x)
-        if best is None or value > best[1] + 1e-12:
-            best = (x, value, key)
-        elif value > best[1] - 1e-12 and key < best[2]:
-            best = (x, value, key)
-    params = _unpack_vector(best[0], modes)
+    extra = [vec for vec in config.initial_points if np.asarray(vec).size == lo.size]
+    x, outcomes = multistart(fun, lo, hi, config, extra)
+    params = _unpack_vector(x, modes)
     spectrum = hermitian_spectrum(compress_conjugated_multimode(witness, params, n))
-    core = spectrum.vector(0)
-    start_values = [float(v) for _, v, _, _ in outcomes]
-    diagnostics = {
-        "start_values": start_values,
-        "starts_within_1e-6": int(sum(1 for v in start_values if v >= spectrum.top - 1e-6)),
-        "boundary_hit": {
-            "r": bool(np.any(np.abs(best[0][modes * modes : modes * modes + modes] - config.r_max) <= 1e-6 * config.r_max)),
-            "alpha": bool(np.any(np.abs(np.abs(best[0][modes * modes + modes :]) - config.alpha_max) <= 1e-6 * config.alpha_max)),
-        },
-        "converged_starts": int(sum(1 for *_, c in outcomes if c)),
-        "function_evaluations": int(sum(e for _, _, e, _ in outcomes)),
-        "monotonicity_ok": None,
-        "config": config.to_json(),
+    r_part, alpha_part = x[modes * modes : modes * modes + modes], x[modes * modes + modes :]
+    boundary = {
+        "r": bool(np.any(np.abs(r_part - config.r_max) <= 1e-6 * config.r_max)),
+        "alpha": bool(np.any(np.abs(np.abs(alpha_part) - config.alpha_max) <= 1e-6 * config.alpha_max)),
     }
     return MultimodeThresholdResult(
         value=spectrum.top,
         params=params,
-        core=core,
+        core=spectrum.vector(0),
         basis=enumerate_subspace(modes, n - 1),
         rank=n,
-        diagnostics=diagnostics,
+        diagnostics=search_diagnostics(outcomes, spectrum.top, boundary, config),
         seed=config.seed,
     )
 

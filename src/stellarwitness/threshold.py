@@ -9,8 +9,9 @@ because it maps the core subspace onto itself.
 
 Every reported value is attained by an explicit admissible state, so results
 are certified lower bounds on the supremum.  Start points come from a seeded
-low-discrepancy sequence and each start is an independent pure function of its
-index, which makes results bit-identical for any worker count.
+low-discrepancy sequence and the starts run one after another, so a fixed
+config and seed reproduce every bit.  `multistart` runs both the single-mode
+search here and the multimode search in `multimode`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import ordered_map, parse_complex
+from ._util import parse_complex
 from .errors import OptimizerError
 from .fock_gaussian import GaussianUnitaryParams, gaussian_block
 from .numerics import hermitian_spectrum
@@ -33,6 +34,7 @@ from .witness import (
     witness_to_json,
 )
 
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 _TIE_WINDOW = 1e-12
 _CLUSTER_WINDOW = 1e-6
 _BOUNDARY_TOL = 1e-6
@@ -59,8 +61,13 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
-        if self.simplex_tolerance <= 0 or self.max_iterations < 1:
-            raise ValueError("tolerances and iteration budgets must be positive")
+        tol = self.simplex_tolerance
+        if not (math.isfinite(tol) and tol > 0) or self.max_iterations < 1:
+            raise ValueError("tolerances and iteration budgets must be positive and finite")
+        for name in ("r_max", "alpha_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def to_json(self) -> dict:
         return {
@@ -100,23 +107,6 @@ def _halton(index: int, base: int) -> float:
         out += digit * frac
         frac /= base
     return out
-
-
-def _start_vectors(config: OptimizerConfig, dims: int) -> list:
-    """Identity point, then caller-forced points, then seeded Halton fill."""
-    lo, hi = _box(config, dims)
-    points = [np.zeros(dims)]
-    for vec in config.initial_points:
-        vec = np.asarray(vec, dtype=float)[:dims]
-        points.append(np.clip(vec, lo, hi))
-    shift = np.random.default_rng(config.seed).random(dims)
-    bases = (2, 3, 5, 7)[:dims]
-    index = 1
-    while len(points) < config.starts:
-        u = np.array([(_halton(index, b) + s) % 1.0 for b, s in zip(bases, shift)])
-        points.append(lo + u * (hi - lo))
-        index += 1
-    return points
 
 
 def _box(config: OptimizerConfig, dims: int):
@@ -213,31 +203,63 @@ def _nelder_mead(fun, x0, lo, hi, tol, max_evals):
     return best_x, best_f, evals, converged
 
 
-def _run_starts(witness, n, config, fix_vartheta, threads):
-    dims = 3 if fix_vartheta else 4
-    lo, hi = _box(config, dims)
+def multistart(fun, lo, hi, config, extra_starts=(), key=tuple):
+    """Maximize `fun` over the box [lo, hi] by multi-start Nelder-Mead.
 
-    def fun(vec):
-        return -objective(witness, n, _params_from_vector(vec))
+    Starts are the zero point, then `extra_starts` (already of the box's
+    length) clipped into the box, then seeded Halton points until
+    `config.starts` is reached.  Among starts within the tie window of the
+    best value, the smallest `key(x)` wins.  Returns the winning vector and
+    the per-start outcomes `(x, value, evals, converged)`.
+    """
+    dims = lo.size
+    points = [np.zeros(dims)]
+    points += [np.clip(np.asarray(vec, dtype=float), lo, hi) for vec in extra_starts]
+    shift = np.random.default_rng(config.seed).random(dims)
+    index = 1
+    while len(points) < config.starts:
+        u = np.array([(_halton(index, p) + s) % 1.0 for p, s in zip(_PRIMES[:dims], shift)])
+        points.append(lo + u * (hi - lo))
+        index += 1
 
-    starts = _start_vectors(config, dims)
+    def negated(x):
+        return -fun(x)
 
-    def one_start(x0):
+    outcomes = []
+    for x0 in points:
         x, f, evals, converged = _nelder_mead(
-            fun, x0, lo, hi, config.simplex_tolerance, config.max_iterations
+            negated, x0, lo, hi, config.simplex_tolerance, config.max_iterations
         )
-        return x, -f, evals, converged
-
-    outcomes = ordered_map(one_start, starts, threads)
-
+        outcomes.append((x, -f, evals, converged))
+    if not any(conv for *_, conv in outcomes):
+        raise OptimizerError(
+            "no optimizer start converged",
+            trace=[{"value": v, "evals": e} for _, v, e, _ in outcomes],
+        )
     best = None
     for x, value, _evals, _conv in outcomes:
-        key = (float(x[0]), abs(complex(x[1], x[2])), float(x[3]) if dims > 3 else 0.0)
+        k = key(x)
         if best is None or value > best[1] + _TIE_WINDOW:
-            best = (x, value, key)
-        elif value > best[1] - _TIE_WINDOW and key < best[2]:
-            best = (x, value, key)
-    return best, outcomes, (lo, hi)
+            best = (x, value, k)
+        elif value > best[1] - _TIE_WINDOW and k < best[2]:
+            best = (x, value, k)
+    return best[0], outcomes
+
+
+def search_diagnostics(outcomes, value, boundary_hit, config, **extra) -> dict:
+    """Diagnostics shared by single- and multimode thresholds; `extra` keys
+    go between the evaluation count and `monotonicity_ok`."""
+    start_values = [float(v) for _, v, _, _ in outcomes]
+    return {
+        "start_values": start_values,
+        "starts_within_1e-6": int(sum(1 for v in start_values if v >= value - _CLUSTER_WINDOW)),
+        "boundary_hit": boundary_hit,
+        "converged_starts": int(sum(1 for *_, c in outcomes if c)),
+        "function_evaluations": int(sum(e for _, _, e, _ in outcomes)),
+        **extra,
+        "monotonicity_ok": None,
+        "config": config.to_json(),
+    }
 
 
 def compute_threshold(
@@ -251,41 +273,39 @@ def compute_threshold(
 
     The returned value is re-evaluated from the winning parameters through the
     spectrum path, so `value` always reproduces from (params, core) exactly.
+    `threads` is accepted for compatibility and ignored: starts run serially.
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
     config = config or OptimizerConfig()
     if fix_vartheta is None:
         fix_vartheta = witness.phase_invariant
-    best, outcomes, (lo, hi) = _run_starts(witness, n, config, fix_vartheta, threads)
-    if not any(conv for _, _, _, conv in outcomes):
-        raise OptimizerError(
-            "no optimizer start converged",
-            trace=[{"value": v, "evals": e} for _, v, e, _ in outcomes],
-        )
-    params = _params_from_vector(best[0])
+    dims = 3 if fix_vartheta else 4
+    lo, hi = _box(config, dims)
+
+    def fun(vec):
+        return objective(witness, n, _params_from_vector(vec))
+
+    def key(x):
+        return (float(x[0]), abs(complex(x[1], x[2])), float(x[3]) if dims > 3 else 0.0)
+
+    extra = [np.asarray(vec, dtype=float)[:dims] for vec in config.initial_points]
+    x, outcomes = multistart(fun, lo, hi, config, extra, key)
+    params = _params_from_vector(x)
     spectrum = hermitian_spectrum(compress_conjugated(witness, params, n))
     value = spectrum.top
     core = CoreState(spectrum.vector(0))
-    start_values = [float(v) for _, v, _, _ in outcomes]
-    x = best[0]
     span = hi - lo
     boundary = {
         "r": bool(abs(x[0] - hi[0]) <= _BOUNDARY_TOL * span[0]),
         "alpha_re": bool(min(abs(x[1] - lo[1]), abs(x[1] - hi[1])) <= _BOUNDARY_TOL * span[1]),
         "alpha_im": bool(min(abs(x[2] - lo[2]), abs(x[2] - hi[2])) <= _BOUNDARY_TOL * span[2]),
     }
-    diagnostics = {
-        "start_values": start_values,
-        "starts_within_1e-6": int(sum(1 for v in start_values if v >= value - _CLUSTER_WINDOW)),
-        "boundary_hit": boundary,
-        "converged_starts": int(sum(1 for _, _, _, c in outcomes if c)),
-        "function_evaluations": int(sum(e for _, _, e, _ in outcomes)),
-        "vartheta_fixed": bool(fix_vartheta),
-        "witness_tail_bound": float(witness.max_tail_bound()),
-        "monotonicity_ok": None,
-        "config": config.to_json(),
-    }
+    diagnostics = search_diagnostics(
+        outcomes, value, boundary, config,
+        vartheta_fixed=bool(fix_vartheta),
+        witness_tail_bound=float(witness.max_tail_bound()),
+    )
     return ThresholdResult(
         value=value, params=params, core=core, rank=n, diagnostics=diagnostics, seed=config.seed
     )
@@ -304,7 +324,7 @@ def compute_thresholds(
     the compression for rank n+1 contains the rank-n compression as a
     principal submatrix, this makes the computed sequence nondecreasing.  A
     violation beyond the slack is still checked and flagged as optimizer
-    unreliability.
+    unreliability.  `threads` is accepted for compatibility and ignored.
     """
     config = config or OptimizerConfig()
     ranks = list(ranks)
@@ -314,7 +334,7 @@ def compute_thresholds(
     carried = config.initial_points
     for n in ranks:
         cfg = replace(config, initial_points=carried)
-        result = compute_threshold(witness, n, cfg, fix_vartheta, threads)
+        result = compute_threshold(witness, n, cfg, fix_vartheta)
         if results:
             ok = result.value >= results[-1].value - MONOTONICITY_SLACK
             result.diagnostics["monotonicity_ok"] = bool(ok)

@@ -3,10 +3,12 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stellarwitness import cli
 from stellarwitness.cli import main
 from stellarwitness.states import state_to_json, coherent
 from stellarwitness._util import dumps_stable
@@ -23,6 +25,21 @@ def fock_pair_file(tmp_path):
 
 
 FAST_FLAGS = ["--starts", "8", "--max-iterations", "300", "--seed", "7"]
+
+
+def two_mode_witness(occupations):
+    return {
+        "type": "terms",
+        "modes": 2,
+        "terms": [{
+            "weight": 1.0,
+            "state": {
+                "kind": "multimode_fock_vector",
+                "modes": 2,
+                "amplitudes": [{"occupations": occupations, "value": [1.0, 0.0]}],
+            },
+        }],
+    }
 
 
 class TestThresholdCommand:
@@ -72,25 +89,52 @@ class TestThresholdCommand:
         assert code == 2
 
     def test_multimode_witness_dispatch(self, tmp_path):
-        witness = {
-            "type": "terms",
-            "modes": 2,
-            "terms": [{
-                "weight": 1.0,
-                "state": {
-                    "kind": "multimode_fock_vector",
-                    "modes": 2,
-                    "amplitudes": [{"occupations": [0, 0], "value": [1.0, 0.0]}],
-                },
-            }],
-        }
-        path = write_json(tmp_path / "mm.json", witness)
+        path = write_json(tmp_path / "mm.json", two_mode_witness([0, 0]))
         out = tmp_path / "mm_result.json"
         code = main(["threshold", path, "--rank", "1", *FAST_FLAGS, "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
         assert abs(payload["value"] - 1.0) <= 1e-5
         assert payload["modes"] == 2
+
+    def test_multimode_optimizer_failure_exit_two(self, tmp_path):
+        path = write_json(tmp_path / "mm.json", two_mode_witness([1, 1]))
+        code = main(["threshold", path, "--rank", "1", "--starts", "2", "--max-iterations", "3"])
+        assert code == 2
+
+    @pytest.mark.parametrize("box", [{"alpha_max": -2.0}, {"r_max": -0.5}])
+    def test_negative_box_exit_one(self, tmp_path, capsys, box):
+        witness = write_json(
+            tmp_path / "w.json", {"type": "fock_pair", "j": 0, "k": 2, "omega": 0.7}
+        )
+        config = write_json(tmp_path / "config.json", box)
+        out = tmp_path / "result.json"
+        code = main(["threshold", witness, "--rank", "1", "--config", config, "--out", str(out)])
+        assert code == 1
+        assert next(iter(box)) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_recheck_of_tampered_box_exit_one(
+        self, tmp_path, fock_pair_file, monkeypatch, capsys
+    ):
+        def emit_tampered(text, out):
+            payload = json.loads(text)
+            payload["diagnostics"]["config"]["alpha_max"] = -2.0
+            write_json(Path(out), payload)
+
+        monkeypatch.setattr(cli, "_emit", emit_tampered)
+        out = tmp_path / "result.json"
+        code = main(["threshold", fock_pair_file, "--rank", "1", *FAST_FLAGS,
+                     "--out", str(out), "--recheck"])
+        assert code == 1
+        assert "alpha_max" in capsys.readouterr().err
+
+    def test_recheck_without_out_exit_one(self, fock_pair_file, capsys):
+        code = main(["threshold", fock_pair_file, "--rank", "1", *FAST_FLAGS, "--recheck"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "--recheck needs --out" in captured.err
+        assert captured.out == ""
 
     def test_no_partial_output_on_failure(self, tmp_path):
         bad = write_json(tmp_path / "w.json", {"type": "mystery"})

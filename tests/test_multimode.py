@@ -1,10 +1,12 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from stellarwitness.errors import OptimizerError
 from stellarwitness.fock_gaussian import GaussianUnitaryParams, gaussian_block
 from stellarwitness.multimode import (
     MultimodeGaussianParams,
@@ -241,6 +243,23 @@ class TestThreshold:
         base = multimode_threshold(witness, 2, 1, cfg)
         moved = multimode_threshold(conjugated, 2, 1, cfg)
         assert abs(base.value - moved.value) <= 2e-5
+
+    def test_starving_config_raises(self):
+        starving = OptimizerConfig(starts=2, max_iterations=3, seed=23)
+        with pytest.raises(OptimizerError):
+            multimode_threshold(multimode_fock_projector((1, 1)), 2, 1, starving)
+
+    def test_initial_point_of_wrong_length_skipped(self):
+        witness = multimode_fock_projector((0, 0))
+        plain = multimode_threshold(witness, 2, 1, FAST)
+        skipped = multimode_threshold(
+            witness, 2, 1, replace(FAST, initial_points=((0.0, 0.5, 0.5, 0.0),))
+        )
+        assert skipped.diagnostics["start_values"] == plain.diagnostics["start_values"]
+        assert skipped.value == plain.value
+        # an entry of the right length is taken as start 1
+        taken = multimode_threshold(witness, 2, 1, replace(FAST, initial_points=((0.1,) * 10,)))
+        assert taken.diagnostics["start_values"] != plain.diagnostics["start_values"]
 
     def test_mode_count_guard(self):
         with pytest.raises(ValueError):

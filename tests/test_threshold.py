@@ -110,6 +110,33 @@ class TestComputeThreshold:
         with pytest.raises(ValueError):
             compute_threshold(vacuum_witness(), 0, FAST)
 
+    def test_four_vector_start_truncated_when_vartheta_fixed(self):
+        def run(point):
+            cfg = OptimizerConfig(starts=4, max_iterations=400, seed=11, initial_points=(point,))
+            return compute_threshold(single_photon_witness(), 1, cfg, fix_vartheta=True)
+
+        full = run((0.4, 0.8, -0.3, 1.3))
+        truncated = run((0.4, 0.8, -0.3))
+        assert full.diagnostics["start_values"] == truncated.diagnostics["start_values"]
+        assert full.params == truncated.params
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field", ["r_max", "alpha_max"])
+    @pytest.mark.parametrize("value", [-2.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_bad_box_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-9])
+    def test_bad_simplex_tolerance_rejected(self, value):
+        with pytest.raises(ValueError):
+            OptimizerConfig(simplex_tolerance=value)
+
+    def test_zero_box_allowed(self):
+        config = OptimizerConfig(r_max=0.0, alpha_max=0.0)
+        assert (config.r_max, config.alpha_max) == (0.0, 0.0)
+
 
 class TestBatch:
     def test_monotone_in_rank(self):
