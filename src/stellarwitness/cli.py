@@ -173,7 +173,7 @@ def cmd_boundary(args) -> int:
         ranks = sorted(args.ranks)
     else:
         ranks = list(range(1, args.max_rank + 1))
-    if ranks != list(range(ranks[0], ranks[-1] + 1)) or ranks[0] < 1:
+    if not ranks or ranks != list(range(ranks[0], ranks[-1] + 1)) or ranks[0] < 1:
         raise ValueError(f"ranks must be consecutive and start at >= 1, got {ranks}")
     config = _build_config(args)
     files = _boundary_outputs(family, ranks, args.omegas, config)

@@ -11,7 +11,8 @@ Two independent evaluation paths are provided:
   Laguerre-form displacement element when the squeezing is negligible); a
   coherent input reduces to the vacuum column of a displaced squeezer, which
   is computed directly from the single-term (m = 0) sum, bit-identical to the
-  general element formula, and
+  general element formula, for a whole batch of parameter points and inputs
+  at once (:func:`coherent_columns`), and
 * an oracle path that exponentiates truncated annihilation/creation
   generators, either densely or column-by-column through a Chebyshev
   expansion of the sparse generator's action.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,61 +118,136 @@ def _displacement_element(alpha: complex, k: int, m: int) -> complex:
     return math.exp(log_mag) * power * _laguerre(low, d, x)
 
 
-def _scaled_hermite(x: complex, n_max: int):
-    """Hermite values split as H_d(x) = units[d] * exp(logs[d]).
+# ---------------------------------------------------------------------------
+# Array arithmetic with the bits of the scalar formulas.
+#
+# A parameter point's amplitudes must not depend on the batch it is evaluated
+# in, and must equal the scalar element formula's.  Float64 elementwise
+# operations, np.hypot and stacked LAPACK calls keep their bits in any batch;
+# numpy's vectorized exp, log, cosh, sinh and complex products do not match
+# the C library and Python's complex arithmetic (fused multiply-adds, other
+# polynomial kernels).  So the kernels below take those functions through
+# `math` / `cmath` per element and spell every scalar complex operation out
+# in real and imaginary parts, in the order Python or numpy's scalar code
+# rounds it.  Both promote a real operand x to (x, 0.0), so a product with a
+# real carries terms like `0.0 * im`: they fix the signs of zeros and stay.
+# Where a formula below is shorter than the expression it mirrors, the two
+# agree bit for bit by exact identities (y * -x == -(y * x),
+# a - (-b) == a + b), noted at the spot.
+# ---------------------------------------------------------------------------
+
+
+def _each(fn, values, dtype=float) -> np.ndarray:
+    """`fn` (a `math` / `cmath` function, or an expression around one)
+    applied to every element of a 1-D array."""
+    return np.fromiter(map(fn, values.tolist()), dtype, len(values))
+
+
+def _complex(re, im) -> np.ndarray:
+    """Complex array with exactly these parts (``re + 1j * im`` may flip a zero's sign)."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _square(x: float) -> float:
+    """``x ** 2`` as Python rounds it (C pow, which is not always x * x)."""
+    return math.pow(x, 2.0)
+
+
+def _phase(angle: float) -> complex:
+    """``cmath.exp(1j * angle)``."""
+    return cmath.exp(1j * angle)
+
+
+def _turn(angle: float) -> complex:
+    """``cmath.exp(complex(0.0, angle))``; unlike 1j * angle it keeps the sign of a zero angle."""
+    return cmath.exp(complex(0.0, angle))
+
+
+@lru_cache(maxsize=None)
+def _i_powers(k_max: int) -> np.ndarray:
+    """1j ** k for k <= k_max; read-only, shared by every caller of that size."""
+    table = 1j ** np.arange(k_max + 1)
+    table.flags.writeable = False
+    return table
+
+
+def _scaled_hermite(x, n_max: int):
+    """Hermite values split as H_d(x) = units[..., d] * exp(logs[..., d]).
 
     Forward recurrence H_{d+1} = 2x H_d - 2d H_{d-1}, renormalized every step
     so arbitrarily high degrees stay inside double range; the log magnitudes
-    are folded into the per-term exponents.
+    are folded into the per-term exponents.  `x` is a complex scalar or array;
+    degree runs along the last axis of the outputs.  Each entry has the bits
+    of the scalar recurrence on that argument: the first step in Python
+    complex arithmetic (x is a Python complex there), later steps in numpy
+    scalar arithmetic.
     """
-    units = np.empty(n_max + 1, dtype=complex)
-    logs = np.empty(n_max + 1, dtype=float)
-    units[0], logs[0] = 1.0, 0.0
-    if n_max == 0:
-        return units, logs
-    mag = abs(2.0 * x)
-    if mag > 0.0:
-        units[1], logs[1] = 2.0 * x / mag, math.log(mag)
-    else:
-        units[1], logs[1] = 0.0, 0.0
+    x = np.asarray(x, dtype=complex)
+    flat = x.ravel()
+    units = np.zeros((flat.size, n_max + 1), dtype=complex)
+    logs = np.zeros((flat.size, n_max + 1), dtype=float)
+    units[:, 0] = 1.0
+    if n_max > 0:
+        xr, xi = flat.real, flat.imag
+        tr, ti = 2.0 * xr - 0.0 * xi, 2.0 * xi + 0.0 * xr  # 2.0 * x
+        mag = np.hypot(tr, ti)
+        live = mag > 0.0
+        mag = np.where(live, mag, 1.0)
+        # 2.0 * x / mag: Python divides (a, b) by a float m as ((a + b*0) / m, (b - a*0) / m)
+        np.copyto(units[:, 1].real, (tr + ti * 0.0) / mag, where=live)
+        np.copyto(units[:, 1].imag, (ti - tr * 0.0) / mag, where=live)
+        np.copyto(logs[:, 1], _each(math.log, mag), where=live)
     for d in range(1, n_max):
-        anchor = max(logs[d], logs[d - 1])
-        value = 2.0 * x * units[d] * math.exp(logs[d] - anchor) - 2.0 * d * units[
-            d - 1
-        ] * math.exp(logs[d - 1] - anchor)
-        mag = abs(value)
-        if mag > 0.0:
-            units[d + 1], logs[d + 1] = value / mag, anchor + math.log(mag)
-        else:
-            units[d + 1], logs[d + 1] = 0.0, anchor
-    return units, logs
+        cur, prev = logs[:, d], logs[:, d - 1]
+        anchor = np.where(prev > cur, prev, cur)  # max(cur, prev): cur on ties
+        grow = _each(math.exp, cur - anchor)
+        damp = _each(math.exp, prev - anchor)
+        ur, ui = units[:, d].real, units[:, d].imag
+        pr, pi = units[:, d - 1].real, units[:, d - 1].imag
+        # 2.0 * x * units[d] * grow - 2.0 * d * units[d - 1] * damp
+        ar, ai = tr * ur - ti * ui, tr * ui + ti * ur
+        ar, ai = ar * grow - ai * 0.0, ar * 0.0 + ai * grow
+        br, bi = 2.0 * d * pr - 0.0 * pi, 2.0 * d * pi + 0.0 * pr
+        br, bi = br * damp - bi * 0.0, br * 0.0 + bi * damp
+        vr, vi = ar - br, ai - bi
+        mag = np.hypot(vr, vi)
+        live = mag > 0.0
+        mag = np.where(live, mag, 1.0)
+        # value / mag: numpy multiplies by 1 / (m + 0 * 0), and m + 0 == m here
+        scale = 1.0 / mag
+        np.copyto(units[:, d + 1].real, (vr + vi * 0.0) * scale, where=live)
+        np.copyto(units[:, d + 1].imag, (vi - vr * 0.0) * scale, where=live)
+        logs[:, d + 1] = np.where(live, anchor + _each(math.log, mag), anchor)
+    return units.reshape(x.shape + (n_max + 1,)), logs.reshape(x.shape + (n_max + 1,))
 
 
-#: phase_k[k] * phase_m[0] of an element context at theta = vartheta = 0:
-#: exactly 1 + 0j, kept as a factor because the product fixes signs of zeros.
-_UNIT_PHASE = np.complex128(1.0)
+class _ElementContext:
+    """Per-parameter workspace so block assembly and single elements share bits.
 
-
-class _HermiteTables:
-    """Per-parameter factors of the Hermite sum for <k|D(alpha)S(r)|m>.
-
-    All magnitudes (factorial ratios, Hermite growth, the Gaussian envelope)
-    are assembled in log space and exponentiated once per term, which keeps
-    any block size the validation suites ask for inside double range.  Below
-    ``SQUEEZING_DEGENERACY_CUTOFF`` no tables are built: elements come from the
-    Laguerre form of the displacement.
+    All magnitudes of the Hermite sum for <k|D(alpha)S(r)|m> (factorial
+    ratios, Hermite growth, the Gaussian envelope) are assembled in log space
+    and exponentiated once per term, which keeps any block size the
+    validation suites ask for inside double range.  Below
+    ``SQUEEZING_DEGENERACY_CUTOFF`` no tables are built: elements come from
+    the Laguerre form of the displacement.  The Hermite tables of the two
+    arguments (`hermite_args`) are filled in by :func:`_element_contexts`.
     """
 
     __slots__ = (
         "mu", "alpha", "degenerate", "u1", "l1", "u2", "l2", "e0_phase", "log_e0",
-        "log_ratio", "log_two_over_nu", "i_pow",
+        "log_ratio", "log_two_over_nu", "i_pow", "phase_k", "phase_m", "hermite_args",
     )
 
-    def __init__(self, r: float, alpha: complex, k_max: int, m_max: int):
+    def __init__(self, params: GaussianUnitaryParams, k_max: int, m_max: int):
+        r, alpha = params.r, complex(params.alpha)
         mu, nu = math.cosh(r), math.sinh(r)
         self.mu = mu
         self.alpha = alpha
         self.degenerate = nu < SQUEEZING_DEGENERACY_CUTOFF
+        self.phase_k = np.exp(-1j * params.theta * np.arange(k_max + 1))
+        self.phase_m = np.exp(1j * params.vartheta * np.arange(m_max + 1))
         if self.degenerate:
             return
         ac = alpha.conjugate()
@@ -178,25 +255,13 @@ class _HermiteTables:
         x1 = -ac / s
         # principal branch: sqrt(-2 mu nu) = i s, pinned against the oracle.
         x2 = (mu * alpha - nu * ac) / (1j * s)
-        self.u1, self.l1 = _scaled_hermite(x1, m_max)
-        self.u2, self.l2 = _scaled_hermite(x2, k_max)
+        self.hermite_args = (x1, x2)
         envelope = (nu / (2.0 * mu)) * ac * ac
         self.log_e0 = -(abs(alpha) ** 2) / 2.0 + envelope.real
         self.e0_phase = cmath.exp(1j * envelope.imag)
         self.log_ratio = math.log(nu / (2.0 * mu))
         self.log_two_over_nu = math.log(2.0 / nu)
-        self.i_pow = 1j ** np.arange(k_max + 1)
-
-
-class _ElementContext(_HermiteTables):
-    """Per-parameter workspace so block assembly and single elements share bits."""
-
-    __slots__ = ("phase_k", "phase_m")
-
-    def __init__(self, params: GaussianUnitaryParams, k_max: int, m_max: int):
-        super().__init__(params.r, complex(params.alpha), k_max, m_max)
-        self.phase_k = np.exp(-1j * params.theta * np.arange(k_max + 1))
-        self.phase_m = np.exp(1j * params.vartheta * np.arange(m_max + 1))
+        self.i_pow = _i_powers(k_max)
 
     def element(self, k: int, m: int) -> complex:
         if k < 0 or m < 0:
@@ -230,38 +295,117 @@ class _ElementContext(_HermiteTables):
         return phases * self.e0_phase * total
 
 
-def _vacuum_column(r: float, alpha: complex, k_max: int) -> np.ndarray:
-    """<k|D(alpha)S(r)|0> for k <= k_max.
+def _squeezed_vacuum(mu, nu, ar, ai, size_sq, k_max: int) -> np.ndarray:
+    """Rows of <k|D(alpha)S(r)|0> above the degeneracy cutoff: the element
+    formula's Hermite sum at m = 0, which has the single term j = 0."""
+    za, z0 = 0.0 * ai, 0.0 * ar  # the zeros of promoted reals against alpha
+    s = np.sqrt(2.0 * mu * nu)
+    # x2 = (mu alpha - nu conj(alpha)) / (1j s), with 0.0 * -ai == -za and
+    # nu * -ai == -(nu * ai); Python divides by (0, s) as ((a*0 + b) / s, (b*0 - a) / s)
+    dr = (mu * ar - za) - (nu * ar + za)
+    di = (mu * ai + z0) - (z0 - nu * ai)
+    units, logs = _scaled_hermite(_complex((dr * 0.0 + di) / s, (di * 0.0 - dr) / s), k_max)
+    # envelope = (nu / (2 mu)) * conj(alpha) * conj(alpha)
+    q = nu / (2.0 * mu)
+    qr, qi = q * ar + za, z0 - q * ai
+    er, ei = qr * ar + qi * ai, qi * ar - qr * ai
+    log_e0 = -size_sq / 2.0 + er
+    e0_phase = _each(_phase, ei, complex)
+    cr, ci = e0_phase.real, e0_phase.imag
+    # lead = (1 + 0j) * e0_phase, the unit phase of the element formula
+    lr, li = (cr - 0.0 * ci)[:, None], (ci + 0.0 * cr)[:, None]
+    half_log_k, half_k, log_k, ipr, ipi, zpr, zpi = _column_constants(k_max)
+    base = (
+        half_log_k - 0.5 * _each(math.log, mu)[:, None]
+        + half_k * _each(math.log, q)[:, None]
+        + log_e0[:, None]
+    )
+    size = _each(math.exp, (base - log_k + logs).ravel()).reshape(logs.shape)
+    # term = size * 1j**k * (1 + 0j) * u2[k]; out = lead * (0j + term)
+    tr, ti = size * ipr - zpi, size * ipi + zpr
+    tr, ti = tr - ti * 0.0, tr * 0.0 + ti
+    ur, ui = units.real, units.imag
+    tr, ti = 0.0 + (tr * ur - ti * ui), 0.0 + (tr * ui + ti * ur)
+    return _complex(lr * tr - li * ti, lr * ti + li * tr)
 
-    Bit-identical to column 0 of :meth:`_ElementContext.element` at
-    theta = vartheta = 0: the Hermite sum has the single term j = 0, whose
-    operations run in the same order, unit phase included.  Only the
-    exponent's zero summands (log 0!, j log(2/nu)) are left out; they can
-    change nothing but the sign of a zero, which exp() ignores.
-    """
-    tables = _HermiteTables(r, alpha, k_max, 0)
-    out = np.empty(k_max + 1, dtype=complex)
-    if tables.degenerate:
-        for k in range(k_max + 1):
-            out[k] = _UNIT_PHASE * _displacement_element(alpha, k, 0)
-        return out
-    half_log_mu = 0.5 * math.log(tables.mu)
-    lead = _UNIT_PHASE * tables.e0_phase
-    log_ratio, log_e0 = tables.log_ratio, tables.log_e0
-    u1, u2, l2, i_pow = tables.u1[0], tables.u2, tables.l2, tables.i_pow
-    for k in range(k_max + 1):
-        log_k = log_factorial(k)
-        base = 0.5 * log_k - half_log_mu + 0.5 * k * log_ratio + log_e0
-        term = math.exp(base - log_k + l2[k]) * i_pow[k] * u1 * u2[k]
-        out[k] = lead * (0.0j + term)
+
+@lru_cache(maxsize=None)
+def _column_constants(k_max: int):
+    """Per-k factors of the vacuum column: 0.5 log k!, 0.5 k, log k!, the
+    parts of 1j**k and the zeros 0.0 * Im, 0.0 * Re it carries as a factor."""
+    ks = np.arange(k_max + 1)
+    log_k = np.array([log_factorial(k) for k in ks])
+    i_pow = _i_powers(k_max)
+    out = (0.5 * log_k, 0.5 * ks, log_k, i_pow.real, i_pow.imag, 0.0 * i_pow.real, 0.0 * i_pow.imag)
+    for table in out:
+        table.flags.writeable = False
     return out
+
+
+def _displaced_vacuum(alpha, size_sq, k_max: int) -> np.ndarray:
+    """Rows of <k|D(alpha)|0> below the degeneracy cutoff: the Laguerre form
+    at m = 0, exp(-|alpha|^2 / 2) alpha^k / sqrt(k!), times the unit phase."""
+    log_k = _column_constants(k_max)[2]
+    size = _each(math.exp, (-0.5 * size_sq[:, None] + 0.5 * (0.0 - log_k)).ravel())
+    # complex ** int as CPython computes it; alpha ** 0 is (1, 0) like the
+    # element formula's real 1.0 after promotion
+    power = np.array([a**k for a in alpha.tolist() for k in range(k_max + 1)], dtype=complex)
+    pr, pi = power.real, power.imag
+    vr, vi = size * pr - 0.0 * pi, size * pi + 0.0 * pr
+    vr, vi = vr - vi * 0.0, vr * 0.0 + vi  # times _laguerre(0, k, x) = 1.0
+    return _complex(vr - 0.0 * vi, vi + 0.0 * vr).reshape(-1, k_max + 1)
+
+
+def _vacuum_column(r, alpha, k_max: int) -> np.ndarray:
+    """<k|D(alpha)S(r)|0> for k <= k_max, for scalars or arrays of r and alpha.
+
+    Fock index k runs along the last axis.  Each row is bit-identical to
+    column 0 of :meth:`_ElementContext.element` at theta = vartheta = 0, in
+    any batch: the Hermite sum has the single term j = 0, whose operations
+    run in the same order, unit phase included.  Only the exponent's zero
+    summands (log 0!, j log(2/nu)) are left out; they can change nothing but
+    the sign of a zero, which exp() ignores.  Rows below the degeneracy
+    cutoff take the displacement-only form under a mask.
+    """
+    r, alpha = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(alpha, dtype=complex))
+    shape = r.shape + (k_max + 1,)
+    r, alpha = r.ravel(), alpha.ravel()
+    mu, nu = _each(math.cosh, r), _each(math.sinh, r)
+    ar, ai = alpha.real, alpha.imag
+    size_sq = _each(_square, np.hypot(ar, ai))  # abs(alpha) ** 2
+    degenerate = nu < SQUEEZING_DEGENERACY_CUTOFF
+    flags = degenerate.tolist()
+    if not any(flags):
+        return _squeezed_vacuum(mu, nu, ar, ai, size_sq, k_max).reshape(shape)
+    if all(flags):
+        return _displaced_vacuum(alpha, size_sq, k_max).reshape(shape)
+    # the squeezed form runs on every row (nu = 1 keeps it finite and bounded
+    # where r is below the cutoff), the displaced form on those rows only
+    out = _squeezed_vacuum(mu, np.where(degenerate, 1.0, nu), ar, ai, size_sq, k_max)
+    out[degenerate] = _displaced_vacuum(alpha[degenerate], size_sq[degenerate], k_max)
+    return out.reshape(shape)
+
+
+def _element_contexts(params_rows, k_max: int, m_max: int) -> list:
+    """An :class:`_ElementContext` per parameter point, with the Hermite
+    tables of all of them from one recurrence over every argument (lower
+    degrees never see higher ones, so the shared maximum degree is exact)."""
+    contexts = [_ElementContext(params, k_max, m_max) for params in params_rows]
+    live = [ctx for ctx in contexts if not ctx.degenerate]
+    if live:
+        args = [x for ctx in live for x in ctx.hermite_args]
+        units, logs = _scaled_hermite(args, max(k_max, m_max))
+        for i, ctx in enumerate(live):
+            ctx.u1, ctx.l1 = units[2 * i, : m_max + 1], logs[2 * i, : m_max + 1]
+            ctx.u2, ctx.l2 = units[2 * i + 1, : k_max + 1], logs[2 * i + 1, : k_max + 1]
+    return contexts
 
 
 def gaussian_matrix_element(params: GaussianUnitaryParams, k: int, m: int) -> complex:
     """Analytic <k|U|m> for a single pair of Fock indices."""
     if k < 0 or m < 0:
         raise ValueError("Fock indices must be >= 0")
-    return _ElementContext(params, k, m).element(k, m)
+    return _element_contexts([params], k, m)[0].element(k, m)
 
 
 def gaussian_block(
@@ -274,7 +418,7 @@ def gaussian_block(
     """
     if row_max < 0 or col_max < 0:
         raise ValueError("block extents must be >= 0")
-    ctx = _ElementContext(params, row_max, col_max)
+    (ctx,) = _element_contexts([params], row_max, col_max)
     out = np.empty((row_max + 1, col_max + 1), dtype=complex)
     for m in range(col_max + 1):
         for k in range(row_max + 1):
@@ -283,14 +427,83 @@ def gaussian_block(
 
 
 def block_columns(params: GaussianUnitaryParams, rows: int, cols) -> np.ndarray:
-    """Selected columns <k|U|m>, k < rows, for m in `cols` (optimizer hot path)."""
+    """Selected columns <k|U|m>, k < rows, for m in `cols`."""
+    return block_columns_batch([params], rows, cols)[0]
+
+
+def block_columns_batch(params_rows, rows: int, cols) -> np.ndarray:
+    """:func:`block_columns` of every parameter point, shape (points, rows,
+    len(cols)): one Hermite recurrence for all points, then each point's
+    elements one by one (optimizer hot path of Fock witnesses)."""
     cols = list(cols)
-    ctx = _ElementContext(params, rows - 1, max(cols) if cols else 0)
-    out = np.empty((rows, len(cols)), dtype=complex)
-    for i, m in enumerate(cols):
-        for k in range(rows):
-            out[k, i] = ctx.element(k, m)
+    contexts = _element_contexts(params_rows, rows - 1, max(cols) if cols else 0)
+    out = np.empty((len(contexts), rows, len(cols)), dtype=complex)
+    for b, ctx in enumerate(contexts):
+        for i, m in enumerate(cols):
+            for k in range(rows):
+                out[b, k, i] = ctx.element(k, m)
     return out
+
+
+def params_from_vector(vec) -> GaussianUnitaryParams:
+    """The point (r, Re alpha, Im alpha[, vartheta]) of the threshold search, theta = 0."""
+    vartheta = float(vec[3]) if len(vec) > 3 else 0.0
+    return GaussianUnitaryParams(
+        theta=0.0, vartheta=vartheta, r=float(vec[0]), alpha=complex(vec[1], vec[2])
+    )
+
+
+def coherent_columns(points, betas, k_max: int, theta=None) -> np.ndarray:
+    """Amplitudes <k|U|beta>, k <= k_max, for every point and every beta.
+
+    `points` holds rows (r, Re alpha, Im alpha[, vartheta]) as in
+    :func:`params_from_vector`; `theta` holds the rows' output phases, and
+    None means theta = 0, whose phase table is exactly 1 and is not built.
+    Returns shape (points, betas, k_max + 1); each row has the same bits
+    alone as in any batch.
+
+    Uses the displaced-squeezed reduction: commuting the input phase and the
+    squeezer through the coherent displacement leaves a vacuum column with the
+    composite displacement ``alpha + beta_tilde``, times an exact phase.
+    """
+    betas = [complex(beta) for beta in betas]
+    if not all(map(cmath.isfinite, betas)):
+        raise ValueError("coherent input and displacement must be finite")
+    points = np.asarray(points, dtype=float)
+    count, width = len(points), len(betas)
+    r = points[:, 0]
+    vartheta = points[:, 3] if points.shape[1] > 3 else np.zeros(count)
+    # one row per (point, beta)
+    mu = np.repeat(_each(math.cosh, r), width)
+    nu = np.repeat(_each(math.sinh, r), width)
+    turn = np.repeat(_each(_phase, vartheta, complex), width)
+    ar, ai = np.repeat(points[:, 1], width), np.repeat(points[:, 2], width)
+    tiled = np.array(betas * count)
+    br, bi = tiled.real, tiled.imag
+    cr, ci = turn.real, turn.imag
+    # rotated = exp(1j vartheta) * beta
+    rr, ri = cr * br - ci * bi, cr * bi + ci * br
+    # beta_tilde = rotated * mu + rotated.conjugate() * nu, with
+    # (-ri) * 0.0 == -(ri * 0.0) and (-ri) * nu == -(ri * nu)
+    zi, zr = ri * 0.0, rr * 0.0
+    tr = (rr * mu - zi) + (rr * nu + zi)
+    ti = (zr + ri * mu) + (zr - ri * nu)
+    shifted = _complex(ar + tr, ai + ti)
+    if not np.isfinite(shifted).all():
+        raise ValueError("coherent input and displacement must be finite")
+    # phase = exp((alpha conj(bt) - conj(alpha) bt) / 2): for finite inputs
+    # the real parts cancel to +0 exactly, and with P = ar ti, Q = ai tr the
+    # imaginary part (Q - P) - (P - Q) is exactly 2 (Q - P), halved exactly
+    phase = _each(_turn, ai * tr - ar * ti, complex)
+    column = _vacuum_column(np.repeat(r, width), shifted, k_max)
+    if theta is None:
+        pr, pi = phase.real, phase.imag  # phase * (1 + 0j), exact in any rounding
+        lead = _complex(pr - pi * 0.0, pr * 0.0 + pi)[:, None]
+    else:
+        turns = np.exp((-1j * np.asarray(theta, dtype=float))[:, None] * np.arange(k_max + 1))
+        lead = phase[:, None] * np.repeat(turns, width, axis=0)
+    # numpy array products, as in the one-point formula phase * turns * column
+    return (lead * column).reshape(count, width, k_max + 1)
 
 
 def transform_coherent(
@@ -298,25 +511,14 @@ def transform_coherent(
 ) -> FockVector:
     """Amplitudes <k|U|beta> for k <= k_max for a coherent input |beta>.
 
-    Uses the displaced-squeezed reduction: commuting the input phase and the
-    squeezer through the coherent displacement leaves a vacuum column with the
-    composite displacement ``alpha + beta_tilde``, times an exact phase.  The
-    column comes straight from the Hermite tables, with no parameter object
-    or element loop.
+    The one-row case of :func:`coherent_columns`, with the tail bound of the
+    returned vector.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    beta = complex(beta)
-    mu, nu = params.mu, params.nu
-    rotated = cmath.exp(1j * params.vartheta) * beta
-    beta_tilde = rotated * mu + rotated.conjugate() * nu
     alpha = complex(params.alpha)
-    phase = cmath.exp((alpha * beta_tilde.conjugate() - alpha.conjugate() * beta_tilde) / 2.0)
-    shifted = alpha + beta_tilde
-    if not cmath.isfinite(shifted):
-        raise ValueError("coherent input and displacement must be finite")
-    column = _vacuum_column(params.r, shifted, k_max)
-    amps = phase * np.exp(-1j * params.theta * np.arange(k_max + 1)) * column
+    point = [[params.r, alpha.real, alpha.imag, params.vartheta]]
+    amps = coherent_columns(point, [complex(beta)], k_max, theta=[params.theta])[0, 0]
     norm_sq = float(np.sum(np.abs(amps) ** 2))
     return FockVector(amps, tail_bound=max(0.0, 1.0 - norm_sq))
 

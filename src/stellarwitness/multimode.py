@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._util import complex_pair, parse_complex
-from .fock_gaussian import GaussianUnitaryParams, block_columns
+from .fock_gaussian import GaussianUnitaryParams, block_columns_batch
 from .numerics import hermitian_spectrum, matrix_exponential
 from .threshold import OptimizerConfig, _top_eigenvalue, multistart, search_diagnostics
 
@@ -273,19 +273,30 @@ def _generator(params: MultimodeGaussianParams) -> np.ndarray:
     return 0.5 * (X - X.conj().T)
 
 
+def _mode_blocks(points: list, n: int, support: int) -> np.ndarray:
+    """Single-mode columns <k|D S|m>, k < n, m <= support, of every mode of
+    every parameter point, shape (points, modes, n, support + 1): one Hermite
+    recurrence for all of them."""
+    modes = points[0].modes
+    single = [params.mode_params(k) for params in points for k in range(modes)]
+    blocks = block_columns_batch(single, n, range(support + 1))
+    return blocks.reshape(len(points), modes, n, support + 1)
+
+
 def compress_conjugated_multimode(
     witness: MultimodeWitness, params: MultimodeGaussianParams, n: int
 ) -> np.ndarray:
     """Π_{n-1,N} U W U† Π_{n-1,N} on the graded multi-index basis."""
     if n < 1:
         raise ValueError("rank must be >= 1")
+    blocks = _mode_blocks([params], n, witness.support_total())[0]
+    return _compress_multimode(witness, params, n, blocks)
+
+
+def _compress_multimode(witness, params, n, mode_blocks) -> np.ndarray:
+    """`compress_conjugated_multimode` with the mode columns given."""
     X = _generator(params)
-    support = witness.support_total()
-    propagators = _sector_propagators(X, support)
-    mode_blocks = [
-        block_columns(params.mode_params(k), n, range(support + 1))
-        for k in range(params.modes)
-    ]
+    propagators = _sector_propagators(X, witness.support_total())
     out_basis = enumerate_subspace(params.modes, n - 1)
     dim = len(out_basis)
     out = np.zeros((dim, dim), dtype=complex)
@@ -309,10 +320,7 @@ def multimode_gaussian_block(
     cols = list(itertools.product(range(cutoff + 1), repeat=modes))
     max_total = max(sum(c) for c in cols)
     propagators = _sector_propagators(X, max_total)
-    mode_blocks = [
-        block_columns(params.mode_params(k), n_rows + 1, range(max_total + 1))
-        for k in range(modes)
-    ]
+    mode_blocks = _mode_blocks([params], n_rows + 1, max_total)[0]
     rows = enumerate_subspace(modes, n_rows)
     out = np.zeros((len(rows), len(cols)), dtype=complex)
     for j, col in enumerate(cols):
@@ -386,6 +394,22 @@ def multimode_objective(
     return _top_eigenvalue(compress_conjugated_multimode(witness, params, n))
 
 
+def multimode_objectives(witness: MultimodeWitness, n: int, points, modes: int) -> list:
+    """:func:`multimode_objective` at every search vector (row) of `points`.
+
+    Each row is compressed and diagonalized on its own; only the single-mode
+    columns of all rows come from one call, so the Hermite recurrence runs
+    once per batch instead of once per row.
+    """
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    params = [_unpack_vector(vec, modes) for vec in points]
+    blocks = _mode_blocks(params, n, witness.support_total())
+    return [
+        _top_eigenvalue(_compress_multimode(witness, p, n, b)) for p, b in zip(params, blocks)
+    ]
+
+
 def multimode_threshold(
     witness: MultimodeWitness,
     modes: int,
@@ -395,8 +419,10 @@ def multimode_threshold(
 ) -> MultimodeThresholdResult:
     """Multi-start threshold over the (N^2 + 3N)-parameter manifold.
 
-    Runs the same search as single-mode thresholds, `threshold.multistart`,
-    on this box, so it has the same determinism and diagnostics contract:
+    Runs the same lockstep search as single-mode thresholds,
+    `threshold.multistart`, on this box (each round through
+    :func:`multimode_objectives`), so it has the same determinism and
+    diagnostics contract:
     seeded low-discrepancy starts, a tie-break on the full search vector, and
     the value re-evaluated from the winning parameters.  Initial points of
     another length than the search vector are skipped.  `threads` is
@@ -411,8 +437,8 @@ def multimode_threshold(
     config = config or OptimizerConfig()
     lo, hi = _multimode_box(config, modes)
 
-    def fun(vec):
-        return multimode_objective(witness, n, _unpack_vector(vec, modes))
+    def fun(points):
+        return multimode_objectives(witness, n, points, modes)
 
     extra = [vec for vec in config.initial_points if np.asarray(vec).size == lo.size]
     x, outcomes = multistart(fun, lo, hi, config, extra)

@@ -9,27 +9,31 @@ because it maps the core subspace onto itself.
 
 Every reported value is attained by an explicit admissible state, so results
 are certified lower bounds on the supremum.  Start points come from a seeded
-low-discrepancy sequence and the starts run one after another, so a fixed
-config and seed reproduce every bit.  `multistart` runs both the single-mode
-search here and the multimode search in `multimode`.
+low-discrepancy sequence, and all starts advance in lockstep, one batched
+objective call per round.  A point's value has the same bits in any batch,
+so each start follows the trajectory it follows alone and a fixed config and
+seed reproduce every bit.  `multistart` runs both the single-mode search here
+and the multimode search in `multimode`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._util import parse_complex
 from .errors import OptimizerError
-from .fock_gaussian import GaussianUnitaryParams, gaussian_block
+from .fock_gaussian import GaussianUnitaryParams, gaussian_block, params_from_vector
 from .numerics import hermitian_spectrum
 from .states import FockVector
 from .witness import (
     CoreState,
     WitnessOperator,
     compress_conjugated,
+    compress_conjugated_batch,
     witness_from_json,
     witness_to_json,
 )
@@ -59,6 +63,11 @@ class OptimizerConfig:
     initial_points: tuple = ()
 
     def __post_init__(self):
+        for name in ("starts", "max_iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
         tol = self.simplex_tolerance
@@ -115,39 +124,48 @@ def _box(config: OptimizerConfig, dims: int):
     return lo, hi
 
 
-def _params_from_vector(vec: np.ndarray) -> GaussianUnitaryParams:
-    vartheta = float(vec[3]) if vec.size > 3 else 0.0
-    return GaussianUnitaryParams(
-        theta=0.0, vartheta=vartheta, r=float(vec[0]), alpha=complex(vec[1], vec[2])
-    )
+def _top_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each matrix of a (rows, n, n) Hermitian stack."""
+    if stack.shape[-1] == 1:
+        return stack[:, 0, 0].real
+    return np.linalg.eigvalsh(stack)[:, -1]
 
 
 def _top_eigenvalue(matrix: np.ndarray) -> float:
-    if matrix.shape[0] == 1:
-        return float(matrix[0, 0].real)
-    return float(np.linalg.eigvalsh(matrix)[-1])
+    return float(_top_eigenvalues(matrix[None])[0])
 
 
 def objective(
     witness: WitnessOperator, n: int, params: GaussianUnitaryParams
 ) -> float:
-    """Top eigenvalue of the compressed conjugated witness at fixed parameters."""
+    """Top eigenvalue of the compressed conjugated witness at fixed parameters.
+
+    The one-row case of :func:`objectives`: a search point gives the same
+    bits through either.
+    """
     return _top_eigenvalue(compress_conjugated(witness, params, n))
 
 
-def _nelder_mead(fun, x0, lo, hi, tol, max_evals):
-    """Minimize `fun` over the box by Nelder-Mead with adaptive coefficients
-    and one shrunken restart around the incumbent.  Fully deterministic."""
+def objectives(witness: WitnessOperator, n: int, points) -> np.ndarray:
+    """:func:`objective` at every row (r, Re alpha, Im alpha[, vartheta]) of
+    `points`, theta = 0, from one batched compression and eigen step."""
+    return _top_eigenvalues(compress_conjugated_batch(witness, points, n))
+
+
+def _nelder_mead(x0, lo, hi, tol, max_evals):
+    """Minimize over the box by Nelder-Mead with adaptive coefficients and
+    one shrunken restart around the incumbent.  Fully deterministic.
+
+    A generator: it yields each (k, dims) array of clipped points it needs
+    evaluated, is sent their k values, and returns
+    ``(x, value, evals, converged)``.  Points that do not depend on each
+    other's values (a new simplex, a shrink) come in one array.
+    """
     dims = x0.size
     alpha, gamma = 1.0, 1.0 + 2.0 / dims
     rho, sigma = 0.75 - 1.0 / (2.0 * dims), 1.0 - 1.0 / dims
     span = hi - lo
     evals = 0
-
-    def call(x):
-        nonlocal evals
-        evals += 1
-        return fun(np.clip(x, lo, hi))
 
     def build_simplex(center, scale):
         pts = [np.array(center)]
@@ -160,25 +178,30 @@ def _nelder_mead(fun, x0, lo, hi, tol, max_evals):
             pts.append(vertex)
         return pts
 
-    best_x, best_f = np.clip(x0, lo, hi), call(x0)
+    best_x = np.clip(x0, lo, hi)
+    (best_f,) = yield best_x[None]
+    evals += 1
     converged = False
     for attempt, scale in enumerate((0.10, 0.005)):
         simplex = build_simplex(best_x, scale)
-        values = [best_f if attempt == 0 else call(simplex[0])]
-        values += [call(p) for p in simplex[1:]]
+        fresh = simplex if attempt else simplex[1:]
+        values = ([] if attempt else [best_f]) + (yield np.clip(fresh, lo, hi))
+        evals += len(fresh)
         while evals < max_evals:
-            order = sorted(range(len(simplex)), key=lambda i: values[i])
+            order = sorted(range(len(simplex)), key=values.__getitem__)
             simplex = [simplex[i] for i in order]
             values = [values[i] for i in order]
             if values[-1] - values[0] <= tol * (1.0 + abs(values[0])):
                 converged = True
                 break
-            centroid = np.mean(simplex[:-1], axis=0)
+            centroid = np.add.reduce(simplex[:-1], axis=0) / dims  # np.mean's bits
             reflected = centroid + alpha * (centroid - simplex[-1])
-            f_reflected = call(reflected)
+            (f_reflected,) = yield reflected.clip(lo, hi)[None]
+            evals += 1
             if f_reflected < values[0]:
                 expanded = centroid + gamma * (reflected - centroid)
-                f_expanded = call(expanded)
+                (f_expanded,) = yield expanded.clip(lo, hi)[None]
+                evals += 1
                 if f_expanded < f_reflected:
                     simplex[-1], values[-1] = expanded, f_expanded
                 else:
@@ -187,13 +210,15 @@ def _nelder_mead(fun, x0, lo, hi, tol, max_evals):
                 simplex[-1], values[-1] = reflected, f_reflected
             else:
                 contracted = centroid + rho * (simplex[-1] - centroid)
-                f_contracted = call(contracted)
+                (f_contracted,) = yield contracted.clip(lo, hi)[None]
+                evals += 1
                 if f_contracted < values[-1]:
                     simplex[-1], values[-1] = contracted, f_contracted
                 else:
                     for i in range(1, len(simplex)):
                         simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
-                        values[i] = call(simplex[i])
+                    values[1:] = yield np.clip(simplex[1:], lo, hi)
+                    evals += len(simplex) - 1
         lowest = int(np.argmin(values))
         if values[lowest] < best_f:
             best_f = values[lowest]
@@ -203,15 +228,9 @@ def _nelder_mead(fun, x0, lo, hi, tol, max_evals):
     return best_x, best_f, evals, converged
 
 
-def multistart(fun, lo, hi, config, extra_starts=(), key=tuple):
-    """Maximize `fun` over the box [lo, hi] by multi-start Nelder-Mead.
-
-    Starts are the zero point, then `extra_starts` (already of the box's
-    length) clipped into the box, then seeded Halton points until
-    `config.starts` is reached.  Among starts within the tie window of the
-    best value, the smallest `key(x)` wins.  Returns the winning vector and
-    the per-start outcomes `(x, value, evals, converged)`.
-    """
+def _start_points(lo, hi, config, extra_starts=()) -> list:
+    """The zero point, then `extra_starts` (already of the box's length)
+    clipped into the box, then seeded Halton points up to `config.starts`."""
     dims = lo.size
     points = [np.zeros(dims)]
     points += [np.clip(np.asarray(vec, dtype=float), lo, hi) for vec in extra_starts]
@@ -221,16 +240,38 @@ def multistart(fun, lo, hi, config, extra_starts=(), key=tuple):
         u = np.array([(_halton(index, p) + s) % 1.0 for p, s in zip(_PRIMES[:dims], shift)])
         points.append(lo + u * (hi - lo))
         index += 1
+    return points
 
-    def negated(x):
-        return -fun(x)
 
-    outcomes = []
-    for x0 in points:
-        x, f, evals, converged = _nelder_mead(
-            negated, x0, lo, hi, config.simplex_tolerance, config.max_iterations
-        )
-        outcomes.append((x, -f, evals, converged))
+def multistart(batch_fun, lo, hi, config, extra_starts=(), key=tuple):
+    """Maximize over the box [lo, hi] by multi-start Nelder-Mead in lockstep.
+
+    `batch_fun` maps a (rows, dims) array of points to their values.  The
+    starts (see `_start_points`) advance together: each round stacks the
+    points every running start asks for into one `batch_fun` call and sends
+    each start its values, so a start's trajectory is the one it follows
+    alone as long as a point's value does not depend on its batch.  Among
+    starts within the tie window of the best value, the smallest `key(x)`
+    wins.  Returns the winning vector and the per-start outcomes
+    `(x, value, evals, converged)`.
+    """
+    searches = [
+        _nelder_mead(x0, lo, hi, config.simplex_tolerance, config.max_iterations)
+        for x0 in _start_points(lo, hi, config, extra_starts)
+    ]
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    outcomes = [None] * len(searches)
+    while pending:
+        negated = (-np.asarray(batch_fun(np.concatenate(list(pending.values()))))).tolist()
+        offset = 0
+        for i, points in list(pending.items()):
+            values, offset = negated[offset : offset + len(points)], offset + len(points)
+            try:
+                pending[i] = searches[i].send(values)
+            except StopIteration as done:
+                x, f, evals, converged = done.value
+                outcomes[i] = (x, -f, evals, converged)
+                del pending[i]
     if not any(conv for *_, conv in outcomes):
         raise OptimizerError(
             "no optimizer start converged",
@@ -283,15 +324,15 @@ def compute_threshold(
     dims = 3 if fix_vartheta else 4
     lo, hi = _box(config, dims)
 
-    def fun(vec):
-        return objective(witness, n, _params_from_vector(vec))
+    def fun(points):
+        return objectives(witness, n, points)
 
     def key(x):
         return (float(x[0]), abs(complex(x[1], x[2])), float(x[3]) if dims > 3 else 0.0)
 
     extra = [np.asarray(vec, dtype=float)[:dims] for vec in config.initial_points]
     x, outcomes = multistart(fun, lo, hi, config, extra, key)
-    params = _params_from_vector(x)
+    params = params_from_vector(x)
     spectrum = hermitian_spectrum(compress_conjugated(witness, params, n))
     value = spectrum.top
     core = CoreState(spectrum.vector(0))

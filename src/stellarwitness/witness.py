@@ -17,7 +17,14 @@ import numpy as np
 
 from ._util import complex_pair, parse_complex
 from .errors import DegenerateWitnessError, HermiticityError
-from .fock_gaussian import GaussianUnitaryParams, block_columns, transform_coherent
+from .fock_gaussian import (
+    GaussianUnitaryParams,
+    block_columns,
+    block_columns_batch,
+    coherent_columns,
+    params_from_vector,
+    transform_coherent,
+)
 from .numerics import hermitian_spectrum
 from .states import (
     FockDensity,
@@ -174,14 +181,89 @@ def assemble_matrix(witness: WitnessOperator, cutoff: int | None = None) -> np.n
     return out
 
 
+def _coherent_betas(witness: WitnessOperator) -> list:
+    """The distinct coherent inputs of the witness's superpositions."""
+    return list(
+        dict.fromkeys(beta for t in witness.terms if t.kind == COHERENT_SUM for _, beta in t.data)
+    )
+
+
 def _coherent_columns(witness: WitnessOperator, params: GaussianUnitaryParams, k_max: int):
     """<k|U|beta>, k <= k_max, once per distinct coherent input of the witness.
 
     The cat terms share their inputs (±beta), so every coherent superposition
     is summed from these columns instead of transforming each beta per term.
     """
-    betas = {beta for t in witness.terms if t.kind == COHERENT_SUM for _, beta in t.data}
-    return {beta: transform_coherent(params, beta, k_max).amplitudes for beta in betas}
+    return {
+        beta: transform_coherent(params, beta, k_max).amplitudes
+        for beta in _coherent_betas(witness)
+    }
+
+
+def _term_vectors(witness: WitnessOperator, rows, n: int, coherent: dict):
+    """`conjugated_term_vectors` for a batch of parameter rows.
+
+    `coherent` maps each coherent input to its columns, shape (rows, n).
+    Fock, pure and density terms share one `block_columns_batch` call over
+    the union of their columns (an element has the same bits whatever else is
+    computed beside it); pure and density terms take their leading columns,
+    copied contiguous as blocks of their own would be.  Returns rank-one
+    (weight, vectors (rows, n)) pairs and mixed (weight, blocks (rows, n,
+    dim), density) triples.
+    """
+    cols = set()
+    for term in witness.terms:
+        if term.kind == FOCK:
+            cols.add(term.data)
+        elif term.kind == PURE:
+            cols.update(range(term.data.amplitudes.size))
+        elif term.kind == DENSITY:
+            cols.update(range(term.data.matrix.shape[0]))
+    cols = sorted(cols)
+    block = block_columns_batch(rows, n, cols) if cols else None
+    position = {m: i for i, m in enumerate(cols)}
+
+    def leading(width):  # columns 0..width-1 are the first `width` of the union
+        return np.ascontiguousarray(block[:, :, :width])
+
+    rank_one = []
+    mixed = []
+    for term in witness.terms:
+        if term.kind == FOCK:
+            rank_one.append((term.weight, block[:, :, position[term.data]]))
+        elif term.kind == PURE:
+            amps = term.data.amplitudes
+            blocks = leading(amps.size)
+            rank_one.append((term.weight, np.stack([b @ amps for b in blocks])))
+        elif term.kind == COHERENT_SUM:
+            vec = np.zeros((len(rows), n), dtype=complex)
+            for coef, beta in term.data:
+                vec += coef * coherent[beta]
+            rank_one.append((term.weight, vec))
+        elif term.kind == DENSITY:
+            mixed.append((term.weight, leading(term.data.matrix.shape[0]), term.data.matrix))
+        else:
+            raise ValueError(f"unknown term kind {term.kind!r}")
+    return rank_one, mixed
+
+
+def _compress(witness: WitnessOperator, rows, n: int, coherent: dict) -> np.ndarray:
+    """Stack (rows, n, n) of Π_{n-1} U W U† Π_{n-1}, one matrix per parameter row."""
+    rank_one, mixed = _term_vectors(witness, rows, n, coherent)
+    out = np.zeros((len(rows), n, n), dtype=complex)
+    for weight, vec in rank_one:
+        out += weight * (vec[:, :, None] * vec.conj()[:, None, :])
+    for weight, blocks, sigma in mixed:
+        for i, block in enumerate(blocks):
+            out[i] += weight * (block @ sigma @ block.conj().T)
+    if witness.identity_weight:
+        diag = np.arange(n)
+        out[:, diag, diag] += witness.identity_weight
+    return out
+
+
+def _one_row(columns: dict) -> dict:
+    return {beta: col[None] for beta, col in columns.items()}
 
 
 def conjugated_term_vectors(
@@ -194,50 +276,49 @@ def conjugated_term_vectors(
     terms go through the exact coherent transform, so the only truncation
     error is the witness's own declared tail bound.
     """
-    fock_indices = sorted({t.data for t in witness.terms if t.kind == FOCK})
-    fock_cols = {}
-    if fock_indices:
-        block = block_columns(params, n, fock_indices)
-        fock_cols = {m: block[:, i] for i, m in enumerate(fock_indices)}
-    coherent_cols = _coherent_columns(witness, params, n - 1)
-    rank_one = []
-    mixed = []
-    for term in witness.terms:
-        if term.kind == FOCK:
-            rank_one.append((term.weight, fock_cols[term.data]))
-        elif term.kind == PURE:
-            amps = term.data.amplitudes
-            B = block_columns(params, n, range(amps.size))
-            rank_one.append((term.weight, B @ amps))
-        elif term.kind == COHERENT_SUM:
-            vec = np.zeros(n, dtype=complex)
-            for coef, beta in term.data:
-                vec += coef * coherent_cols[beta]
-            rank_one.append((term.weight, vec))
-        elif term.kind == DENSITY:
-            dim = term.data.matrix.shape[0]
-            B = block_columns(params, n, range(dim))
-            mixed.append((term.weight, B, term.data.matrix))
-        else:
-            raise ValueError(f"unknown term kind {term.kind!r}")
-    return rank_one, mixed
+    coherent = _one_row(_coherent_columns(witness, params, n - 1))
+    rank_one, mixed = _term_vectors(witness, [params], n, coherent)
+    return (
+        [(weight, vec[0]) for weight, vec in rank_one],
+        [(weight, blocks[0], sigma) for weight, blocks, sigma in mixed],
+    )
 
 
 def compress_conjugated(
     witness: WitnessOperator, params: GaussianUnitaryParams, n: int
 ) -> np.ndarray:
-    """The n x n Hermitian matrix Π_{n-1} U W U† Π_{n-1} assembled exactly."""
+    """The n x n Hermitian matrix Π_{n-1} U W U† Π_{n-1} assembled exactly.
+
+    The one-row case of :func:`compress_conjugated_batch`, with any output
+    phase theta; its bits equal that row's in any batch.
+    """
     if n < 1:
         raise ValueError("rank must be >= 1")
-    rank_one, mixed = conjugated_term_vectors(witness, params, n)
-    out = np.zeros((n, n), dtype=complex)
-    for weight, vec in rank_one:
-        out += weight * np.outer(vec, vec.conj())
-    for weight, block, sigma in mixed:
-        out += weight * (block @ sigma @ block.conj().T)
-    if witness.identity_weight:
-        out[np.diag_indices_from(out)] += witness.identity_weight
-    return out
+    coherent = _one_row(_coherent_columns(witness, params, n - 1))
+    return _compress(witness, [params], n, coherent)[0]
+
+
+def compress_conjugated_batch(witness: WitnessOperator, points, n: int) -> np.ndarray:
+    """:func:`compress_conjugated` at every row (r, Re alpha, Im alpha[,
+    vartheta]) of `points`, theta = 0, as a (rows, n, n) stack.
+
+    The coherent columns of all rows and all coherent inputs come from one
+    :func:`coherent_columns` call; the other terms are assembled row by row.
+    """
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    points = np.asarray(points, dtype=float)
+    betas = _coherent_betas(witness)
+    coherent = {}
+    if betas:
+        columns = coherent_columns(points, betas, n - 1)
+        coherent = {beta: columns[:, i] for i, beta in enumerate(betas)}
+    # parameter objects only for the terms that take block_columns_batch
+    if all(t.kind == COHERENT_SUM for t in witness.terms):
+        rows = [None] * len(points)
+    else:
+        rows = [params_from_vector(point) for point in points]
+    return _compress(witness, rows, n, coherent)
 
 
 def expectation(witness: WitnessOperator, state) -> float:

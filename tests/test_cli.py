@@ -136,6 +136,18 @@ class TestThresholdCommand:
         assert "--recheck needs --out" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"starts": 2.5}, {"max_iterations": 300.5}, {"starts": True}, {"starts": "4"}],
+    )
+    def test_non_integer_config_field_exit_one(self, tmp_path, fock_pair_file, capsys, config):
+        path = write_json(tmp_path / "config.json", config)
+        out = tmp_path / "result.json"
+        code = main(["threshold", fock_pair_file, "--rank", "1", "--config", path, "--out", str(out)])
+        assert code == 1
+        assert next(iter(config)) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_partial_output_on_failure(self, tmp_path):
         bad = write_json(tmp_path / "w.json", {"type": "mystery"})
         out = tmp_path / "result.json"
@@ -180,6 +192,17 @@ class TestBoundaryCommand:
     def test_invalid_family_args(self, tmp_path):
         assert main(["boundary", "--family", "fock_pair", "--omegas", "4",
                      "--out", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("max_rank", ["0", "-2"])
+    def test_empty_rank_range_exit_one(self, tmp_path, capsys, max_rank):
+        directory = tmp_path / "none"
+        code = main([
+            "boundary", "--family", "fock_pair", "--j", "0", "--k", "2",
+            "--max-rank", max_rank, "--omegas", "4", "--out", str(directory),
+        ])
+        assert code == 1
+        assert "ranks must be consecutive and start at >= 1" in capsys.readouterr().err
+        assert not directory.exists()
 
     def test_single_omega_degenerate_hull(self, tmp_path):
         directory = tmp_path / "single"

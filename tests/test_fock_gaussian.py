@@ -5,14 +5,17 @@ import pytest
 
 from stellarwitness.errors import TailBoundError
 from stellarwitness.fock_gaussian import (
+    SQUEEZING_DEGENERACY_CUTOFF,
     GaussianUnitaryParams,
     _vacuum_column,
     block_columns,
+    coherent_columns,
     gaussian_block,
     gaussian_matrix_element,
     oracle_columns,
     oracle_dimension,
     oracle_gaussian_matrix,
+    params_from_vector,
     transform_coherent,
 )
 
@@ -203,6 +206,62 @@ class TestTransformCoherent:
         b = transform_coherent(rotated, 0.7, 6).amplitudes
         ks = np.arange(7)
         assert np.max(np.abs(b - np.exp(-1j * 0.9 * ks) * a)) < 1e-14
+
+
+class TestCoherentColumns:
+    BETAS = (2.0, -2.0, 1.3 + 0.4j)
+
+    @staticmethod
+    def points(count=2400):
+        """Seeded search points with r = 0, r in (0, 1e-10), r just above the
+        degeneracy cutoff and generic r mixed; |alpha + beta_tilde| up to ~15
+        but for one row."""
+        rng = np.random.default_rng(8080)
+        r = rng.uniform(0.0, 1.0, count)
+        kind = np.arange(count) % 5
+        r[kind == 0] = 0.0
+        r[kind == 1] = rng.uniform(0.0, 1e-10, count)[kind == 1]
+        cutoff_r = math.asinh(SQUEEZING_DEGENERACY_CUTOFF)
+        just_above = cutoff_r * (1.0 + rng.uniform(1e-9, 1e-6, count))
+        r[kind == 2] = just_above[kind == 2]
+        points = np.column_stack([
+            r,
+            rng.uniform(-9.5, 9.5, count),
+            rng.uniform(-9.5, 9.5, count),
+            rng.uniform(0.0, 2.0 * math.pi, count),
+        ])
+        points[::7, 1:3] = 0.0
+        points[::11, 3] = 0.0
+        # a squeezed row whose displacement overflows alpha ** k: the
+        # displaced form must run only on the rows below the cutoff
+        points[3, 1:3] = 1e80, -1e80
+        return points
+
+    @pytest.mark.parametrize("k_max", [0, 2, 5])
+    def test_batches_bit_identical_to_one_row(self, k_max):
+        points = self.points()
+        one_row = np.array([
+            [transform_coherent(params_from_vector(p), beta, k_max).amplitudes for beta in self.BETAS]
+            for p in points
+        ])
+        rng = np.random.default_rng(k_max)
+        for size in (1, 7, 12, 64):
+            for order in (np.arange(len(points)), rng.permutation(len(points))):
+                got = np.empty_like(one_row)
+                for start in range(0, len(points), size):
+                    rows = order[start : start + size]
+                    got[rows] = coherent_columns(points[rows], self.BETAS, k_max)
+                assert got.tobytes() == one_row.tobytes(), f"batch size {size}"
+
+    def test_three_column_points_have_zero_vartheta(self):
+        points = self.points(60)
+        points[:, 3] = 0.0
+        full = coherent_columns(points, self.BETAS, 3)
+        assert coherent_columns(points[:, :3], self.BETAS, 3).tobytes() == full.tobytes()
+
+    def test_non_finite_displacement_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            coherent_columns([[0.2, math.inf, 0.0]], self.BETAS, 2)
 
 
 class TestOracle:

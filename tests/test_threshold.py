@@ -3,18 +3,35 @@ import math
 import numpy as np
 import pytest
 
+from stellarwitness import multimode
 from stellarwitness.errors import OptimizerError
-from stellarwitness.fock_gaussian import GaussianUnitaryParams, transform_coherent
+from stellarwitness.fock_gaussian import (
+    GaussianUnitaryParams,
+    params_from_vector,
+    transform_coherent,
+)
+from stellarwitness.states import FockDensity, FockVector
 from stellarwitness.threshold import (
     OptimizerConfig,
+    _box,
+    _nelder_mead,
+    _start_points,
     compute_threshold,
     compute_thresholds,
     extremal_state,
+    multistart,
     objective,
+    objectives,
     result_from_json,
     result_to_json,
 )
 from stellarwitness.witness import (
+    COHERENT_SUM,
+    DENSITY,
+    FOCK,
+    PURE,
+    WitnessOperator,
+    WitnessTerm,
     cat_pair_witness,
     conjugate_witness,
     expectation,
@@ -133,6 +150,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(simplex_tolerance=value)
 
+    @pytest.mark.parametrize("field", ["starts", "max_iterations"])
+    @pytest.mark.parametrize("value", [2.5, 300.0, True, False, "4", None])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{field: value})
+
+    def test_integer_counts_normalized(self):
+        config = OptimizerConfig(starts=np.int64(3), max_iterations=np.int32(40))
+        assert type(config.starts) is int and type(config.max_iterations) is int
+        assert config.to_json()["starts"] == 3
+
     def test_zero_box_allowed(self):
         config = OptimizerConfig(r_max=0.0, alpha_max=0.0)
         assert (config.r_max, config.alpha_max) == (0.0, 0.0)
@@ -219,3 +247,99 @@ class TestResultFiles:
         assert result_again.params == result.params
         assert result_again.rank == result.rank
         assert np.array_equal(result_again.core.coefficients, result.core.coefficients)
+
+
+def mixed_terms_witness():
+    """Every term kind of the batched compression, plus an identity part."""
+    pure = FockVector(np.array([0.6, 0.48j, 0.64]))
+    hopping = 0.05 * (np.eye(3, k=1) + np.eye(3, k=-1))
+    density = FockDensity(np.diag([0.5, 0.3, 0.2]).astype(complex) + hopping)
+    terms = (
+        WitnessTerm(0.3, FOCK, 4),
+        WitnessTerm(0.7, PURE, pure),
+        WitnessTerm(-0.4, DENSITY, density),
+        WitnessTerm(0.2, COHERENT_SUM, ((0.5, 1.0 + 0.5j), (0.5, -1.0))),
+    )
+    return WitnessOperator(
+        terms=terms, support_cutoff=4, phase_invariant=False, identity_weight=0.25
+    )
+
+
+class TestBatchedObjective:
+    @pytest.mark.parametrize(
+        "witness",
+        [cat_pair_witness(2.0, 0.7), fock_pair_witness(0, 2, 0.9), mixed_terms_witness()],
+        ids=["cat", "fock", "mixed"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("dims", [3, 4])
+    def test_rows_bit_identical_to_one_row(self, witness, n, dims):
+        lo, hi = _box(OptimizerConfig(), dims)
+        rng = np.random.default_rng(100 * n + dims)
+        points = lo + rng.random((40, dims)) * (hi - lo)
+        points[:5, 0] = 0.0  # displacement-only rows mixed in
+        points[5, 1:3] = 0.0
+        values = objectives(witness, n, points)
+        expected = [objective(witness, n, params_from_vector(p)) for p in points]
+        assert values.tobytes() == np.array(expected).tobytes()
+
+
+def drive_alone(search, fun):
+    """Run one Nelder-Mead start by itself, one point per objective call."""
+    points = next(search)
+    while True:
+        try:
+            points = search.send([-fun(x) for x in points])
+        except StopIteration as done:
+            return done.value
+
+
+def outcome_bits(x, value, evals, converged):
+    return x.tobytes(), np.float64(value).tobytes(), evals, converged
+
+
+class TestLockstep:
+    """`multistart` runs every start in lockstep through batched calls; each
+    start must end exactly where it ends when driven alone."""
+
+    def check(self, batch_fun, one_fun, lo, hi, config, extra=()):
+        _, outcomes = multistart(batch_fun, lo, hi, config, extra)
+        starts = _start_points(lo, hi, config, extra)
+        assert len(outcomes) == len(starts) == config.starts
+        tol, budget = config.simplex_tolerance, config.max_iterations
+        for x0, outcome in zip(starts, outcomes):
+            x, f, evals, converged = drive_alone(_nelder_mead(x0, lo, hi, tol, budget), one_fun)
+            assert outcome_bits(*outcome) == outcome_bits(x, -f, evals, converged)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cat_vartheta_free(self, n):
+        witness = cat_pair_witness(2.0, 2.2)
+        config = OptimizerConfig(starts=6, max_iterations=150, seed=3)
+        lo, hi = _box(config, 4)
+        self.check(
+            lambda X: objectives(witness, n, X),
+            lambda x: objective(witness, n, params_from_vector(x)),
+            lo, hi, config, [np.array([0.4, 0.8, -0.3, 1.3])],
+        )
+
+    def test_fock_pair(self):
+        witness = fock_pair_witness(0, 2, 0.9)
+        config = OptimizerConfig(starts=6, max_iterations=200, seed=5)
+        lo, hi = _box(config, 3)
+        self.check(
+            lambda X: objectives(witness, 2, X),
+            lambda x: objective(witness, 2, params_from_vector(x)),
+            lo, hi, config,
+        )
+
+    def test_two_mode(self):
+        witness = multimode.multimode_fock_projector((1, 0))
+        config = OptimizerConfig(starts=3, max_iterations=100, simplex_tolerance=1e-4, seed=23)
+        lo, hi = multimode._multimode_box(config, 2)
+
+        def one(x):
+            return multimode.multimode_objective(witness, 2, multimode._unpack_vector(x, 2))
+
+        self.check(
+            lambda X: multimode.multimode_objectives(witness, 2, X, 2), one, lo, hi, config
+        )
