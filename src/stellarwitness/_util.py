@@ -65,6 +65,22 @@ def parse_complex(value) -> complex:
     return complex(float(value), 0.0)
 
 
+def require_finite(value, name: str):
+    """`value`, a float or complex read from a file, if it is finite."""
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def require_integer(value, name: str, least: int) -> int:
+    """`value`, a number read from a file, as an int if it is whole and >=
+    `least`; 0.5 or -1 is rejected, not truncated."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and float(value).is_integer() and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file and rename, so failures never leave partial output."""
     directory = os.path.dirname(os.path.abspath(path))

@@ -1,26 +1,40 @@
 """Desk-scale multimode (N <= 3) thresholds over Bloch-Messiah-form unitaries.
 
-A multimode Gaussian unitary is searched as ``(⊗_k D_k S_k) · V_I`` with the
-passive interferometer V_I the exponential of an anti-Hermitian N x N
-generator; the trailing interferometer of the Bloch-Messiah form commutes with
-the total-photon projector and is dropped from the optimization.  V_I
-preserves total photon number, so its Fock action factors into small exact
-sector blocks, while the per-mode displaced squeezers reuse the single-mode
-analytic columns.
+A multimode Gaussian unitary is searched as ``(⊗_k D_k S_k) · V̂`` with V̂ the
+passive interferometer of the N x N unitary V = exp(iH), H Hermitian; the
+trailing interferometer of the Bloch-Messiah form commutes with the
+total-photon projector and is dropped from the optimization.  V comes from one
+``eigh`` of H as W diag(e^{iλ}) W†.  V̂ preserves total photon number, and its
+block on the sector of t photons is the t-th symmetric power of V (Scheel,
+quant-ph/0406127):
+
+    <n|V̂|m> = perm(V[rows(n), cols(m)]) / sqrt(∏_j n_j! ∏_k m_k!),
+
+where rows(n) lists mode j n_j times.  The per-mode displaced squeezers reuse
+the single-mode analytic columns.  A batch of search points goes through
+stacked ``eigh`` calls and elementwise gathers and products only, so every
+point's value has the same bits in any batch.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from ._util import complex_pair, parse_complex
+from ._util import complex_pair, parse_complex, require_finite, require_integer
 from .fock_gaussian import GaussianUnitaryParams, block_columns_batch
-from .numerics import hermitian_spectrum, matrix_exponential
-from .threshold import OptimizerConfig, _top_eigenvalue, multistart, search_diagnostics
+from .numerics import hermitian_spectrum
+from .threshold import (
+    OptimizerConfig,
+    _top_eigenvalue,
+    _top_eigenvalues,
+    multistart,
+    search_diagnostics,
+)
 
 
 def enumerate_subspace(modes: int, total: int) -> list:
@@ -48,6 +62,37 @@ def sector_indices(modes: int, total: int) -> tuple:
     return tuple(out)
 
 
+def _check_unitary(V: np.ndarray) -> None:
+    """Raise unless every matrix of the (B, N, N) stack `V` is unitary to
+    1e-10; a NaN or infinite entry fails."""
+    with np.errstate(invalid="ignore"):  # inf entries give NaN defects, which fail
+        products = V.conj().swapaxes(-1, -2) @ V
+    defects = np.max(np.abs(products - np.eye(V.shape[-1])), axis=(-2, -1))
+    if not np.all(defects <= 1e-10):
+        raise ValueError(f"interferometer unitarity defect {np.max(defects):.3e} above 1e-10")
+
+
+def _interferometers(H: np.ndarray) -> np.ndarray:
+    """V = exp(iH) of every Hermitian generator of a (B, N, N) stack, from one
+    stacked ``eigh``: V = W diag(e^{iλ}) W†."""
+    lam, W = np.linalg.eigh(H)
+    scaled = W * np.exp(1j * lam)[:, None, :]
+    V = scaled[:, :, None, 0] * W.conj()[:, None, :, 0]
+    for k in range(1, H.shape[-1]):
+        V = V + scaled[:, :, None, k] * W.conj()[:, None, :, k]
+    _check_unitary(V)
+    return V
+
+
+def _interferometer(X) -> np.ndarray:
+    """exp(X) of one anti-Hermitian N x N generator."""
+    X = np.asarray(X, dtype=complex)
+    defect = float(np.max(np.abs(X + X.conj().T)))
+    if not defect <= 1e-12 * max(1.0, float(np.max(np.abs(X)))):
+        raise ValueError("interferometer generator must be anti-Hermitian and finite")
+    return _interferometers(-1j * X[None])[0]
+
+
 @dataclass(frozen=True)
 class MultimodeGaussianParams:
     """Interferometer (N x N unitary), per-mode squeezings and displacements."""
@@ -62,16 +107,18 @@ class MultimodeGaussianParams:
         dim = V.shape[0]
         if V.shape != (dim, dim):
             raise ValueError("interferometer must be a square matrix")
-        defect = float(np.max(np.abs(V.conj().T @ V - np.eye(dim))))
-        if defect > 1e-10:
-            raise ValueError(f"interferometer unitarity defect {defect:.3e} above 1e-10")
+        _check_unitary(V[None])
         if len(self.squeezings) != dim or len(self.displacements) != dim:
             raise ValueError("need one squeezing and one displacement per mode")
-        if any(r < 0 for r in self.squeezings):
-            raise ValueError("squeezings must be >= 0")
+        squeezings = tuple(float(r) for r in self.squeezings)
+        displacements = tuple(complex(a) for a in self.displacements)
+        if not all(math.isfinite(r) and r >= 0 for r in squeezings):
+            raise ValueError("squeezings must be finite and >= 0")
+        if not all(math.isfinite(a.real) and math.isfinite(a.imag) for a in displacements):
+            raise ValueError("displacements must be finite")
         object.__setattr__(self, "interferometer", V)
-        object.__setattr__(self, "squeezings", tuple(float(r) for r in self.squeezings))
-        object.__setattr__(self, "displacements", tuple(complex(a) for a in self.displacements))
+        object.__setattr__(self, "squeezings", squeezings)
+        object.__setattr__(self, "displacements", displacements)
 
     @property
     def modes(self) -> int:
@@ -80,9 +127,7 @@ class MultimodeGaussianParams:
     @classmethod
     def from_generator(cls, X: np.ndarray, squeezings, displacements) -> "MultimodeGaussianParams":
         X = np.asarray(X, dtype=complex)
-        if float(np.max(np.abs(X + X.conj().T))) > 1e-12 * max(1.0, float(np.max(np.abs(X)))):
-            raise ValueError("interferometer generator must be anti-Hermitian")
-        return cls(matrix_exponential(X), tuple(squeezings), tuple(displacements), generator=X)
+        return cls(_interferometer(X), tuple(squeezings), tuple(displacements), generator=X)
 
     def mode_params(self, k: int) -> GaussianUnitaryParams:
         return GaussianUnitaryParams(
@@ -142,20 +187,22 @@ class MultimodeWitness:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MultimodeWitness":
-        modes = int(obj["modes"])
+        modes = require_integer(obj["modes"], "modes", 1)
         terms = []
         for entry in obj["terms"]:
             state = entry["state"]
             if state.get("kind") != "multimode_fock_vector":
                 raise ValueError("multimode witness terms must be multimode_fock_vector states")
             amplitudes = {
-                tuple(int(o) for o in item["occupations"]): parse_complex(item["value"])
+                tuple(require_integer(o, "occupations", 0) for o in item["occupations"]):
+                    require_finite(parse_complex(item["value"]), "amplitude value")
                 for item in state["amplitudes"]
             }
             if any(len(occ) != modes for occ in amplitudes):
                 raise ValueError("occupation lists must match the declared mode count")
-            terms.append((float(entry["weight"]), amplitudes))
-        return cls(modes=modes, terms=tuple(terms), identity_weight=float(obj.get("identity_weight", 0.0)))
+            terms.append((require_finite(float(entry["weight"]), "weight"), amplitudes))
+        identity = require_finite(float(obj.get("identity_weight", 0.0)), "identity_weight")
+        return cls(modes=modes, terms=tuple(terms), identity_weight=identity)
 
 
 def multimode_fock_projector(occupations) -> MultimodeWitness:
@@ -164,43 +211,58 @@ def multimode_fock_projector(occupations) -> MultimodeWitness:
 
 
 # ---------------------------------------------------------------------------
-# Passive interferometer action, exact per photon-number sector.
+# Passive interferometer action: symmetric powers of V per photon-number sector.
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _sector_transitions(modes: int, total: int):
-    """Sparse recipe for the sector matrix of dG(X) = sum X_jk a_j† a_k."""
+def _sector_table(modes: int, total: int):
+    """The sector's occupations as a (states, modes) array and, for total >=
+    1, the gather tables that build its block of V̂ from the block below:
+
+        <n|V̂|m> = Σ_j coef[n, m, j] V[j, k] <n - e_j|V̂|m - e_k>,
+
+    k = first[m] the first occupied mode of m, rows[n, j] the index of
+    n - e_j (any index where n_j = 0, whose coef is 0), cols[m] that of
+    m - e_k and coef = sqrt(n_j / m_k).  This is the permanent
+    perm(V[rows(n), cols(m)]) / sqrt(∏n! ∏m!) expanded along its first
+    column, with repeated rows grouped."""
     basis = sector_indices(modes, total)
-    index = {occ: i for i, occ in enumerate(basis)}
-    moves = []
-    for col, occ in enumerate(basis):
-        for k in range(modes):
-            if occ[k] == 0:
-                continue
-            for j in range(modes):
-                target = list(occ)
-                target[k] -= 1
-                target[j] += 1
-                row = index[tuple(target)]
-                factor = math.sqrt(occ[k] * (occ[j] + (1 if j != k else 0)))
-                moves.append((row, col, j, k, factor))
-    return basis, tuple(moves)
+    occupations = np.array(basis, dtype=np.intp)
+    if total == 0:
+        return occupations, None
+    lower = {occ: i for i, occ in enumerate(sector_indices(modes, total - 1))}
+
+    def down(occ, j):
+        return lower.get(occ[:j] + (occ[j] - 1,) + occ[j + 1 :], 0)
+
+    first = np.array([next(k for k, o in enumerate(occ) if o) for occ in basis])
+    rows = np.array([[down(occ, j) for j in range(modes)] for occ in basis], dtype=np.intp)
+    cols = np.array([down(occ, k) for occ, k in zip(basis, first)], dtype=np.intp)
+    top = occupations[np.arange(len(basis)), first]
+    coef = np.sqrt(occupations[:, None, :] / top[None, :, None])
+    return occupations, (rows[:, None, :], cols[None, :, None], first, coef)
 
 
-def _sector_propagators(X: np.ndarray, max_total: int) -> list:
-    """exp of the sector restriction of dG(X) for totals 0..max_total."""
-    modes = X.shape[0]
-    out = []
-    for t in range(max_total + 1):
-        basis, moves = _sector_transitions(modes, t)
-        if len(basis) == 1:
-            out.append(np.ones((1, 1), dtype=complex))
-            continue
-        G = np.zeros((len(basis), len(basis)), dtype=complex)
-        for row, col, j, k, factor in moves:
-            G[row, col] += X[j, k] * factor
-        out.append(matrix_exponential(G))
+def _sector_matrices(V: np.ndarray, max_total: int) -> list:
+    """The blocks of V̂ on the sectors 0..max_total for every unitary of a
+    (B, N, N) stack, each of shape (B, states, states)."""
+    out = [np.ones((len(V), 1, 1), dtype=complex)]
+    for t in range(1, max_total + 1):
+        rows, cols, first, coef = _sector_table(V.shape[-1], t)[1]
+        below = out[-1][:, rows, cols]
+        out.append((coef * V[:, None, :, first].swapaxes(-1, -2) * below).sum(axis=-1))
+    return out
+
+
+def _passive_action(V: np.ndarray, amplitudes: dict) -> dict:
+    """Amplitude map of V̂ for one unitary `V` (N x N); photon-number exact."""
+    blocks = _sector_matrices(V[None], max(sum(occ) for occ in amplitudes))
+    out = {}
+    for t in sorted({sum(occ) for occ in amplitudes}):
+        basis = sector_indices(V.shape[0], t)
+        vec = np.array([amplitudes.get(occ, 0.0) for occ in basis], dtype=complex)
+        out.update((occ, val) for occ, val in zip(basis, blocks[t][0] @ vec) if val != 0)
     return out
 
 
@@ -208,104 +270,70 @@ def apply_passive(X: np.ndarray, amplitudes: dict) -> dict:
     """Amplitude map of the interferometer exp(dG(X)); photon-number exact."""
     if not amplitudes:
         return {}
-    modes = X.shape[0]
-    propagators = _sector_propagators(X, max(sum(occ) for occ in amplitudes))
-    return apply_passive_cached(amplitudes, propagators, modes)
+    return _passive_action(_interferometer(X), amplitudes)
 
 
 def conjugate_multimode_witness(witness: MultimodeWitness, X: np.ndarray) -> MultimodeWitness:
     """V W V† for a passive interferometer V = exp(dG(X)); exact."""
-    terms = tuple(
-        (weight, apply_passive(X, amplitudes)) for weight, amplitudes in witness.terms
-    )
+    V = _interferometer(X)
+    terms = tuple((weight, _passive_action(V, amplitudes)) for weight, amplitudes in witness.terms)
     return MultimodeWitness(witness.modes, terms, witness.identity_weight)
 
 
 # ---------------------------------------------------------------------------
-# Blocks and the compressed conjugated operator.
+# Blocks and the compressed conjugated operator, batched over unitaries.
 # ---------------------------------------------------------------------------
 
 
-def _conjugated_vector(
-    amplitudes: dict,
-    propagators: list,
-    mode_blocks: list,
-    out_basis: list,
-) -> np.ndarray:
-    """(<k|U|psi>)_{|k| <= n-1} for one pure term with amplitude dict `psi`."""
-    modes = len(out_basis[0])
-    mixed = apply_passive_cached(amplitudes, propagators, modes)
-    out = np.zeros(len(out_basis), dtype=complex)
-    for mid, amp in mixed.items():
-        if amp == 0:
-            continue
-        for i, target in enumerate(out_basis):
-            product = amp
-            for k in range(modes):
-                product = product * mode_blocks[k][target[k], mid[k]]
-                if product == 0:
-                    break
-            out[i] += product
+def _conjugated_columns(V: np.ndarray, mode_params: list, row_total: int, max_total: int):
+    """<k|U|m> for every k with |k| <= row_total and m with |m| <= max_total
+    (both graded), shape (B, rows, columns), with U = (⊗_k D_k S_k) V̂, from
+    the (B, N, N) unitaries and their per-mode params (row-major over points
+    and modes), whose single-mode columns come from one Hermite recurrence."""
+    modes = V.shape[-1]
+    blocks = block_columns_batch(mode_params, row_total + 1, range(max_total + 1))
+    blocks = blocks.reshape(len(V), modes, row_total + 1, max_total + 1)
+    rows = np.concatenate([_sector_table(modes, t)[0] for t in range(row_total + 1)])
+    columns = []
+    for t, passive in enumerate(_sector_matrices(V, max_total)):
+        mids = _sector_table(modes, t)[0]
+        mixed = blocks[:, 0][:, rows[:, 0, None], mids[None, :, 0]]
+        for k in range(1, modes):
+            mixed = mixed * blocks[:, k][:, rows[:, k, None], mids[None, :, k]]
+        out = mixed[:, :, :1] * passive[:, None, 0, :]
+        for j in range(1, len(mids)):
+            out = out + mixed[:, :, j : j + 1] * passive[:, None, j, :]
+        columns.append(out)
+    return np.concatenate(columns, axis=2)
+
+
+def _compressions(witness: MultimodeWitness, n: int, V: np.ndarray, mode_params: list):
+    """Π_{n-1,N} U W U† Π_{n-1,N} for every unitary of the (B, N, N) stack `V`
+    with its per-mode params, shape (B, dim, dim)."""
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    support = witness.support_total()
+    columns = _conjugated_columns(V, mode_params, n - 1, support)
+    position = {occ: i for i, occ in enumerate(enumerate_subspace(V.shape[-1], support))}
+    dim = columns.shape[1]
+    out = np.zeros((len(V), dim, dim), dtype=complex)
+    for weight, amplitudes in witness.terms:
+        vec = np.zeros((len(V), dim), dtype=complex)
+        for occ, amp in amplitudes.items():
+            vec = vec + amp * columns[:, :, position[occ]]
+        out = out + weight * (vec[:, :, None] * vec.conj()[:, None, :])
+    if witness.identity_weight:
+        diag = np.arange(dim)
+        out[:, diag, diag] += witness.identity_weight
     return out
-
-
-def apply_passive_cached(amplitudes: dict, propagators: list, modes: int) -> dict:
-    out: dict = {}
-    totals = sorted({sum(occ) for occ in amplitudes})
-    for t in totals:
-        basis, _ = _sector_transitions(modes, t)
-        vec = np.array([amplitudes.get(occ, 0.0) for occ in basis], dtype=complex)
-        vec = propagators[t] @ vec
-        for occ, val in zip(basis, vec):
-            if val != 0:
-                out[occ] = out.get(occ, 0.0) + val
-    return out
-
-
-def _generator(params: MultimodeGaussianParams) -> np.ndarray:
-    """The interferometer's anti-Hermitian generator; recovered by a matrix
-    logarithm when the params were built from the unitary alone."""
-    if params.generator is not None:
-        return params.generator
-    import scipy.linalg
-
-    X = scipy.linalg.logm(np.asarray(params.interferometer, dtype=complex))
-    return 0.5 * (X - X.conj().T)
-
-
-def _mode_blocks(points: list, n: int, support: int) -> np.ndarray:
-    """Single-mode columns <k|D S|m>, k < n, m <= support, of every mode of
-    every parameter point, shape (points, modes, n, support + 1): one Hermite
-    recurrence for all of them."""
-    modes = points[0].modes
-    single = [params.mode_params(k) for params in points for k in range(modes)]
-    blocks = block_columns_batch(single, n, range(support + 1))
-    return blocks.reshape(len(points), modes, n, support + 1)
 
 
 def compress_conjugated_multimode(
     witness: MultimodeWitness, params: MultimodeGaussianParams, n: int
 ) -> np.ndarray:
     """Π_{n-1,N} U W U† Π_{n-1,N} on the graded multi-index basis."""
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    blocks = _mode_blocks([params], n, witness.support_total())[0]
-    return _compress_multimode(witness, params, n, blocks)
-
-
-def _compress_multimode(witness, params, n, mode_blocks) -> np.ndarray:
-    """`compress_conjugated_multimode` with the mode columns given."""
-    X = _generator(params)
-    propagators = _sector_propagators(X, witness.support_total())
-    out_basis = enumerate_subspace(params.modes, n - 1)
-    dim = len(out_basis)
-    out = np.zeros((dim, dim), dtype=complex)
-    for weight, amplitudes in witness.terms:
-        vec = _conjugated_vector(amplitudes, propagators, mode_blocks, out_basis)
-        out += weight * np.outer(vec, vec.conj())
-    if witness.identity_weight:
-        out[np.diag_indices_from(out)] += witness.identity_weight
-    return out
+    mode_params = [params.mode_params(k) for k in range(params.modes)]
+    return _compressions(witness, n, params.interferometer[None], mode_params)[0]
 
 
 def multimode_gaussian_block(
@@ -313,19 +341,12 @@ def multimode_gaussian_block(
 ) -> np.ndarray:
     """Matrix elements <k|U|m> for |k| <= n_rows against all columns with
     per-mode index <= cutoff (columns in product order, modes varying last)."""
-    import itertools
-
     modes = params.modes
-    X = _generator(params)
-    cols = list(itertools.product(range(cutoff + 1), repeat=modes))
-    max_total = max(sum(c) for c in cols)
-    propagators = _sector_propagators(X, max_total)
-    mode_blocks = _mode_blocks([params], n_rows + 1, max_total)[0]
-    rows = enumerate_subspace(modes, n_rows)
-    out = np.zeros((len(rows), len(cols)), dtype=complex)
-    for j, col in enumerate(cols):
-        out[:, j] = _conjugated_vector({col: 1.0 + 0j}, propagators, mode_blocks, rows)
-    return out
+    max_total = modes * cutoff
+    mode_params = [params.mode_params(k) for k in range(modes)]
+    columns = _conjugated_columns(params.interferometer[None], mode_params, n_rows, max_total)[0]
+    position = {occ: i for i, occ in enumerate(enumerate_subspace(modes, max_total))}
+    return columns[:, [position[c] for c in itertools.product(range(cutoff + 1), repeat=modes)]]
 
 
 # ---------------------------------------------------------------------------
@@ -344,29 +365,43 @@ class MultimodeThresholdResult:
     seed: int = 0
 
 
-def _vector_layout(modes: int):
-    """Packing of the search vector: Hermitian generator H (V_I = exp(iH)),
-    then squeezings, then displacement components; N^2 + 3N reals."""
-    n_offdiag = modes * (modes - 1) // 2
-    return modes, n_offdiag, modes * modes + 3 * modes
+def _generators(points: np.ndarray, modes: int) -> np.ndarray:
+    """The Hermitian generators H (V = exp(iH)) of a (B, N^2 + 3N) stack of
+    search vectors, which hold H's diagonal, then (Re, Im) of its upper
+    triangle row by row, then squeezings, then displacement components."""
+    H = np.zeros((len(points), modes, modes), dtype=complex)
+    diag = np.arange(modes)
+    H.real[:, diag, diag] = points[:, :modes]
+    j, k = np.triu_indices(modes, 1)
+    pairs = points[:, modes : modes * modes]
+    H.real[:, j, k] = H.real[:, k, j] = pairs[:, 0::2]
+    H.imag[:, j, k] = pairs[:, 1::2]
+    H.imag[:, k, j] = -pairs[:, 1::2]
+    return H
+
+
+def _search_mode_params(points: np.ndarray, modes: int) -> list:
+    """Per-mode params of a stack of search vectors, row-major over points."""
+    rs = points[:, modes * modes : modes * modes + modes]
+    alphas = points[:, modes * modes + modes :].reshape(-1, 2)
+    return [
+        GaussianUnitaryParams(theta=0.0, vartheta=0.0, r=float(r), alpha=complex(re, im))
+        for r, (re, im) in zip(rs.flat, alphas)
+    ]
 
 
 def _unpack_vector(vec: np.ndarray, modes: int) -> MultimodeGaussianParams:
-    n_diag, n_off, _total = _vector_layout(modes)
-    H = np.zeros((modes, modes), dtype=complex)
-    pos = 0
-    for k in range(modes):
-        H[k, k] = vec[pos]
-        pos += 1
-    for j in range(modes):
-        for k in range(j + 1, modes):
-            H[j, k] = complex(vec[pos], vec[pos + 1])
-            H[k, j] = H[j, k].conjugate()
-            pos += 2
-    rs = [float(vec[pos + k]) for k in range(modes)]
-    pos += modes
-    alphas = [complex(vec[pos + 2 * k], vec[pos + 2 * k + 1]) for k in range(modes)]
-    return MultimodeGaussianParams.from_generator(1j * H, rs, alphas)
+    """The params of one search vector, with the same interferometer bits as
+    its row in :func:`multimode_objectives`."""
+    point = np.asarray(vec, dtype=float)[None]
+    H = _generators(point, modes)
+    single = _search_mode_params(point, modes)
+    return MultimodeGaussianParams(
+        _interferometers(H)[0],
+        tuple(p.r for p in single),
+        tuple(p.alpha for p in single),
+        generator=1j * H[0],
+    )
 
 
 def _multimode_box(config: OptimizerConfig, modes: int):
@@ -391,23 +426,19 @@ def _multimode_box(config: OptimizerConfig, modes: int):
 def multimode_objective(
     witness: MultimodeWitness, n: int, params: MultimodeGaussianParams
 ) -> float:
+    """Top eigenvalue of the compressed conjugated witness; the one-row case
+    of :func:`multimode_objectives`."""
     return _top_eigenvalue(compress_conjugated_multimode(witness, params, n))
 
 
-def multimode_objectives(witness: MultimodeWitness, n: int, points, modes: int) -> list:
-    """:func:`multimode_objective` at every search vector (row) of `points`.
-
-    Each row is compressed and diagonalized on its own; only the single-mode
-    columns of all rows come from one call, so the Hermite recurrence runs
-    once per batch instead of once per row.
-    """
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    params = [_unpack_vector(vec, modes) for vec in points]
-    blocks = _mode_blocks(params, n, witness.support_total())
-    return [
-        _top_eigenvalue(_compress_multimode(witness, p, n, b)) for p, b in zip(params, blocks)
-    ]
+def multimode_objectives(witness: MultimodeWitness, n: int, points, modes: int) -> np.ndarray:
+    """:func:`multimode_objective` at every search vector (row) of `points`:
+    one stacked ``eigh`` for the interferometers, one Hermite recurrence for
+    the mode columns, gathers for the sector blocks and one stacked eigen
+    step."""
+    points = np.asarray(points, dtype=float).reshape(-1, modes * modes + 3 * modes)
+    V = _interferometers(_generators(points, modes))
+    return _top_eigenvalues(_compressions(witness, n, V, _search_mode_params(points, modes)))
 
 
 def multimode_threshold(

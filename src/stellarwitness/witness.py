@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import complex_pair, parse_complex
+from ._util import complex_pair, parse_complex, require_finite, require_integer
 from .errors import DegenerateWitnessError, HermiticityError
 from .fock_gaussian import (
     GaussianUnitaryParams,
@@ -478,37 +478,45 @@ def witness_to_json(witness: WitnessOperator) -> dict:
 
 
 def witness_from_json(obj: dict) -> WitnessOperator:
+    """Parse a witness file object; non-finite numbers are rejected by name."""
     wtype = obj.get("type")
+    if wtype in ("fock_pair", "cat_pair"):
+        omega = require_finite(float(obj["omega"]), "omega")
     if wtype == "fock_pair":
-        return fock_pair_witness(int(obj["j"]), int(obj["k"]), float(obj["omega"]))
+        j, k = (require_integer(obj[key], key, 0) for key in ("j", "k"))
+        return fock_pair_witness(j, k, omega)
     if wtype == "cat_pair":
-        return cat_pair_witness(parse_complex(obj["beta"]), float(obj["omega"]))
+        return cat_pair_witness(require_finite(parse_complex(obj["beta"]), "beta"), omega)
     if wtype == "fock_diagonal":
-        return fock_diagonal_witness([float(w) for w in obj["weights"]])
+        return fock_diagonal_witness([require_finite(float(w), "weights") for w in obj["weights"]])
     if wtype == "terms":
         terms = []
         support = 0
         phase_invariant = True
         for entry in obj["terms"]:
             state = state_from_json(entry["state"])
-            weight = float(entry["weight"])
+            weight = require_finite(float(entry["weight"]), "weight")
             if isinstance(state, FockVector):
+                entries = state.amplitudes
                 terms.append(WitnessTerm(weight, PURE, state))
                 support = max(support, state.cutoff)
                 nonzero = np.nonzero(np.abs(state.amplitudes) > 0)[0]
                 phase_invariant = phase_invariant and nonzero.size <= 1
             elif isinstance(state, FockDensity):
+                entries = state.matrix
                 terms.append(WitnessTerm(weight, DENSITY, state))
                 support = max(support, state.cutoff)
                 off_diag = state.matrix - np.diag(np.diag(state.matrix))
                 phase_invariant = phase_invariant and not np.any(np.abs(off_diag) > 0)
             else:
                 raise ValueError("witness terms must be fock_vector or density states")
+            if not np.all(np.isfinite(entries)):
+                raise ValueError("witness term states must have finite entries")
         return WitnessOperator(
             terms=tuple(terms),
             support_cutoff=support,
             phase_invariant=phase_invariant,
-            identity_weight=float(obj.get("identity_weight", 0.0)),
+            identity_weight=require_finite(float(obj.get("identity_weight", 0.0)), "identity_weight"),
             descriptor=None,
         )
     raise ValueError(f"unknown witness type {wtype!r}")

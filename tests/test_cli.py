@@ -27,16 +27,16 @@ def fock_pair_file(tmp_path):
 FAST_FLAGS = ["--starts", "8", "--max-iterations", "300", "--seed", "7"]
 
 
-def two_mode_witness(occupations):
+def two_mode_witness(occupations, weight=1.0, value=(1.0, 0.0)):
     return {
         "type": "terms",
         "modes": 2,
         "terms": [{
-            "weight": 1.0,
+            "weight": weight,
             "state": {
                 "kind": "multimode_fock_vector",
                 "modes": 2,
-                "amplitudes": [{"occupations": occupations, "value": [1.0, 0.0]}],
+                "amplitudes": [{"occupations": occupations, "value": list(value)}],
             },
         }],
     }
@@ -146,6 +146,33 @@ class TestThresholdCommand:
         code = main(["threshold", fock_pair_file, "--rank", "1", "--config", path, "--out", str(out)])
         assert code == 1
         assert next(iter(config)) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "witness, field",
+        [
+            ({**two_mode_witness([]), "modes": 0}, "modes"),
+            (two_mode_witness([-1, 1]), "occupations"),
+            (two_mode_witness([0.5, 1]), "occupations"),
+            (two_mode_witness([0, 1], weight=math.nan), "weight"),
+            (two_mode_witness([0, 1], value=(math.nan, 0.0)), "amplitude"),
+            ({**two_mode_witness([0, 1]), "identity_weight": math.inf}, "identity_weight"),
+            ({"type": "fock_pair", "j": 0, "k": 2, "omega": math.nan}, "omega"),
+            ({"type": "fock_pair", "j": 0.5, "k": 2, "omega": 0.7}, "j"),
+            ({"type": "cat_pair", "beta": [2.0, 0.0], "omega": math.nan}, "omega"),
+            ({"type": "fock_diagonal", "weights": [1.0, math.nan]}, "weights"),
+            ({"type": "terms", "identity_weight": math.inf, "terms": [{
+                "weight": 1.0, "state": state_to_json(coherent(0.5, 8))}]}, "identity_weight"),
+            ({"type": "terms", "terms": [{"weight": 1.0, "state": {
+                "kind": "fock_vector", "data": [[math.nan, 0.0], [1.0, 0.0]]}}]}, "state"),
+        ],
+    )
+    def test_malformed_witness_exit_one(self, tmp_path, capsys, witness, field):
+        path = write_json(tmp_path / "w.json", witness)
+        out = tmp_path / "result.json"
+        code = main(["threshold", path, "--rank", "1", *FAST_FLAGS, "--out", str(out)])
+        assert code == 1
+        assert field in capsys.readouterr().err
         assert not out.exists()
 
     def test_no_partial_output_on_failure(self, tmp_path):

@@ -18,10 +18,12 @@ from stellarwitness.multimode import (
     multimode_fock_projector,
     multimode_gaussian_block,
     multimode_objective,
+    multimode_objectives,
     multimode_result_to_json,
     multimode_threshold,
     sector_indices,
 )
+from stellarwitness.multimode import _multimode_box, _unpack_vector
 from stellarwitness.threshold import OptimizerConfig, compute_threshold
 from stellarwitness.witness import fock_diagonal_witness, fock_pair_witness
 
@@ -96,6 +98,26 @@ class TestParams:
         bad = np.array([[1.0, 0.1], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError):
             MultimodeGaussianParams(bad, (0.0, 0.0), (0.0, 0.0))
+
+    @pytest.mark.parametrize("V", [[[math.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, math.inf]]])
+    def test_non_finite_interferometer_rejected(self, V):
+        with pytest.raises(ValueError, match="unitarity"):
+            MultimodeGaussianParams(np.array(V, dtype=complex), (0.0, 0.0), (0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "squeezings, displacements",
+        [((math.nan, 0.0), (0.0, 0.0)), ((0.0, math.inf), (0.0, 0.0)), ((-0.1, 0.0), (0.0, 0.0)),
+         ((0.0, 0.0), (complex(math.nan, 0.0), 0.0)), ((0.0, 0.0), (0.0, complex(0.0, -math.inf)))],
+    )
+    def test_non_finite_mode_params_rejected(self, squeezings, displacements):
+        with pytest.raises(ValueError):
+            MultimodeGaussianParams(np.eye(2, dtype=complex), squeezings, displacements)
+
+    def test_nan_generator_rejected(self):
+        with pytest.raises(ValueError):
+            MultimodeGaussianParams.from_generator(
+                np.array([[math.nan, 0.0], [0.0, 0.0]], dtype=complex), (0.0, 0.0), (0.0, 0.0)
+            )
 
     def test_from_generator_round_trip(self):
         H = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]])
@@ -188,6 +210,149 @@ class TestBlocks:
         assert np.all(norms <= 1.0 + 1e-9)
         # the vacuum column must be nearly complete at these mild parameters
         assert abs(norms[0] - 1.0) < 1e-6
+
+
+def random_hermitian(rng, modes):
+    A = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
+    return (A + A.conj().T) / 2
+
+
+def passive_params(X):
+    modes = X.shape[0]
+    return MultimodeGaussianParams.from_generator(X, (0.0,) * modes, (0.0,) * modes)
+
+
+# Witnesses with an identity weight and terms that span several sectors.
+MIXED = {
+    2: MultimodeWitness(
+        2,
+        ((0.7, {(1, 0): 0.6 + 0j, (0, 2): 0.8j}), (-0.4, {(1, 1): 1.0 + 0j})),
+        identity_weight=0.3,
+    ),
+    3: MultimodeWitness(
+        3,
+        (
+            (0.5, {(1, 0, 0): 0.6 + 0j, (0, 1, 1): 0.8 + 0j}),
+            (0.9, {(0, 0, 2): 1.0 + 0j, (1, 1, 0): -0.5j}),
+        ),
+        identity_weight=0.2,
+    ),
+}
+
+
+class TestKernel:
+    """`multimode_objectives` is the one batched kernel: interferometers from
+    eigh, sector blocks as symmetric powers, gathers for the mode products."""
+
+    @pytest.mark.parametrize("modes, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_rows_bit_identical_in_any_batch(self, modes, n):
+        witness = MIXED[modes]
+        lo, hi = _multimode_box(OptimizerConfig(), modes)
+        rng = np.random.default_rng(10 * modes + n)
+        points = lo + rng.random((64, lo.size)) * (hi - lo)
+        full = multimode_objectives(witness, n, points, modes)
+        for size in (1, 7, 12):
+            parts = [
+                multimode_objectives(witness, n, points[i : i + size], modes)
+                for i in range(0, len(points), size)
+            ]
+            assert np.concatenate(parts).tobytes() == full.tobytes()
+        order = rng.permutation(len(points))
+        shuffled = multimode_objectives(witness, n, points[order], modes)
+        assert shuffled[np.argsort(order)].tobytes() == full.tobytes()
+        alone = [multimode_objective(witness, n, _unpack_vector(x, modes)) for x in points]
+        assert np.array(alone).tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("modes", [2, 3])
+    def test_passive_sectors_match_dense_oracle(self, modes):
+        """Every sector up to t = 4 against expm(dG(X)) on the product space,
+        which is exact there: a per-mode cutoff of 4 truncates no state with at
+        most 4 photons."""
+        X = 1j * random_hermitian(np.random.default_rng(7 + modes), modes)
+        oracle = product_space_unitary(passive_params(X), 4)
+        worst = 0.0
+        for t in range(5):
+            for col in sector_indices(modes, t):
+                got = np.zeros(oracle.shape[0], dtype=complex)
+                for occ, val in apply_passive(X, {col: 1.0 + 0j}).items():
+                    got[product_index(occ, 5)] = val
+                worst = max(worst, np.max(np.abs(got - oracle[:, product_index(col, 5)])))
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("modes, cutoff", [(2, 2), (3, 1)])
+    @pytest.mark.parametrize("active", [False, True])
+    def test_block_matches_expm_composition(self, modes, cutoff, active):
+        """The loop form of the product U = (⊗ D_k S_k) exp(dG(X)): single-mode
+        blocks times the dense oracle's passive exponential."""
+        rng = np.random.default_rng(modes)
+        X = 1j * random_hermitian(rng, modes)
+        rs = tuple(rng.uniform(0.1, 0.6, modes)) if active else (0.0,) * modes
+        alphas = tuple(rng.normal(size=modes) * 0.5 + 0.3j) if active else (0.0,) * modes
+        params = MultimodeGaussianParams.from_generator(X, rs, alphas)
+        n_rows, max_total = 2, modes * cutoff
+        dim = max_total + 1
+        passive = product_space_unitary(passive_params(X), max_total)
+        singles = [gaussian_block(params.mode_params(k), n_rows, max_total) for k in range(modes)]
+        rows = enumerate_subspace(modes, n_rows)
+        cols = list(itertools.product(range(cutoff + 1), repeat=modes))
+        expected = np.zeros((len(rows), len(cols)), dtype=complex)
+        for j, col in enumerate(cols):
+            for mid in sector_indices(modes, sum(col)):
+                amp = passive[product_index(mid, dim), product_index(col, dim)]
+                for i, row in enumerate(rows):
+                    expected[i, j] += amp * math.prod(singles[k][row[k], mid[k]] for k in range(modes))
+        assert np.max(np.abs(multimode_gaussian_block(params, n_rows, cutoff) - expected)) < 1e-12
+
+    @pytest.mark.parametrize("modes", [2, 3])
+    def test_compression_assembles_block_columns(self, modes):
+        rng = np.random.default_rng(20 + modes)
+        params = MultimodeGaussianParams.from_generator(
+            1j * random_hermitian(rng, modes), tuple(rng.uniform(0.1, 0.5, modes)),
+            tuple(rng.normal(size=modes) * 0.4 - 0.2j),
+        )
+        witness, n = MIXED[modes], 2
+        block = multimode_gaussian_block(params, n - 1, 2)
+        cols = list(itertools.product(range(3), repeat=modes))
+        expected = witness.identity_weight * np.eye(block.shape[0])
+        for weight, amplitudes in witness.terms:
+            vec = sum(amp * block[:, cols.index(occ)] for occ, amp in amplitudes.items())
+            expected = expected + weight * np.outer(vec, vec.conj())
+        got = compress_conjugated_multimode(witness, params, n)
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_zero_generator_gives_identity(self, modes):
+        V = passive_params(np.zeros((modes, modes), dtype=complex)).interferometer
+        assert np.max(np.abs(V - np.eye(modes))) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "eigenvalues", [(0.7, 0.7, 0.7), (-1.2, -1.2, 2.5), (math.pi, -math.pi, math.pi)]
+    )
+    def test_degenerate_generators(self, eigenvalues):
+        rng = np.random.default_rng(3)
+        W, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        H = W @ np.diag(eigenvalues) @ W.conj().T
+        H = (H + H.conj().T) / 2
+        V = passive_params(1j * H).interferometer
+        assert np.max(np.abs(V - scipy.linalg.expm(1j * H))) < 1e-13
+
+    @pytest.mark.parametrize("modes", [2, 3])
+    def test_box_corners(self, modes):
+        """Generator entries at the search box's ±π corners."""
+        lo, hi = _multimode_box(OptimizerConfig(), modes)
+        corners = itertools.product((-math.pi, math.pi), repeat=modes * modes)
+        for corner in itertools.islice(corners, 0, None, 3 if modes == 3 else 1):
+            point = np.clip(np.zeros(lo.size), lo, hi)
+            point[: modes * modes] = corner
+            params = _unpack_vector(point, modes)
+            expected = scipy.linalg.expm(params.generator)
+            assert np.max(np.abs(params.interferometer - expected)) < 1e-12
+
+    def test_nan_row_rejected(self):
+        points = np.zeros((3, 10))
+        points[1, 2] = math.nan
+        with pytest.raises(ValueError, match="unitarity"):
+            multimode_objectives(MIXED[2], 1, points, 2)
 
 
 class TestThreshold:
