@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import tempfile
 
@@ -73,9 +74,9 @@ def require_finite(value, name: str):
 
 
 def require_integer(value, name: str, least: int) -> int:
-    """`value`, a number read from a file, as an int if it is whole and >=
-    `least`; 0.5 or -1 is rejected, not truncated."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    """`value`, a real number, as an int if it is whole and >= `least`; 0.5
+    or -1 is rejected, not truncated, and so are bools and strings."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if not (number and float(value).is_integer() and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)

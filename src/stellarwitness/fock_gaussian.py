@@ -7,12 +7,11 @@ with displacement ``D(alpha) = exp(alpha a† - alpha* a)``, squeezing
 
 Two independent evaluation paths are provided:
 
-* an analytic path built from Hermite-polynomial sums (plus the exact
-  Laguerre-form displacement element when the squeezing is negligible); a
-  coherent input reduces to the vacuum column of a displaced squeezer, which
-  is computed directly from the single-term (m = 0) sum, bit-identical to the
-  general element formula, for a whole batch of parameter points and inputs
-  at once (:func:`coherent_columns`), and
+* an analytic path: blocks for a batch of parameter points come from one
+  bounded ladder recurrence (:func:`block_columns_batch`); a coherent input
+  reduces to the vacuum column of a displaced squeezer, a single-term
+  Hermite sum (the Laguerre form at negligible squeezing) in scalar rounding
+  (:func:`coherent_columns`), and
 * an oracle path that exponentiates truncated annihilation/creation
   generators, either densely or column-by-column through a Chebyshev
   expansion of the sparse generator's action.
@@ -39,6 +38,14 @@ from .states import FockVector
 #: to well under the oracle tolerance and removes the 1/nu singularity.
 SQUEEZING_DEGENERACY_CUTOFF = 1e-10
 
+#: largest squeezing of a parameter point: cosh r overflows near r = 710.
+MAX_SQUEEZING = 700.0
+
+#: lowest per-point scale exponent of :func:`block_columns_batch`: scaled
+#: entries stay below 2**_SCALE_FLOOR, and a start <0|U|0> down to
+#: 2**-(_SCALE_FLOOR + 1074) (|alpha| up to ~53 at r = 0) stays representable.
+_SCALE_FLOOR = 1000
+
 #: default headroom added to a requested block size for the dense oracle.
 ORACLE_CUTOFF_PAD = 30
 
@@ -59,21 +66,16 @@ class GaussianUnitaryParams:
         values = (self.theta, self.vartheta, self.r, self.alpha.real, self.alpha.imag)
         if not all(math.isfinite(v) for v in values):
             raise ValueError("Gaussian unitary parameters must be finite")
-        if self.r < 0:
+        if not 0.0 <= self.r <= MAX_SQUEEZING:
             raise ValueError(
-                "negative squeezing is represented by shifting the phases; r must be >= 0"
+                f"squeezing r must be >= 0 and <= {MAX_SQUEEZING}, got {self.r}; negative "
+                "squeezing is represented by shifting the phases"
             )
 
-    @property
-    def mu(self) -> float:
-        return math.cosh(self.r)
-
-    @property
-    def nu(self) -> float:
-        return math.sinh(self.r)
-
-    def is_identity(self) -> bool:
-        return self.theta == self.vartheta == self.r == 0.0 and self.alpha == 0.0
+    def vector(self) -> tuple:
+        """The row (r, Re alpha, Im alpha, vartheta) of the batched kernels."""
+        alpha = complex(self.alpha)
+        return (self.r, alpha.real, alpha.imag, self.vartheta)
 
     def to_json(self) -> dict:
         return {
@@ -95,45 +97,19 @@ class GaussianUnitaryParams:
         )
 
 
-def _laguerre(n: int, d: int, x: float) -> float:
-    """Associated Laguerre polynomial L_n^{(d)}(x) by forward recurrence."""
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + d - x
-    for i in range(2, n + 1):
-        prev, cur = cur, ((2 * i - 1 + d - x) * cur - (i - 1 + d) * prev) / i
-    return cur
-
-
-def _displacement_element(alpha: complex, k: int, m: int) -> complex:
-    """Exact <k|D(alpha)|m> via the Laguerre closed form."""
-    x = abs(alpha) ** 2
-    if k >= m:
-        d, low = k - m, m
-        power = alpha**d if d else 1.0
-    else:
-        d, low = m - k, k
-        power = (-alpha.conjugate()) ** d
-    log_mag = -0.5 * x + 0.5 * (log_factorial(low) - log_factorial(low + d))
-    return math.exp(log_mag) * power * _laguerre(low, d, x)
-
-
 # ---------------------------------------------------------------------------
-# Array arithmetic with the bits of the scalar formulas.
+# The coherent path, with the bits of the scalar formulas it was written as.
 #
-# A parameter point's amplitudes must not depend on the batch it is evaluated
-# in, and must equal the scalar element formula's.  Float64 elementwise
-# operations, np.hypot and stacked LAPACK calls keep their bits in any batch;
-# numpy's vectorized exp, log, cosh, sinh and complex products do not match
-# the C library and Python's complex arithmetic (fused multiply-adds, other
-# polynomial kernels).  So the kernels below take those functions through
-# `math` / `cmath` per element and spell every scalar complex operation out
-# in real and imaginary parts, in the order Python or numpy's scalar code
-# rounds it.  Both promote a real operand x to (x, 0.0), so a product with a
-# real carries terms like `0.0 * im`: they fix the signs of zeros and stay.
-# Where a formula below is shorter than the expression it mirrors, the two
-# agree bit for bit by exact identities (y * -x == -(y * x),
-# a - (-b) == a + b), noted at the spot.
+# numpy's vectorized exp, log, cosh, sinh and complex products keep their
+# bits in any batch but differ from the C library and Python's complex
+# arithmetic.  The coherent kernels below keep the scalar bits, so the cat
+# thresholds stay pinned: they take those functions through `math` / `cmath`
+# per element and spell every scalar complex operation out in real and
+# imaginary parts, in the order Python or numpy's scalar code rounds it.  A
+# real operand x is promoted to (x, 0.0), so a product with a real carries
+# terms like `0.0 * im`: they fix the signs of zeros and stay.  Where a
+# formula below is shorter than the expression it mirrors, the two agree bit
+# for bit by exact identities (y * -x == -(y * x), a - (-b) == a + b).
 # ---------------------------------------------------------------------------
 
 
@@ -163,14 +139,6 @@ def _phase(angle: float) -> complex:
 def _turn(angle: float) -> complex:
     """``cmath.exp(complex(0.0, angle))``; unlike 1j * angle it keeps the sign of a zero angle."""
     return cmath.exp(complex(0.0, angle))
-
-
-@lru_cache(maxsize=None)
-def _i_powers(k_max: int) -> np.ndarray:
-    """1j ** k for k <= k_max; read-only, shared by every caller of that size."""
-    table = 1j ** np.arange(k_max + 1)
-    table.flags.writeable = False
-    return table
 
 
 def _scaled_hermite(x, n_max: int):
@@ -223,78 +191,6 @@ def _scaled_hermite(x, n_max: int):
     return units.reshape(x.shape + (n_max + 1,)), logs.reshape(x.shape + (n_max + 1,))
 
 
-class _ElementContext:
-    """Per-parameter workspace so block assembly and single elements share bits.
-
-    All magnitudes of the Hermite sum for <k|D(alpha)S(r)|m> (factorial
-    ratios, Hermite growth, the Gaussian envelope) are assembled in log space
-    and exponentiated once per term, which keeps any block size the
-    validation suites ask for inside double range.  Below
-    ``SQUEEZING_DEGENERACY_CUTOFF`` no tables are built: elements come from
-    the Laguerre form of the displacement.  The Hermite tables of the two
-    arguments (`hermite_args`) are filled in by :func:`_element_contexts`.
-    """
-
-    __slots__ = (
-        "mu", "alpha", "degenerate", "u1", "l1", "u2", "l2", "e0_phase", "log_e0",
-        "log_ratio", "log_two_over_nu", "i_pow", "phase_k", "phase_m", "hermite_args",
-    )
-
-    def __init__(self, params: GaussianUnitaryParams, k_max: int, m_max: int):
-        r, alpha = params.r, complex(params.alpha)
-        mu, nu = math.cosh(r), math.sinh(r)
-        self.mu = mu
-        self.alpha = alpha
-        self.degenerate = nu < SQUEEZING_DEGENERACY_CUTOFF
-        self.phase_k = np.exp(-1j * params.theta * np.arange(k_max + 1))
-        self.phase_m = np.exp(1j * params.vartheta * np.arange(m_max + 1))
-        if self.degenerate:
-            return
-        ac = alpha.conjugate()
-        s = math.sqrt(2.0 * mu * nu)
-        x1 = -ac / s
-        # principal branch: sqrt(-2 mu nu) = i s, pinned against the oracle.
-        x2 = (mu * alpha - nu * ac) / (1j * s)
-        self.hermite_args = (x1, x2)
-        envelope = (nu / (2.0 * mu)) * ac * ac
-        self.log_e0 = -(abs(alpha) ** 2) / 2.0 + envelope.real
-        self.e0_phase = cmath.exp(1j * envelope.imag)
-        self.log_ratio = math.log(nu / (2.0 * mu))
-        self.log_two_over_nu = math.log(2.0 / nu)
-        self.i_pow = _i_powers(k_max)
-
-    def element(self, k: int, m: int) -> complex:
-        if k < 0 or m < 0:
-            raise ValueError("Fock indices must be >= 0")
-        phases = self.phase_k[k] * self.phase_m[m]
-        if self.degenerate:
-            return phases * _displacement_element(self.alpha, k, m)
-        base = (
-            0.5 * (log_factorial(k) + log_factorial(m))
-            - 0.5 * math.log(self.mu)
-            + 0.5 * (k + m) * self.log_ratio
-            + self.log_e0
-        )
-        total = 0.0j
-        for j in range(min(k, m) + 1):
-            log_term = (
-                base
-                + j * self.log_two_over_nu
-                - log_factorial(j)
-                - log_factorial(m - j)
-                - log_factorial(k - j)
-                + self.l1[m - j]
-                + self.l2[k - j]
-            )
-            total += (
-                math.exp(log_term)
-                * self.i_pow[k - j]
-                * self.u1[m - j]
-                * self.u2[k - j]
-            )
-        return phases * self.e0_phase * total
-
-
 def _squeezed_vacuum(mu, nu, ar, ai, size_sq, k_max: int) -> np.ndarray:
     """Rows of <k|D(alpha)S(r)|0> above the degeneracy cutoff: the element
     formula's Hermite sum at m = 0, which has the single term j = 0."""
@@ -335,7 +231,7 @@ def _column_constants(k_max: int):
     parts of 1j**k and the zeros 0.0 * Im, 0.0 * Re it carries as a factor."""
     ks = np.arange(k_max + 1)
     log_k = np.array([log_factorial(k) for k in ks])
-    i_pow = _i_powers(k_max)
+    i_pow = 1j ** ks
     out = (0.5 * log_k, 0.5 * ks, log_k, i_pow.real, i_pow.imag, 0.0 * i_pow.real, 0.0 * i_pow.imag)
     for table in out:
         table.flags.writeable = False
@@ -352,20 +248,19 @@ def _displaced_vacuum(alpha, size_sq, k_max: int) -> np.ndarray:
     power = np.array([a**k for a in alpha.tolist() for k in range(k_max + 1)], dtype=complex)
     pr, pi = power.real, power.imag
     vr, vi = size * pr - 0.0 * pi, size * pi + 0.0 * pr
-    vr, vi = vr - vi * 0.0, vr * 0.0 + vi  # times _laguerre(0, k, x) = 1.0
+    vr, vi = vr - vi * 0.0, vr * 0.0 + vi  # times the Laguerre polynomial L_0 = 1.0
     return _complex(vr - 0.0 * vi, vi + 0.0 * vr).reshape(-1, k_max + 1)
 
 
 def _vacuum_column(r, alpha, k_max: int) -> np.ndarray:
     """<k|D(alpha)S(r)|0> for k <= k_max, for scalars or arrays of r and alpha.
 
-    Fock index k runs along the last axis.  Each row is bit-identical to
-    column 0 of :meth:`_ElementContext.element` at theta = vartheta = 0, in
-    any batch: the Hermite sum has the single term j = 0, whose operations
-    run in the same order, unit phase included.  Only the exponent's zero
-    summands (log 0!, j log(2/nu)) are left out; they can change nothing but
-    the sign of a zero, which exp() ignores.  Rows below the degeneracy
-    cutoff take the displacement-only form under a mask.
+    Fock index k runs along the last axis, and each row has the same bits
+    in any batch.  Above the degeneracy cutoff a row is the Hermite sum for
+    <k|D(alpha)S(r)|m> at m = 0, which has the single term j = 0; rows below
+    the cutoff take the Laguerre form of the displacement under a mask.  Both
+    agree with column 0 of :func:`block_columns_batch` to ~1e-11 (the
+    Laguerre form drops the O(r) squeezing).
     """
     r, alpha = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(alpha, dtype=complex))
     shape = r.shape + (k_max + 1,)
@@ -386,63 +281,90 @@ def _vacuum_column(r, alpha, k_max: int) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _element_contexts(params_rows, k_max: int, m_max: int) -> list:
-    """An :class:`_ElementContext` per parameter point, with the Hermite
-    tables of all of them from one recurrence over every argument (lower
-    degrees never see higher ones, so the shared maximum degree is exact)."""
-    contexts = [_ElementContext(params, k_max, m_max) for params in params_rows]
-    live = [ctx for ctx in contexts if not ctx.degenerate]
-    if live:
-        args = [x for ctx in live for x in ctx.hermite_args]
-        units, logs = _scaled_hermite(args, max(k_max, m_max))
-        for i, ctx in enumerate(live):
-            ctx.u1, ctx.l1 = units[2 * i, : m_max + 1], logs[2 * i, : m_max + 1]
-            ctx.u2, ctx.l2 = units[2 * i + 1, : k_max + 1], logs[2 * i + 1, : k_max + 1]
-    return contexts
+def block_columns_batch(points, rows: int, cols, theta=None) -> np.ndarray:
+    """<k|U|m>, k < rows, m in `cols`, at every row (r, Re alpha, Im alpha[,
+    vartheta]) of `points`, shape (points, rows, len(cols)); `theta` holds
+    the rows' output phases, and None means theta = 0.
 
+    The ladder recurrences of Miatto and Quesada (Quantum 4, 366 (2020)) for
+    G = D(a) S(r), a* = conj(a), mu = cosh r, t = tanh r, from
+    G_00 = mu^(-1/2) exp(-|a|^2 / 2 + t a*^2 / 2):
 
-def gaussian_matrix_element(params: GaussianUnitaryParams, k: int, m: int) -> complex:
-    """Analytic <k|U|m> for a single pair of Fock indices."""
-    if k < 0 or m < 0:
+        sqrt(k+1) G_{k+1,m} = (a - t a*) G_km + t sqrt(k) G_{k-1,m} + sqrt(m) G_{k,m-1} / mu,
+        sqrt(m+1) G_{k,m+1} = -(a* / mu) G_km - t sqrt(m) G_{k,m-1} + sqrt(k) G_{k-1,m} / mu,
+
+    then the phases e^{-ik theta} e^{im vartheta}.  Every coefficient is
+    bounded, so r = 0 needs no branch.  Entries on and below the diagonal
+    step in k, those above it in m, so the coupling sqrt(m / k) or
+    sqrt(k / m) is at most 1 (stepping one way only ruins blocks of ~100 x
+    100).  An entry depends only on entries above and left of it, through
+    elementwise operations: it has the same bits in any batch and any block.
+    Entries are carried as G 2^-s, s = max(ceil(log2 |G_00|), -_SCALE_FLOOR)
+    per point: the start stays representable where G_00 underflows (large
+    |alpha|), and as |G| <= 1 no scaled entry overflows.
+    """
+    points = np.asarray(points, dtype=float)
+    cols = list(cols)
+    if rows < 0 or min(cols, default=0) < 0:
         raise ValueError("Fock indices must be >= 0")
-    return _element_contexts([params], k, m)[0].element(k, m)
+    if not np.isfinite(points).all():
+        raise ValueError("Gaussian unitary parameters must be finite")
+    count = len(points)
+    r, ar, ai = points[:, 0], points[:, 1], points[:, 2]
+    vartheta = points[:, 3] if points.shape[1] > 3 else np.zeros(count)
+    theta = np.zeros(count) if theta is None else np.asarray(theta, dtype=float)
+    mu = np.cosh(r)
+    t = np.sinh(r) / mu
+    # alpha - t conj(alpha) = (1 - t) Re alpha + i (1 + t) Im alpha, with 1 -+ t = e^{-+r} / mu
+    u, v = np.exp(-r) * ar / mu, np.exp(r) * ai / mu
+    log_size = -0.5 * (np.log(mu) + u * ar + v * ai)  # log |G_00|
+    scale = np.maximum(np.ceil(log_size / math.log(2.0)), -_SCALE_FLOOR)
+    height, width = max(rows, 1), max(cols, default=0) + 1
+    roots = np.sqrt(np.arange(max(height, width)))
+    down = roots[1:] / mu[:, None]  # sqrt(k) / mu for k >= 1
+    lead, back = u + 1j * v, (1j * ai - ar) / mu
+    scaled = np.zeros((count, height, width), dtype=complex)
+    scaled[:, 0, 0] = np.exp(log_size - scale * math.log(2.0) - 1j * t * ar * ai)
+    across = scaled.transpose(0, 2, 1)  # line s of it is column s
+
+    def step(lines, s, length, first, second):  # line s from lines s - 1 and s - 2
+        nxt = first[:, None] * lines[:, s - 1, :length]
+        if s > 1:
+            nxt += second * lines[:, s - 2, :length]
+        nxt[:, 1:] += down[:, : length - 1] * lines[:, s - 1, : length - 1]
+        lines[:, s, :length] = nxt / roots[s]
+
+    for s in range(1, max(height, width)):
+        second = (t * roots[s - 1])[:, None]
+        if s < width:
+            step(across, s, min(s, height), back, -second)
+        if s < height:
+            step(scaled, s, min(s + 1, width), lead, second)
+    turns = np.exp(np.outer(-1j * theta, np.arange(rows)))
+    turns *= np.ldexp(1.0, scale.astype(int))[:, None]  # undoes the scale exactly
+    return scaled[:, :rows, cols] * turns[:, :, None] * np.exp(np.outer(1j * vartheta, cols))[:, None]
+
+
+def block_columns(params: GaussianUnitaryParams, rows: int, cols) -> np.ndarray:
+    """Columns <k|U|m>, k < rows, m in `cols`: one row of :func:`block_columns_batch`."""
+    return block_columns_batch([params.vector()], rows, cols, theta=[params.theta])[0]
 
 
 def gaussian_block(
     params: GaussianUnitaryParams, row_max: int, col_max: int
 ) -> np.ndarray:
-    """Matrix of <k|U|m> for 0 <= k <= row_max, 0 <= m <= col_max.
-
-    Entries are bit-identical to elementwise :func:`gaussian_matrix_element`
-    calls (same recurrences, same evaluation order).
-    """
+    """Matrix of <k|U|m> for 0 <= k <= row_max, 0 <= m <= col_max."""
     if row_max < 0 or col_max < 0:
         raise ValueError("block extents must be >= 0")
-    (ctx,) = _element_contexts([params], row_max, col_max)
-    out = np.empty((row_max + 1, col_max + 1), dtype=complex)
-    for m in range(col_max + 1):
-        for k in range(row_max + 1):
-            out[k, m] = ctx.element(k, m)
-    return out
+    return block_columns(params, row_max + 1, range(col_max + 1))
 
 
-def block_columns(params: GaussianUnitaryParams, rows: int, cols) -> np.ndarray:
-    """Selected columns <k|U|m>, k < rows, for m in `cols`."""
-    return block_columns_batch([params], rows, cols)[0]
-
-
-def block_columns_batch(params_rows, rows: int, cols) -> np.ndarray:
-    """:func:`block_columns` of every parameter point, shape (points, rows,
-    len(cols)): one Hermite recurrence for all points, then each point's
-    elements one by one (optimizer hot path of Fock witnesses)."""
-    cols = list(cols)
-    contexts = _element_contexts(params_rows, rows - 1, max(cols) if cols else 0)
-    out = np.empty((len(contexts), rows, len(cols)), dtype=complex)
-    for b, ctx in enumerate(contexts):
-        for i, m in enumerate(cols):
-            for k in range(rows):
-                out[b, k, i] = ctx.element(k, m)
-    return out
+def gaussian_matrix_element(params: GaussianUnitaryParams, k: int, m: int) -> complex:
+    """Analytic <k|U|m> for a single pair of Fock indices; the same bits as
+    that entry of any block that contains it."""
+    if k < 0 or m < 0:
+        raise ValueError("Fock indices must be >= 0")
+    return complex(block_columns(params, k + 1, [m])[k, 0])
 
 
 def params_from_vector(vec) -> GaussianUnitaryParams:
@@ -516,9 +438,7 @@ def transform_coherent(
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    alpha = complex(params.alpha)
-    point = [[params.r, alpha.real, alpha.imag, params.vartheta]]
-    amps = coherent_columns(point, [complex(beta)], k_max, theta=[params.theta])[0, 0]
+    amps = coherent_columns([params.vector()], [complex(beta)], k_max, theta=[params.theta])[0, 0]
     norm_sq = float(np.sum(np.abs(amps) ** 2))
     return FockVector(amps, tail_bound=max(0.0, 1.0 - norm_sq))
 

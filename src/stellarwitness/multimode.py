@@ -134,6 +134,10 @@ class MultimodeGaussianParams:
             theta=0.0, vartheta=0.0, r=self.squeezings[k], alpha=self.displacements[k]
         )
 
+    def mode_points(self) -> np.ndarray:
+        """Rows (r, Re alpha, Im alpha) of the per-mode displaced squeezers."""
+        return np.array([(r, a.real, a.imag) for r, a in zip(self.squeezings, self.displacements)])
+
     def to_json(self) -> dict:
         return {
             "interferometer": [[complex_pair(z) for z in row] for row in self.interferometer],
@@ -158,6 +162,22 @@ class MultimodeWitness:
     modes: int
     terms: tuple  # ((weight, {occupations: amplitude, ...}), ...)
     identity_weight: float = 0.0
+
+    def __post_init__(self):
+        modes = require_integer(self.modes, "modes", 1)
+        terms = []
+        for weight, amplitudes in self.terms:
+            checked = {}
+            for occ, value in amplitudes.items():
+                occ = tuple(require_integer(o, "occupations", 0) for o in occ)
+                if len(occ) != modes:
+                    raise ValueError(f"occupations {occ} do not match the {modes} declared modes")
+                checked[occ] = require_finite(complex(value), "amplitude")
+            terms.append((require_finite(float(weight), "weight"), checked))
+        identity = require_finite(float(self.identity_weight), "identity_weight")
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "identity_weight", identity)
 
     def support_total(self) -> int:
         return max(
@@ -187,26 +207,22 @@ class MultimodeWitness:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MultimodeWitness":
-        modes = require_integer(obj["modes"], "modes", 1)
         terms = []
         for entry in obj["terms"]:
             state = entry["state"]
             if state.get("kind") != "multimode_fock_vector":
                 raise ValueError("multimode witness terms must be multimode_fock_vector states")
             amplitudes = {
-                tuple(require_integer(o, "occupations", 0) for o in item["occupations"]):
-                    require_finite(parse_complex(item["value"]), "amplitude value")
+                tuple(item["occupations"]): parse_complex(item["value"])
                 for item in state["amplitudes"]
             }
-            if any(len(occ) != modes for occ in amplitudes):
-                raise ValueError("occupation lists must match the declared mode count")
-            terms.append((require_finite(float(entry["weight"]), "weight"), amplitudes))
-        identity = require_finite(float(obj.get("identity_weight", 0.0)), "identity_weight")
-        return cls(modes=modes, terms=tuple(terms), identity_weight=identity)
+            terms.append((float(entry["weight"]), amplitudes))
+        identity = float(obj.get("identity_weight", 0.0))
+        return cls(modes=obj["modes"], terms=tuple(terms), identity_weight=identity)
 
 
 def multimode_fock_projector(occupations) -> MultimodeWitness:
-    occ = tuple(int(o) for o in occupations)
+    occ = tuple(occupations)
     return MultimodeWitness(modes=len(occ), terms=((1.0, {occ: 1.0 + 0j}),))
 
 
@@ -285,13 +301,14 @@ def conjugate_multimode_witness(witness: MultimodeWitness, X: np.ndarray) -> Mul
 # ---------------------------------------------------------------------------
 
 
-def _conjugated_columns(V: np.ndarray, mode_params: list, row_total: int, max_total: int):
+def _conjugated_columns(V: np.ndarray, mode_points, row_total: int, max_total: int):
     """<k|U|m> for every k with |k| <= row_total and m with |m| <= max_total
     (both graded), shape (B, rows, columns), with U = (⊗_k D_k S_k) V̂, from
-    the (B, N, N) unitaries and their per-mode params (row-major over points
-    and modes), whose single-mode columns come from one Hermite recurrence."""
+    the (B, N, N) unitaries and their per-mode rows (r, Re alpha, Im alpha)
+    (row-major over points and modes), whose single-mode columns come from
+    one :func:`block_columns_batch` call."""
     modes = V.shape[-1]
-    blocks = block_columns_batch(mode_params, row_total + 1, range(max_total + 1))
+    blocks = block_columns_batch(mode_points, row_total + 1, range(max_total + 1))
     blocks = blocks.reshape(len(V), modes, row_total + 1, max_total + 1)
     rows = np.concatenate([_sector_table(modes, t)[0] for t in range(row_total + 1)])
     columns = []
@@ -307,13 +324,13 @@ def _conjugated_columns(V: np.ndarray, mode_params: list, row_total: int, max_to
     return np.concatenate(columns, axis=2)
 
 
-def _compressions(witness: MultimodeWitness, n: int, V: np.ndarray, mode_params: list):
+def _compressions(witness: MultimodeWitness, n: int, V: np.ndarray, mode_points):
     """Π_{n-1,N} U W U† Π_{n-1,N} for every unitary of the (B, N, N) stack `V`
-    with its per-mode params, shape (B, dim, dim)."""
+    with its per-mode rows, shape (B, dim, dim)."""
     if n < 1:
         raise ValueError("rank must be >= 1")
     support = witness.support_total()
-    columns = _conjugated_columns(V, mode_params, n - 1, support)
+    columns = _conjugated_columns(V, mode_points, n - 1, support)
     position = {occ: i for i, occ in enumerate(enumerate_subspace(V.shape[-1], support))}
     dim = columns.shape[1]
     out = np.zeros((len(V), dim, dim), dtype=complex)
@@ -332,8 +349,7 @@ def compress_conjugated_multimode(
     witness: MultimodeWitness, params: MultimodeGaussianParams, n: int
 ) -> np.ndarray:
     """Π_{n-1,N} U W U† Π_{n-1,N} on the graded multi-index basis."""
-    mode_params = [params.mode_params(k) for k in range(params.modes)]
-    return _compressions(witness, n, params.interferometer[None], mode_params)[0]
+    return _compressions(witness, n, params.interferometer[None], params.mode_points())[0]
 
 
 def multimode_gaussian_block(
@@ -343,8 +359,8 @@ def multimode_gaussian_block(
     per-mode index <= cutoff (columns in product order, modes varying last)."""
     modes = params.modes
     max_total = modes * cutoff
-    mode_params = [params.mode_params(k) for k in range(modes)]
-    columns = _conjugated_columns(params.interferometer[None], mode_params, n_rows, max_total)[0]
+    V = params.interferometer[None]
+    columns = _conjugated_columns(V, params.mode_points(), n_rows, max_total)[0]
     position = {occ: i for i, occ in enumerate(enumerate_subspace(modes, max_total))}
     return columns[:, [position[c] for c in itertools.product(range(cutoff + 1), repeat=modes)]]
 
@@ -380,14 +396,11 @@ def _generators(points: np.ndarray, modes: int) -> np.ndarray:
     return H
 
 
-def _search_mode_params(points: np.ndarray, modes: int) -> list:
-    """Per-mode params of a stack of search vectors, row-major over points."""
-    rs = points[:, modes * modes : modes * modes + modes]
-    alphas = points[:, modes * modes + modes :].reshape(-1, 2)
-    return [
-        GaussianUnitaryParams(theta=0.0, vartheta=0.0, r=float(r), alpha=complex(re, im))
-        for r, (re, im) in zip(rs.flat, alphas)
-    ]
+def _search_mode_points(points: np.ndarray, modes: int) -> np.ndarray:
+    """Per-mode rows (r, Re alpha, Im alpha) of a stack of search vectors,
+    row-major over points."""
+    rs = points[:, modes * modes : modes * modes + modes].reshape(-1, 1)
+    return np.hstack([rs, points[:, modes * modes + modes :].reshape(-1, 2)])
 
 
 def _unpack_vector(vec: np.ndarray, modes: int) -> MultimodeGaussianParams:
@@ -395,12 +408,9 @@ def _unpack_vector(vec: np.ndarray, modes: int) -> MultimodeGaussianParams:
     its row in :func:`multimode_objectives`."""
     point = np.asarray(vec, dtype=float)[None]
     H = _generators(point, modes)
-    single = _search_mode_params(point, modes)
+    r, re, im = _search_mode_points(point, modes).T
     return MultimodeGaussianParams(
-        _interferometers(H)[0],
-        tuple(p.r for p in single),
-        tuple(p.alpha for p in single),
-        generator=1j * H[0],
+        _interferometers(H)[0], tuple(r), tuple(map(complex, re, im)), generator=1j * H[0]
     )
 
 
@@ -433,12 +443,12 @@ def multimode_objective(
 
 def multimode_objectives(witness: MultimodeWitness, n: int, points, modes: int) -> np.ndarray:
     """:func:`multimode_objective` at every search vector (row) of `points`:
-    one stacked ``eigh`` for the interferometers, one Hermite recurrence for
+    one stacked ``eigh`` for the interferometers, one ladder recurrence for
     the mode columns, gathers for the sector blocks and one stacked eigen
     step."""
     points = np.asarray(points, dtype=float).reshape(-1, modes * modes + 3 * modes)
     V = _interferometers(_generators(points, modes))
-    return _top_eigenvalues(_compressions(witness, n, V, _search_mode_params(points, modes)))
+    return _top_eigenvalues(_compressions(witness, n, V, _search_mode_points(points, modes)))
 
 
 def multimode_threshold(

@@ -380,9 +380,7 @@ def compute_thresholds(
             ok = result.value >= results[-1].value - MONOTONICITY_SLACK
             result.diagnostics["monotonicity_ok"] = bool(ok)
         results.append(result)
-        vec = (result.params.r, result.params.alpha.real,
-               result.params.alpha.imag, result.params.vartheta)
-        carried = tuple(config.initial_points) + (vec,)
+        carried = tuple(config.initial_points) + (result.params.vector(),)
     return results
 
 

@@ -22,7 +22,6 @@ from .fock_gaussian import (
     block_columns,
     block_columns_batch,
     coherent_columns,
-    params_from_vector,
     transform_coherent,
 )
 from .numerics import hermitian_spectrum
@@ -200,8 +199,9 @@ def _coherent_columns(witness: WitnessOperator, params: GaussianUnitaryParams, k
     }
 
 
-def _term_vectors(witness: WitnessOperator, rows, n: int, coherent: dict):
-    """`conjugated_term_vectors` for a batch of parameter rows.
+def _term_vectors(witness: WitnessOperator, points, n: int, coherent: dict, theta=None):
+    """`conjugated_term_vectors` at every row (r, Re alpha, Im alpha[,
+    vartheta]) of `points`, with output phases `theta` (None: theta = 0).
 
     `coherent` maps each coherent input to its columns, shape (rows, n).
     Fock, pure and density terms share one `block_columns_batch` call over
@@ -220,7 +220,7 @@ def _term_vectors(witness: WitnessOperator, rows, n: int, coherent: dict):
         elif term.kind == DENSITY:
             cols.update(range(term.data.matrix.shape[0]))
     cols = sorted(cols)
-    block = block_columns_batch(rows, n, cols) if cols else None
+    block = block_columns_batch(points, n, cols, theta) if cols else None
     position = {m: i for i, m in enumerate(cols)}
 
     def leading(width):  # columns 0..width-1 are the first `width` of the union
@@ -236,7 +236,7 @@ def _term_vectors(witness: WitnessOperator, rows, n: int, coherent: dict):
             blocks = leading(amps.size)
             rank_one.append((term.weight, np.stack([b @ amps for b in blocks])))
         elif term.kind == COHERENT_SUM:
-            vec = np.zeros((len(rows), n), dtype=complex)
+            vec = np.zeros((len(points), n), dtype=complex)
             for coef, beta in term.data:
                 vec += coef * coherent[beta]
             rank_one.append((term.weight, vec))
@@ -247,10 +247,10 @@ def _term_vectors(witness: WitnessOperator, rows, n: int, coherent: dict):
     return rank_one, mixed
 
 
-def _compress(witness: WitnessOperator, rows, n: int, coherent: dict) -> np.ndarray:
+def _compress(witness: WitnessOperator, points, n: int, coherent: dict, theta=None) -> np.ndarray:
     """Stack (rows, n, n) of Π_{n-1} U W U† Π_{n-1}, one matrix per parameter row."""
-    rank_one, mixed = _term_vectors(witness, rows, n, coherent)
-    out = np.zeros((len(rows), n, n), dtype=complex)
+    rank_one, mixed = _term_vectors(witness, points, n, coherent, theta)
+    out = np.zeros((len(points), n, n), dtype=complex)
     for weight, vec in rank_one:
         out += weight * (vec[:, :, None] * vec.conj()[:, None, :])
     for weight, blocks, sigma in mixed:
@@ -277,7 +277,7 @@ def conjugated_term_vectors(
     error is the witness's own declared tail bound.
     """
     coherent = _one_row(_coherent_columns(witness, params, n - 1))
-    rank_one, mixed = _term_vectors(witness, [params], n, coherent)
+    rank_one, mixed = _term_vectors(witness, [params.vector()], n, coherent, [params.theta])
     return (
         [(weight, vec[0]) for weight, vec in rank_one],
         [(weight, blocks[0], sigma) for weight, blocks, sigma in mixed],
@@ -295,7 +295,7 @@ def compress_conjugated(
     if n < 1:
         raise ValueError("rank must be >= 1")
     coherent = _one_row(_coherent_columns(witness, params, n - 1))
-    return _compress(witness, [params], n, coherent)[0]
+    return _compress(witness, [params.vector()], n, coherent, [params.theta])[0]
 
 
 def compress_conjugated_batch(witness: WitnessOperator, points, n: int) -> np.ndarray:
@@ -303,7 +303,8 @@ def compress_conjugated_batch(witness: WitnessOperator, points, n: int) -> np.nd
     vartheta]) of `points`, theta = 0, as a (rows, n, n) stack.
 
     The coherent columns of all rows and all coherent inputs come from one
-    :func:`coherent_columns` call; the other terms are assembled row by row.
+    :func:`coherent_columns` call, the other terms' columns from one
+    :func:`block_columns_batch` call.
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
@@ -313,12 +314,7 @@ def compress_conjugated_batch(witness: WitnessOperator, points, n: int) -> np.nd
     if betas:
         columns = coherent_columns(points, betas, n - 1)
         coherent = {beta: columns[:, i] for i, beta in enumerate(betas)}
-    # parameter objects only for the terms that take block_columns_batch
-    if all(t.kind == COHERENT_SUM for t in witness.terms):
-        rows = [None] * len(points)
-    else:
-        rows = [params_from_vector(point) for point in points]
-    return _compress(witness, rows, n, coherent)
+    return _compress(witness, points, n, coherent)
 
 
 def expectation(witness: WitnessOperator, state) -> float:

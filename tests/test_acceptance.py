@@ -42,10 +42,10 @@ def report(criterion: str, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def family_sweeps():
-    """Boundary sweep output files for every family at 1, 4 and 8 workers."""
+    """Boundary sweep output files for every family at 1 and 8 workers."""
     out = {}
     timings = {}
-    for threads in (1, 4, 8):
+    for threads in (1, 8):
         start = time.monotonic()
         out[threads] = {
             name: _boundary_outputs(family, RANKS, OMEGA_COUNT, SWEEP_CONFIG, threads)
@@ -152,7 +152,7 @@ def test_criterion_04_monotonicity_and_nesting(family_sweeps):
             for xy in by_rank[low].hull_vertices():
                 assert support_region_contains(by_rank[high], xy, slack=1e-6)
     total = sum(family_sweeps["timings"].values())
-    assert total < 1800.0, f"sweeps took {total:.0f}s, over 30min"
+    assert total < 1200.0, f"sweeps took {total:.0f}s, over 20min"
     report(
         "criterion 4",
         f"thresholds monotone and regions nested for {len(FAMILIES)} families "
@@ -255,9 +255,9 @@ def test_criterion_09_states_identities():
 
 
 def test_criterion_10_determinism_across_workers(family_sweeps):
-    """Criteria 2-4 workloads emit byte-identical files at 1, 4, 8 workers."""
+    """Criteria 2-4 workloads emit byte-identical files at 1 and 8 workers."""
     variants = []
-    for threads in (1, 4, 8):
+    for threads in (1, 8):
         chunks = []
         for weights, rank in (([1.0], 1), ([0.0, 0.0, 1.0], 3), ([0.0, 1.0], 1)):
             witness = sw.fock_diagonal_witness(weights)
@@ -269,8 +269,8 @@ def test_criterion_10_determinism_across_workers(family_sweeps):
             for fname, text in sorted(family_sweeps[threads][name].items()):
                 chunks.append(f"{name}/{fname}\n{text}")
         variants.append("\n".join(chunks).encode())
-    assert variants[0] == variants[1] == variants[2]
+    assert variants[0] == variants[1]
     report(
         "criterion 10",
-        f"{len(variants[0])} output bytes identical across 1/4/8 workers",
+        f"{len(variants[0])} output bytes identical across 1/8 workers",
     )

@@ -346,6 +346,39 @@ class TestGaussianElementsCommand:
         )
         assert np.array_equal(got, expected)
 
+    def test_squeezing_beyond_range_exit_one(self, capsys):
+        # cosh r overflows near r = 710
+        assert main(["gaussian-elements", "--r", "800", "--rows", "1", "--cols", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "squeezing r must be" in captured.err
+
+    def test_large_displacement_without_squeezing(self, capsys):
+        code = main(["gaussian-elements", "--r", "0", "--alpha", "30", "--rows", "250",
+                     "--cols", "0"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        got = complex(*payload["block"][249][0])
+        expected = math.exp(-450.0 + 249 * math.log(30.0) - 0.5 * math.lgamma(250.0))
+        assert abs(got - expected) <= 1e-12 * expected
+
+    def test_poisson_column_where_vacuum_overlap_underflows(self, capsys):
+        # <0|D(40)|0> = e^-800 underflows, while the rows near k = 1600 are O(1)
+        columns = {}
+        for r in ("0", "1e-11"):
+            assert main(["gaussian-elements", "--r", r, "--alpha", "40", "--rows", "1799",
+                         "--cols", "0"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            columns[r] = np.array([complex(*row[0]) for row in payload["block"]])
+        ks = np.arange(1800)
+        log_factorials = np.array([math.lgamma(k + 1.0) for k in ks])
+        log_poisson = -800.0 + ks * math.log(40.0) - 0.5 * log_factorials
+        representable = log_poisson > math.log(np.finfo(float).tiny)
+        expected = np.exp(log_poisson[representable])
+        assert np.max(np.abs(columns["0"][representable] - expected) / expected) <= 1e-10
+        norms = {r: float(np.sum(np.abs(column) ** 2)) for r, column in columns.items()}
+        assert abs(norms["1e-11"] - norms["0"]) <= 1e-9
+
 
 def test_console_entry_point():
     result = subprocess.run(

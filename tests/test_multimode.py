@@ -119,6 +119,29 @@ class TestParams:
                 np.array([[math.nan, 0.0], [0.0, 0.0]], dtype=complex), (0.0, 0.0), (0.0, 0.0)
             )
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: multimode_fock_projector((-1, 1)), "occupations"),
+            (lambda: multimode_fock_projector((0.5, 1)), "occupations"),
+            (lambda: MultimodeWitness(2, ((1.0, {(0, 1, 0): 1.0}),)), "occupations"),
+            (lambda: MultimodeWitness(0, ()), "modes"),
+            (lambda: MultimodeWitness(2.5, ()), "modes"),
+            (lambda: MultimodeWitness(2, ((math.nan, {(0, 1): 1.0}),)), "weight"),
+            (lambda: MultimodeWitness(2, ((1.0, {(0, 1): complex(0.0, math.inf)}),)), "amplitude"),
+            (lambda: MultimodeWitness(2, (), identity_weight=math.nan), "identity_weight"),
+        ],
+    )
+    def test_malformed_witness_rejected(self, build, field):
+        # the Python API gets the checks of witness files, before any search
+        with pytest.raises(ValueError, match=field):
+            build()
+
+    def test_witness_fields_normalized(self):
+        witness = multimode_fock_projector(np.array([1, 0]))
+        assert witness.modes == 2
+        assert [type(o) for o in next(iter(witness.terms[0][1]))] == [int, int]
+
     def test_from_generator_round_trip(self):
         H = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]])
         params = MultimodeGaussianParams.from_generator(1j * H, (0.1, 0.2), (1j, 0.5))
