@@ -30,6 +30,8 @@ from .witness import (
 CSV_HEADER = "omega,rank,p_first,p_second,threshold,on_hull,flagged"
 # pairs per step of the separation kernel, which bounds its temporaries
 _PAIR_BLOCK = 32
+# audit-and-repair passes over a sweep before a deficient point is flagged
+_REPAIR_PASSES = 4
 
 
 class BoundaryPoint(NamedTuple):
@@ -44,12 +46,22 @@ class BoundaryPoint(NamedTuple):
         return math.isnan(self.omega)
 
 
+class Repair(NamedTuple):
+    """One re-run of a swept direction that its support audit found short."""
+
+    omega: float
+    before: float
+    after: float
+
+
 @dataclass(frozen=True)
 class BoundaryCurve:
     rank: int
     family: dict
     points: tuple
     hull: tuple = field(default=())
+    # the sweep's re-runs at this rank, in order; the CSV does not carry them
+    repairs: tuple = field(default=(), compare=False)
 
     def hull_vertices(self) -> list:
         return [(self.points[i].p_first, self.points[i].p_second) for i in self.hull]
@@ -95,35 +107,37 @@ def sweep_family_ranks(
     """One BoundaryCurve per rank over a shared omega grid.
 
     Each omega is computed on its own; within it the ranks are computed as a
-    batch so each inherits the previous rank's optimum and the recorded
-    thresholds are nondecreasing in rank.  A direction whose search fails is
-    kept as a flagged point.  `threads` is accepted for compatibility and
-    ignored: the omegas run serially.
+    batch so each inherits the previous rank's optimum.  A direction whose
+    search fails is kept as a flagged point.  The swept values are then
+    audited and repaired (see `_repair`), which keeps them nondecreasing in
+    rank.  `threads` is accepted for compatibility and ignored: the omegas
+    run serially.
     """
     config = config or OptimizerConfig()
     ranks = list(ranks)
     omegas = [float(w) for w in omegas]
     if not omegas:
         raise ValueError("omega grid must be nonempty")
-    base_starts = tuple(config.initial_points) + _family_starts(family)
-    cfg = replace(config, initial_points=base_starts)
+    cfg = replace(config, initial_points=tuple(config.initial_points) + _family_starts(family))
 
-    per_omega = []
+    rows, winners = [], []
     for omega in omegas:
         witness = family_witness(family, omega)
         try:
             results = compute_thresholds(witness, ranks, cfg)
         except OptimizerError:
-            flagged = BoundaryPoint(omega, math.nan, math.nan, math.nan, True)
-            per_omega.append([flagged] * len(ranks))
+            rows.append([BoundaryPoint(omega, math.nan, math.nan, math.nan, True)] * len(ranks))
+            winners.append([None] * len(ranks))
             continue
-        per_omega.append([
+        rows.append([
             BoundaryPoint(omega, *_probability_pair(witness, result), result.value, False)
             for result in results
         ])
+        winners.append([result.params.vector() for result in results])
+    repairs = _repair(family, ranks, cfg, rows, winners)
     curves = []
-    for i, rank in enumerate(ranks):
-        points = [rows[i] for rows in per_omega]
+    for j, rank in enumerate(ranks):
+        points = [row[j] for row in rows]
         # closure corner: both probabilities can vanish in the limit of the
         # rank class, though no finite parameter attains it exactly.
         points.append(BoundaryPoint(math.nan, 0.0, 0.0, math.nan, False))
@@ -134,8 +148,80 @@ def sweep_family_ranks(
         ]
         hull_local = gift_wrap([xy for _, xy in usable])
         hull = tuple(usable[i][0] for i in hull_local)
-        curves.append(BoundaryCurve(rank=rank, family=dict(family), points=tuple(points), hull=hull))
+        curves.append(BoundaryCurve(
+            rank=rank, family=dict(family), points=tuple(points), hull=hull, repairs=tuple(repairs[j])
+        ))
     return curves
+
+
+def _repair(family: dict, ranks: list, cfg: OptimizerConfig, rows: list, winners: list) -> list:
+    """Audit the swept thresholds against the attained pairs and re-run the
+    directions that fall short; `rows[i][j]` (the point at omega i and rank
+    j) and `winners[i][j]` (its winning parameter vector) are updated in
+    place.  Returns the Repairs of each rank.
+
+    Every pair of a searched point at rank j' <= j is attained by a state of
+    rank below ranks[j], so the threshold at (i, j) is short of its supremum
+    by at least the most any such pair gains over it in direction omega_i.
+    A point short by more than the simplex tolerance (times 1 + |threshold|)
+    is re-run with its own winner and the winner of that pair as extra
+    starts.  The search never returns less than its best start (up to the
+    1e-12 tie window), and the second start alone reaches the pair's value,
+    so a re-run only raises the threshold.  Points are visited in ascending
+    omega, then rank, for up to `_REPAIR_PASSES` passes; a point still short
+    after that is flagged.
+    """
+    repairs = [[] for _ in ranks]
+    pairs = np.array([[point[1:3] for point in row] for row in rows])  # NaN where the search failed
+
+    def source(i, j):  # indices of the pair that beats (i, j) by the most, if by more than the tolerance
+        omega, _, _, threshold, _ = rows[i][j]
+        gains = math.cos(omega) * pairs[:, : j + 1, 0] + math.sin(omega) * pairs[:, : j + 1, 1]
+        best = np.unravel_index(int(np.argmax(np.fmax(gains, -np.inf))), gains.shape)
+        return best if gains[best] - threshold > cfg.simplex_tolerance * (1.0 + abs(threshold)) else None
+
+    searched = [(i, j) for i, row in enumerate(rows) for j in range(len(ranks)) if not row[j].flagged]
+    for _ in range(_REPAIR_PASSES):
+        rerun = False
+        for i, j in searched:
+            best = source(i, j)
+            if best is None:
+                continue
+            rerun = True
+            point, witness = rows[i][j], family_witness(family, rows[i][j].omega)
+            starts = tuple(cfg.initial_points) + (winners[i][j], winners[best[0]][best[1]])
+            try:
+                (result,) = compute_thresholds(witness, [ranks[j]], replace(cfg, initial_points=starts))
+            except OptimizerError:
+                continue
+            pairs[i, j] = _probability_pair(witness, result)
+            rows[i][j] = BoundaryPoint(point.omega, *pairs[i, j].tolist(), result.value, False)
+            winners[i][j] = result.params.vector()
+            repairs[j].append(Repair(point.omega, point.threshold, result.value))
+        if not rerun:
+            return repairs
+    for i, j in searched:
+        if source(i, j) is not None:
+            rows[i][j] = rows[i][j]._replace(flagged=True)
+    return repairs
+
+
+def repair_log(curves: Sequence[BoundaryCurve]) -> dict:
+    """The sweep audit's record: every re-run, and every point it could not
+    bring up to its attained pairs (flagged with a finite threshold)."""
+    return {
+        "rerun": [
+            {"omega": fix.omega, "rank": curve.rank, "before": fix.before, "after": fix.after}
+            for curve in curves
+            for fix in curve.repairs
+        ],
+        "unresolved": [
+            {"omega": p.omega, "rank": curve.rank, "threshold": p.threshold}
+            for curve in curves
+            for p in curve.points
+            if p.flagged and not math.isnan(p.threshold)
+        ],
+    }
 
 
 def sweep_family(

@@ -24,10 +24,11 @@ from .boundary import (
     curves_to_csv,
     family_witness,
     hull_to_json,
+    repair_log,
     sweep_family_ranks,
 )
 from .errors import OptimizerError
-from .fock_gaussian import GaussianUnitaryParams, gaussian_block
+from .fock_gaussian import GaussianUnitaryParams, block_in_range, gaussian_block
 from .multimode import MultimodeWitness, multimode_result_to_json, multimode_threshold
 from .states import FockDensity, FockVector, state_from_json
 from .threshold import OptimizerConfig, compute_threshold, result_to_json
@@ -158,6 +159,9 @@ def _boundary_outputs(family, ranks, omega_count, config, threads=None):
         "seed": config.seed,
         "config": config.to_json(),
     }
+    repairs = repair_log(curves)
+    if repairs["rerun"] or repairs["unresolved"]:
+        manifest["repairs"] = repairs
     files = {
         "manifest.json": dumps_stable(manifest) + "\n",
         "boundary.csv": curves_to_csv(curves),
@@ -310,6 +314,8 @@ def cmd_gaussian_elements(args) -> int:
     params = GaussianUnitaryParams(
         theta=args.theta, vartheta=args.vartheta, r=args.r, alpha=_complex_from_flags(args.alpha)
     )
+    if not block_in_range(params):
+        raise ValueError("displacement out of range: <0|U|0> underflows, so every entry would be zero")
     block = gaussian_block(params, args.rows, args.cols)
     payload = {
         "params": params.to_json(),

@@ -12,7 +12,7 @@ import inspect
 
 import numpy as np
 
-from .boundary import certify_pairs, separations, sweep_family_ranks
+from .boundary import certify_pairs, repair_log, separations, sweep_family_ranks
 from .threshold import OptimizerConfig
 
 
@@ -45,7 +45,8 @@ class StellarRankCertifier:
     threads : ignored; kept for compatibility (the sweep runs serially)
 
     After `fit`, `predict(X)` maps each (p_first, p_second) row to the largest
-    certified rank (0 when the pair is explainable at every fitted rank).
+    certified rank (0 when the pair is explainable at every fitted rank), and
+    `repairs_` holds the sweep audit's record (`boundary.repair_log`).
     """
 
     def __init__(
@@ -116,6 +117,7 @@ class StellarRankCertifier:
         self.family_ = family
         ranks = list(range(1, self.max_rank + 1))
         self.curves_ = sweep_family_ranks(family, ranks, omegas, config)
+        self.repairs_ = repair_log(self.curves_)
         return self
 
     def _require_fitted(self):

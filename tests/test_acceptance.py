@@ -13,6 +13,7 @@ import pytest
 
 import stellarwitness as sw
 from stellarwitness.boundary import (
+    certify_pairs,
     curves_from_csv,
     support_region_contains,
     tangent_witness,
@@ -179,6 +180,22 @@ def test_criterion_05_cat_anchor_points(family_sweeps):
         f"coherent pair {coherent_pair} uncertified; even cat certified at "
         f"ranks 1..3; p+ at t=1 is exactly 1",
     )
+
+
+def test_attained_pairs_never_certify_their_own_rank(family_sweeps):
+    """Every swept pair is attained by a state of rank below its curve's, so
+    certifying it at that rank would be wrong; the cat pins of the worked case
+    (omega index 30) and of omega index 29 at rank 1 hold."""
+    for name in FAMILIES:
+        curves = curves_for(family_sweeps, name)
+        for curve in curves:
+            pairs = [(p.p_first, p.p_second) for p in curve.points if not (p.flagged or p.is_corner)]
+            ranks, _, _ = certify_pairs(pairs, curves, MARGIN)
+            assert int(np.sum(ranks >= curve.rank)) == 0, f"{name} rank {curve.rank}"
+    rank_one = curves_for(family_sweeps, "cat2")[0].points
+    assert rank_one[30].threshold >= 0.11465
+    assert rank_one[29].threshold >= 0.076283
+    report("soundness", "no attained pair certifies at or above its own rank")
 
 
 def test_criterion_06_small_beta_reduction():

@@ -14,6 +14,7 @@ from stellarwitness.boundary import (
     gift_wrap,
     hull_contains,
     hull_to_json,
+    repair_log,
     separations,
     signed_area,
     support_region_contains,
@@ -155,6 +156,46 @@ class TestSweep:
     def test_single_omega_no_crash(self):
         curve = sweep_family(FOCK02, 1, [0.0], FAST)
         assert len(curve.hull) >= 1
+
+
+class TestRepair:
+    # the acceptance sweep's search settings, at three directions where its
+    # searches stop short of what a neighbouring direction attains
+    CAT = {"type": "cat_pair", "beta": [2.0, 0.0]}
+    OMEGAS = [2.0 * math.pi * i / 64 for i in (29, 30, 31)]
+    CONFIG = OptimizerConfig(starts=12, max_iterations=350, seed=202)
+
+    @pytest.fixture(scope="class")
+    def cat_curves(self):
+        return sweep_family_ranks(self.CAT, [1, 2], self.OMEGAS, self.CONFIG)
+
+    def test_repairs_only_raise_thresholds(self, cat_curves):
+        repairs = cat_curves[0].repairs
+        assert repairs
+        final = {p.omega: p.threshold for p in cat_curves[0].points}
+        for repair in repairs:
+            assert repair.after >= repair.before
+        for omega in {repair.omega for repair in repairs}:
+            assert final[omega] == [r.after for r in repairs if r.omega == omega][-1]
+
+    def test_repaired_sweep_passes_its_audit(self, cat_curves):
+        for j, curve in enumerate(cat_curves):
+            assert not any(p.flagged for p in curve.points)
+            pairs = [
+                (p.p_first, p.p_second) for c in cat_curves[: j + 1] for p in c.points if not p.is_corner
+            ]
+            sep, _, threshold = separations([curve], pairs)
+            assert np.all(sep[:, 0] <= 1e-9 * (1.0 + np.abs(threshold[:, 0])))
+
+    def test_log_lists_every_repair(self, cat_curves):
+        log = repair_log(cat_curves)
+        assert log["unresolved"] == []
+        assert [(e["omega"], e["rank"], e["before"], e["after"]) for e in log["rerun"]] == [
+            (r.omega, c.rank, r.before, r.after) for c in cat_curves for r in c.repairs
+        ]
+
+    def test_fock_sweep_needs_no_repair(self, fock02_curves):
+        assert repair_log(fock02_curves) == {"rerun": [], "unresolved": []}
 
 
 class TestCertify:

@@ -216,6 +216,22 @@ class TestBoundaryCommand:
         ])
         assert code == 0
 
+    def test_manifest_records_repairs(self, tmp_path):
+        directory = tmp_path / "cat"
+        code = main([
+            "boundary", "--family", "cat_pair", "--beta", "2", "--ranks", "1", "--omegas", "8",
+            "--starts", "8", "--max-iterations", "300", "--seed", "202",
+            "--out", str(directory), "--recheck",
+        ])
+        assert code == 0
+        repairs = json.loads((directory / "manifest.json").read_text())["repairs"]
+        assert repairs["unresolved"] == []
+        assert [(e["rank"], e["omega"]) for e in repairs["rerun"]] == [(1, math.pi / 2)]
+        assert repairs["rerun"][0]["after"] > repairs["rerun"][0]["before"]
+
+    def test_manifest_without_repairs_has_no_key(self, boundary_dir):
+        assert "repairs" not in json.loads((boundary_dir / "manifest.json").read_text())
+
     def test_invalid_family_args(self, tmp_path):
         assert main(["boundary", "--family", "fock_pair", "--omegas", "4",
                      "--out", str(tmp_path / "x")]) == 1
@@ -378,6 +394,14 @@ class TestGaussianElementsCommand:
         assert np.max(np.abs(columns["0"][representable] - expected) / expected) <= 1e-10
         norms = {r: float(np.sum(np.abs(column) ** 2)) for r, column in columns.items()}
         assert abs(norms["1e-11"] - norms["0"]) <= 1e-9
+
+    def test_displacement_beyond_range_exit_one(self, capsys):
+        # <0|D(60)|0> = e^-1800 is below the kernel's scaled range
+        assert main(["gaussian-elements", "--r", "0", "--alpha", "60", "--rows", "5000",
+                     "--cols", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "out of range" in captured.err
 
 
 def test_console_entry_point():

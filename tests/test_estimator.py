@@ -63,6 +63,16 @@ class TestFitPredict:
         assert len(fitted.curves_) == 2
         assert [c.rank for c in fitted.curves_] == [1, 2]
 
+    def test_fit_records_sweep_repairs(self, fitted):
+        assert fitted.repairs_ == {"rerun": [], "unresolved": []}
+        cat = StellarRankCertifier(
+            family="cat_pair", beta=2.0, max_rank=1, n_omegas=8, starts=8,
+            max_iterations=300, seed=202,
+        ).fit()
+        (repair,) = cat.repairs_["rerun"]
+        assert repair["rank"] == 1 and repair["after"] > repair["before"]
+        assert cat.repairs_["unresolved"] == []
+
     def test_predict_two_photon_point(self, fitted):
         ranks = fitted.predict([[0.0, 1.0], [1.0, 0.0], [0.25, 0.1]])
         assert list(ranks) == [2, 0, 0]

@@ -5,9 +5,8 @@ import pytest
 
 from stellarwitness.errors import TailBoundError
 from stellarwitness.fock_gaussian import (
-    SQUEEZING_DEGENERACY_CUTOFF,
     GaussianUnitaryParams,
-    _vacuum_column,
+    _exp_action,
     block_columns,
     block_columns_batch,
     coherent_columns,
@@ -237,26 +236,51 @@ class TestTransformCoherent:
         expected = self.oracle_transform(p, 0.5, 10, relevant_cols=12)
         assert np.max(np.abs(got - expected)) < 1e-8
 
-    def test_vacuum_column_agrees_with_block_columns(self):
-        # the coherent path's direct m = 0 column (a Hermite sum, the Laguerre
-        # form below the degeneracy cutoff) against the ladder kernel, on both
-        # sides of the cutoff and at large |alpha|
+    def test_out_of_range_displacement_is_all_tail(self):
+        # <0|D(60)|0> = e^-1800 is below the kernel's range: zeros, no error
+        vec = transform_coherent(IDENTITY, 60.0, 4000)
+        assert not vec.amplitudes.any()
+        assert vec.tail_bound == 1.0
+
+    @staticmethod
+    def sparse_oracle(p, beta, k_max):
+        """<k|U|beta> from the oracle's exponential actions on a truncated
+        coherent vector: no displaced-squeezed reduction involved."""
+        from scipy import sparse
+
+        dim = oracle_dimension(p, int(abs(beta) ** 2 + 8.0 * abs(beta)) + 4)
+        rotated = beta * complex(math.cos(p.vartheta), math.sin(p.vartheta))
+        vec = np.empty((dim, 1), dtype=complex)
+        vec[0] = math.exp(-abs(beta) ** 2 / 2)
+        for k in range(1, dim):
+            vec[k] = vec[k - 1] * rotated / math.sqrt(k)
+        lower = sparse.diags(np.sqrt(np.arange(1.0, dim)), 1, format="csc").astype(complex)
+        raise_op = lower.conj().T.tocsc()
+        vec = _exp_action(0.5 * p.r * (raise_op @ raise_op - lower @ lower), vec)
+        vec = _exp_action(p.alpha * raise_op - np.conjugate(p.alpha) * lower, vec)
+        return vec[: k_max + 1, 0] * np.exp(-1j * p.theta * np.arange(k_max + 1))
+
+    def test_matches_sparse_oracle_at_edge_squeezing(self):
+        # r = 0 and r below, across and above 1e-10 (where earlier kernels
+        # switched formulas), then generic squeezing
         rng = np.random.default_rng(2412)
         edge_r = (0.0, 1e-12, 5e-11, 1e-9)
-        for i in range(400):
-            r = edge_r[i % 4] if i % 2 else rng.uniform(0.0, 3.0)
-            alpha = complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
-            if i % 7 == 0:
-                alpha = complex(alpha.real, 0.0)
-            rows = 1 + i % 11
-            column = _vacuum_column(r, alpha, rows - 1)
-            reference = block_columns(GaussianUnitaryParams(r=r, alpha=alpha), rows, [0])[:, 0]
-            assert np.max(np.abs(column - reference)) < 1e-10, f"r={r} alpha={alpha} rows={rows}"
+        for i in range(12):
+            r = edge_r[i % 4] if i < 8 else rng.uniform(0.0, 3.0)
+            p = GaussianUnitaryParams(
+                theta=rng.uniform(0, 2 * math.pi),
+                vartheta=rng.uniform(0, 2 * math.pi),
+                r=r,
+                alpha=complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+            )
+            beta = (2.0, -1.3 + 0.4j, 0.0)[i % 3]
+            got = coherent_columns([p.vector()], [beta], 8, [p.theta])[0, 0]
+            expected = self.sparse_oracle(p, complex(beta), 8)
+            assert np.max(np.abs(got - expected)) < 1e-10, f"{p} beta={beta}"
 
     @pytest.mark.parametrize("r", [0.0, 1e-11])
     def test_degenerate_squeezing_matches_oracle(self, r):
-        # below SQUEEZING_DEGENERACY_CUTOFF the coherent input takes the
-        # Laguerre displacement branch, as at every optimizer start clipped to r = 0
+        # r = 0, as at every optimizer start clipped to the box, and r = 1e-11
         p = GaussianUnitaryParams(theta=0.8, vartheta=1.9, r=r, alpha=0.6 - 0.3j)
         got = transform_coherent(p, 2.0, 8).amplitudes
         expected = self.oracle_transform(p, 2.0, 8, relevant_cols=40, dim=121)
@@ -276,16 +300,15 @@ class TestCoherentColumns:
 
     @staticmethod
     def points(count=2400):
-        """Seeded search points with r = 0, r in (0, 1e-10), r just above the
-        degeneracy cutoff and generic r mixed; |alpha + beta_tilde| up to ~15
-        but for one row."""
+        """Seeded search points with r = 0, r in (0, 1e-10), r just above
+        1e-10 and generic r mixed; |alpha + beta_tilde| up to ~15 but for one
+        row."""
         rng = np.random.default_rng(8080)
         r = rng.uniform(0.0, 1.0, count)
         kind = np.arange(count) % 5
         r[kind == 0] = 0.0
         r[kind == 1] = rng.uniform(0.0, 1e-10, count)[kind == 1]
-        cutoff_r = math.asinh(SQUEEZING_DEGENERACY_CUTOFF)
-        just_above = cutoff_r * (1.0 + rng.uniform(1e-9, 1e-6, count))
+        just_above = 1e-10 * (1.0 + rng.uniform(1e-9, 1e-6, count))
         r[kind == 2] = just_above[kind == 2]
         points = np.column_stack([
             r,
@@ -295,8 +318,8 @@ class TestCoherentColumns:
         ])
         points[::7, 1:3] = 0.0
         points[::11, 3] = 0.0
-        # a squeezed row whose displacement overflows alpha ** k: the
-        # displaced form must run only on the rows below the cutoff
+        # a squeezed row whose column underflows to zero: it must not
+        # disturb its batch
         points[3, 1:3] = 1e80, -1e80
         return points
 

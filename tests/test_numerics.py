@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from stellarwitness.fock_gaussian import _scaled_hermite
 from stellarwitness.numerics import (
     hermitian_spectrum,
     log_factorial,
@@ -83,26 +82,6 @@ def test_expm_inverse_pairs(seed):
     A *= 5.0 / max(np.linalg.norm(A), 5.0)
     prod = matrix_exponential(A) @ matrix_exponential(-A)
     assert np.max(np.abs(prod - np.eye(6))) <= 1e-9
-
-
-def _hermite(x, n_max):
-    units, logs = _scaled_hermite(x, n_max)
-    return units * np.exp(logs)
-
-
-def test_hermite_base_cases():
-    assert np.allclose(_hermite(3.7, 0), [1.0])
-    assert np.allclose(_hermite(1.0, 2), [1.0, 2.0, 2.0])
-    assert np.allclose(_hermite(1j, 2), [1.0, 2j, -6.0])
-
-
-@pytest.mark.parametrize("x", [-10.0, -2.5, 0.3, 7.0, 10.0, 2.0 + 1.5j])
-def test_hermite_matches_explicit_polynomials(x):
-    seq = _hermite(x, 4)
-    h3 = 8 * x**3 - 12 * x
-    h4 = 16 * x**4 - 48 * x**2 + 12
-    assert abs(seq[3] - h3) <= 1e-12 * max(1.0, abs(h3))
-    assert abs(seq[4] - h4) <= 1e-12 * max(1.0, abs(h4))
 
 
 def test_log_factorial():
