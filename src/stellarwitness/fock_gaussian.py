@@ -12,8 +12,13 @@ Two independent evaluation paths are provided:
   is its vacuum column at a shifted displacement (:func:`coherent_columns`),
   and
 * an oracle path that exponentiates truncated annihilation/creation
-  generators, either densely or column-by-column through a Chebyshev
-  expansion of the sparse generator's action.
+  generators, either densely (:func:`oracle_gaussian_matrix`) or
+  column-by-column through Chebyshev expansions of the generators' actions
+  (:func:`oracle_columns`), in two stages: squeezing, which couples k only to
+  k ± 2, runs on each column's parity chain in a truncation sized for
+  squeezing alone, grown until the chains' tail mass passes; the squeezed
+  columns are then displaced in the truncation they widen to, and the tail
+  mass is checked again.
 
 Every analytic code path is pinned against the oracle in the test suite; the
 branch convention is principal square roots with ``r >= 0`` (squeezing along
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import require_integer
 from .errors import TailBoundError
 from .numerics import matrix_exponential
 from .states import FockVector
@@ -44,6 +50,10 @@ ORACLE_CUTOFF_PAD = 30
 
 #: tail indicator threshold for oracle truncation.
 ORACLE_DEFECT_TOL = 1e-9
+
+#: largest squeeze-stage dimension :func:`oracle_columns` grows to (about
+#: r = 3.5 for 10 columns); beyond it the oracle raises TailBoundError.
+ORACLE_MAX_SQUEEZE_DIM = 2**15
 
 
 @dataclass(frozen=True)
@@ -328,52 +338,107 @@ def oracle_gaussian_matrix(
     return product
 
 
-def oracle_dimension(params: GaussianUnitaryParams, col_max: int) -> int:
-    """Truncation dimension heuristic for the column oracle.
+def _squeeze_dimension(r: float, col_max: int) -> float:
+    """First estimate of the squeeze stage's truncation dimension.
 
-    Squeezing spreads column `m` up to roughly (m+8)·cosh(2r) plus a slowly
-    decaying tail controlled by log tanh r; the displacement then widens the
-    support to (sqrt(n) + |alpha|)².  The returned dimension is validated at
-    run time by the band-mass indicator, so the rule only needs to be safe.
+    Squeezing spreads column m to about (m + 8) cosh 2r, and the squeezed
+    amplitudes decay like tanh(r)^(k/2) beyond that, which 25 / -ln tanh r
+    more states bring below the defect tolerance.  (The clamps only keep the
+    estimate finite where cosh 2r overflows or tanh r rounds to 1.)
     """
-    r = params.r
-    spread = math.cosh(2.0 * r)
-    pad = 25.0 / max(0.08, -math.log(math.tanh(max(r, 0.04))))
-    after_squeeze = (col_max + 8.0) * spread + min(pad, 400.0)
-    total = (math.sqrt(after_squeeze) + abs(params.alpha) + 6.0) ** 2 + 30.0
-    return int(math.ceil(total))
+    decay = -math.log(math.tanh(max(r, 0.04)))
+    return (col_max + 8.0) * math.cosh(min(2.0 * r, 700.0)) + 25.0 / max(decay, 1e-300) + 30.0
 
 
-def _exp_action(generator, block: np.ndarray) -> np.ndarray:
-    """exp(G) @ block for an anti-Hermitian sparse generator G.
+def _displacement_dimension(squeeze_dim: float, alpha: complex) -> int:
+    """Truncation dimension of the displacement stage: a support of n states
+    widens to about (sqrt(n) + |alpha|)^2 under D(alpha)."""
+    return int(math.ceil((math.sqrt(squeeze_dim) + abs(alpha) + 6.0) ** 2 + 30.0))
 
-    Chebyshev expansion exp(-i rho x) = sum_k (2 - [k=0]) (-i)^k J_k(rho) T_k(x)
-    of the Hermitian x = iG / rho, with rho the Gershgorin bound on the
-    spectrum of iG.  The Bessel coefficients fall below 1e-19 once k exceeds
-    rho by 16 (rho/2)^(1/3), so that many orders (plus 20) are summed, one
-    sparse product each, with no step-size or norm search per step.
+
+def oracle_dimension(params: GaussianUnitaryParams, col_max: int) -> int:
+    """Truncation dimension of the column oracle's displacement stage, from
+    the first estimate of the squeeze stage's dimension.
+
+    It is where :func:`oracle_columns` starts, not a guarantee: both stages
+    check their truncation at run time, and the squeeze stage grows its
+    dimension until its check passes.
+    """
+    return _displacement_dimension(_squeeze_dimension(params.r, col_max), params.alpha)
+
+
+def _chebyshev(advance, rho: float, block: np.ndarray) -> np.ndarray:
+    """exp(rho X) @ block for an anti-Hermitian X with spectral radius <= 1,
+    where advance(cur, prev) returns 2 X cur + prev and may overwrite prev.
+
+    exp(-i rho x) = sum_k (2 - [k=0]) (-i)^k J_k(rho) T_k(x) at the Hermitian
+    x = iX; the vectors P_k = (-i)^k T_k(iX) block obey P_(k+1) = 2 X P_k +
+    P_(k-1), so the coefficients are real and a real X keeps a real block
+    real.  The Bessel coefficients fall below 1e-19 once k exceeds rho by
+    16 (rho/2)^(1/3), so that many orders (plus 20) are summed, one product
+    each, with no step-size or norm search per step.  `block` is consumed:
+    it is the first of the three vectors the recurrence overwrites.
     """
     # imported here: scipy.special adds ~50 ms to every start-up, and only
     # the oracle needs it.
     from scipy.special import jv
 
-    hermitian = (1j * generator).tocsr()
-    rho = float(abs(hermitian).sum(axis=1).max())
     if rho == 0.0:
-        return block.copy()
-    hermitian = hermitian / rho
+        return block
     orders = np.arange(int(rho + 16.0 * (rho / 2.0) ** (1.0 / 3.0)) + 20)
-    coeffs = 2.0 * (-1j) ** orders * jv(orders, rho)
+    coeffs = 2.0 * jv(orders, rho)
     coeffs[0] /= 2.0
-    twice = 2.0 * hermitian
-    prev, cur = block, hermitian @ block
-    out = coeffs[0] * prev + coeffs[1] * cur
+    prev, cur = block, advance(block, np.zeros_like(block))
+    cur *= 0.5
+    out = coeffs[1] * cur
+    out += coeffs[0] * prev
     for c in coeffs[2:]:
-        nxt = twice @ cur
-        nxt -= prev
-        out += c * nxt
-        prev, cur = cur, nxt
+        prev, cur = cur, advance(cur, prev)
+        out += c * cur
     return out
+
+
+def _exp_action(generator, block: np.ndarray) -> np.ndarray:
+    """exp(G) @ block for an anti-Hermitian sparse generator G, by
+    :func:`_chebyshev` (which consumes `block`) with rho the Gershgorin
+    bound on the spectrum of G."""
+    rho = float(abs(generator).sum(axis=1).max())
+    twice = generator.tocsr() * (2.0 / rho if rho else 0.0)
+
+    def advance(cur, prev):
+        prev += twice @ cur
+        return prev
+
+    return _chebyshev(advance, rho, block)
+
+
+def _squeeze_chains(r: float, cols, dim: int) -> np.ndarray:
+    """exp(r/2 (a†² - a²)) |m>, m in `cols`, truncated to the states k < dim,
+    as chains: entry j of column i is the amplitude of |cols[i] % 2 + 2j>.
+
+    The generator couples k only to k ± 2, with the real weights
+    ±c_k = ±r/2 sqrt((k+1)(k+2)), so every column stays on its parity chain
+    and stays real.  All columns are packed in one (ceil(dim/2), len(cols))
+    array, with per-column couplings (zero past the truncation) and a
+    two-slice banded product.
+    """
+    cols = np.asarray(cols, dtype=int)
+    length = (dim + 1) // 2
+    states = cols % 2 + 2 * np.arange(length - 1)[:, None]  # k, coupled to k + 2
+    coupling = np.where(states + 2 < dim, 0.5 * r * np.sqrt((states + 1.0) * (states + 2.0)), 0.0)
+    rows = coupling.copy()
+    rows[1:] += coupling[:-1]
+    rho = float(rows.max(initial=0.0))
+    twice = coupling * (2.0 / rho if rho else 0.0)
+
+    def advance(cur, prev):  # (G x)_j = c_(j-1) x_(j-1) - c_j x_(j+1), G/rho
+        prev[1:] += twice * cur[:-1]
+        prev[:-1] -= twice * cur[1:]
+        return prev
+
+    chains = np.zeros((length, len(cols)))
+    chains[cols // 2, np.arange(len(cols))] = 1.0
+    return _chebyshev(advance, rho, chains)
 
 
 def oracle_columns(
@@ -382,32 +447,61 @@ def oracle_columns(
     cols,
     dim: int | None = None,
 ) -> np.ndarray:
-    """Oracle columns <k|U|m>, k <= row_max, via sparse exponential action.
+    """Oracle columns <k|U|m>, k <= row_max, via sparse exponential actions.
 
     Equivalent to slicing :func:`oracle_gaussian_matrix` but scales to the
     large truncation dimensions that strong squeezing requires, because only
-    the requested columns are propagated (by :func:`_exp_action`).
+    the requested columns are propagated, in two checked stages:
+
+    * squeezing, on each column's parity chain (:func:`_squeeze_chains`), at
+      a dimension sized for squeezing alone: it starts from an estimate and
+      grows by 1.5 until the tail defect of the chains (over their last
+      states) passes, up to ``ORACLE_MAX_SQUEEZE_DIM``;
+    * displacement, of the squeezed columns by :func:`_exp_action`, at the
+      dimension (sqrt(n) + |alpha| + 6)^2 + 30 that the n squeezed states
+      widen to, checked again.
+
+    An explicit `dim` runs both stages at that dimension, without growth.
     """
     from scipy import sparse  # imported on first use, like scipy.linalg in numerics
 
-    cols = list(cols)
+    row_max = require_integer(row_max, "row_max", 0)
+    cols = [require_integer(m, "column index", 0) for m in cols]
     if not cols:
         return np.zeros((row_max + 1, 0), dtype=complex)
+    top = max(cols)
     if dim is None:
-        dim = oracle_dimension(params, max(cols))
-    dim = max(dim, row_max + 2, max(cols) + 2)
-    lower = sparse.diags(np.sqrt(np.arange(1.0, dim)), 1, format="csc").astype(complex)
-    raise_op = lower.conj().T.tocsc()
-    basis = np.zeros((dim, len(cols)), dtype=complex)
-    basis[cols, np.arange(len(cols))] = np.exp(1j * params.vartheta * np.array(cols))
-    propagated = _exp_action(0.5 * params.r * (raise_op @ raise_op - lower @ lower), basis)
-    propagated = _exp_action(
-        params.alpha * raise_op - np.conjugate(params.alpha) * lower, propagated
-    )
-    propagated *= np.exp(-1j * params.theta * np.arange(dim))[:, None]
+        size = max(math.ceil(_squeeze_dimension(params.r, top)), top + 2)
+    else:
+        size = dim = max(dim, row_max + 2, top + 2)
+    while True:
+        if dim is None and size > ORACLE_MAX_SQUEEZE_DIM:
+            raise TailBoundError(
+                f"squeezing r = {params.r} needs more than {ORACLE_MAX_SQUEEZE_DIM} oracle states",
+                math.inf,
+            )
+        chains = _squeeze_chains(params.r, cols, size)
+        defect = oracle_tail_defect(chains, range(len(cols)))
+        if defect <= ORACLE_DEFECT_TOL:
+            break
+        if dim is not None:
+            raise TailBoundError(
+                f"oracle dimension {dim} insufficient for squeezing columns {cols[:4]}...", defect
+            )
+        size = math.ceil(1.5 * size)
+    if dim is None:
+        dim = max(_displacement_dimension(size, params.alpha), row_max + 2)
+    block = np.zeros((dim, len(cols)), dtype=complex)
+    phases = np.exp(1j * params.vartheta * np.array(cols))
+    odd = np.array(cols) % 2 == 1  # each chain fills its parity's rows: no full-size copy
+    for parity, chosen in ((0, ~odd), (1, odd)):
+        states = block[parity:size:2]
+        states[:, chosen] = chains[: len(states), chosen] * phases[chosen]
+    lower = sparse.diags(np.sqrt(np.arange(1.0, dim)), 1, format="csr")
+    propagated = _exp_action(params.alpha * lower.T - np.conjugate(params.alpha) * lower, block)
     defect = oracle_tail_defect(propagated, range(len(cols)))
     if defect > ORACLE_DEFECT_TOL:
         raise TailBoundError(
             f"oracle dimension {dim} insufficient for columns {cols[:4]}...", defect
         )
-    return propagated[: row_max + 1, :]
+    return propagated[: row_max + 1] * np.exp(-1j * params.theta * np.arange(row_max + 1))[:, None]

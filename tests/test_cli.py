@@ -340,6 +340,13 @@ class TestValidateCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["suites"]["states"]["q0_identity_residual"] <= 1e-8
 
+    def test_elements_suite_passes(self, capsys):
+        # analytic blocks against the column oracle; the two agree to ~1e-13,
+        # far inside the suite's 1e-8 tolerance
+        assert main(["validate", "--suite", "elements", "--seed", "703"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["suites"]["elements"]["max_deviation"] <= 1e-11
+
 
 class TestGaussianElementsCommand:
     def test_identity_block(self, capsys):

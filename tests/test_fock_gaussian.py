@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from stellarwitness import fock_gaussian
 from stellarwitness.errors import TailBoundError
 from stellarwitness.fock_gaussian import (
     GaussianUnitaryParams,
     _exp_action,
+    _squeeze_chains,
     block_columns,
     block_columns_batch,
     coherent_columns,
@@ -392,3 +394,92 @@ class TestOracle:
         reference = oracle_columns(p, 9, range(10), dim=2 * dim)
         change = float(np.max(np.abs(block - reference)))
         assert change < 1e-9
+
+
+class TestStagedOracle:
+    @staticmethod
+    def full_squeeze(r, cols, dim):
+        """exp(r/2 (a†² - a²)) |m> from the full truncated generator."""
+        from scipy import sparse
+
+        lower = sparse.diags(np.sqrt(np.arange(1.0, dim)), 1, format="csc").astype(complex)
+        raise_op = lower.conj().T.tocsc()
+        basis = np.zeros((dim, len(cols)), dtype=complex)
+        basis[cols, np.arange(len(cols))] = 1.0
+        return _exp_action(0.5 * r * (raise_op @ raise_op - lower @ lower), basis)
+
+    @pytest.mark.parametrize("dim", [61, 80])
+    def test_parity_chains_match_full_generator(self, dim):
+        # r = 0 takes the rho = 0 branch; an odd dim leaves the odd chain one
+        # state short, which must stay empty
+        rng = np.random.default_rng(77)
+        cols = [0, 1, 2, 5, 8, 13]
+        for r in (0.0, 1e-12, 1e-9, *rng.uniform(0.0, 3.0, 4)):
+            chains = _squeeze_chains(r, cols, dim)
+            expected = self.full_squeeze(r, cols, dim)
+            got = np.zeros((dim, len(cols)))
+            for i, m in enumerate(cols):
+                states = len(range(m % 2, dim, 2))
+                got[m % 2 :: 2, i] = chains[:states, i]
+                assert not chains[states:, i].any()
+            assert np.max(np.abs(got - expected)) < 1e-12, f"r={r}"
+
+    @pytest.mark.parametrize("seed", [5, 17, 29, 41])
+    def test_staged_default_matches_doubled_dimension(self, seed):
+        rng = np.random.default_rng(seed)
+        p = random_params(rng, r_max=2.0, alpha_max=4.0)
+        staged = oracle_columns(p, 9, range(10))
+        reference = oracle_columns(p, 9, range(10), dim=2 * oracle_dimension(p, 9))
+        assert np.max(np.abs(staged - reference)) < 1e-10, p
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            GaussianUnitaryParams(theta=0.4, vartheta=2.0, r=1.3, alpha=1.5 - 2j),
+            GaussianUnitaryParams(r=2.0, alpha=-1 + 1j),
+        ],
+    )
+    def test_squeeze_stage_grows_from_a_short_estimate(self, p, monkeypatch):
+        reference = oracle_columns(p, 7, range(8))
+        sizes = []
+        chains = fock_gaussian._squeeze_chains
+        monkeypatch.setattr(fock_gaussian, "_squeeze_dimension", lambda r, col_max: 12.0)
+        monkeypatch.setattr(
+            fock_gaussian,
+            "_squeeze_chains",
+            lambda r, cols, dim: sizes.append(dim) or chains(r, cols, dim),
+        )
+        got = oracle_columns(p, 7, range(8))
+        assert sizes[:3] == [12, 18, 27] and len(sizes) > 3
+        assert np.max(np.abs(got - reference)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "p, dim",
+        [
+            (GaussianUnitaryParams(r=1.5), 20),  # squeeze stage
+            (GaussianUnitaryParams(alpha=4.0), 20),  # displacement stage
+        ],
+    )
+    def test_explicit_dimension_too_small_raises(self, p, dim):
+        with pytest.raises(TailBoundError):
+            oracle_columns(p, 3, range(4), dim=dim)
+
+    def test_squeezing_beyond_reach_raises(self):
+        with pytest.raises(TailBoundError, match="needs more than"):
+            oracle_columns(GaussianUnitaryParams(r=50.0), 3, [0])
+
+    @pytest.mark.parametrize("alpha", [6.0, 6.0 * complex(math.cos(0.7), math.sin(0.7))])
+    def test_strong_squeezing_matches_kernel(self, alpha):
+        # r = 2.5 and |alpha| = 6, inside the search box (r_max = 3); r = 3
+        # agrees as well (1e-12) but takes ~20 s a call
+        p = GaussianUnitaryParams(theta=0.3, vartheta=1.1, r=2.5, alpha=alpha)
+        got = oracle_columns(p, 3, range(11))
+        assert np.max(np.abs(got - block_columns(p, 4, range(11)))) < 1e-10
+
+    @pytest.mark.parametrize(
+        "row_max, cols",
+        [(-3, [0, 1]), (3, [-1]), (3, [0.5]), (3, [True]), (2.5, [0])],
+    )
+    def test_malformed_indices_rejected(self, row_max, cols):
+        with pytest.raises(ValueError, match="must be an integer >= 0"):
+            oracle_columns(GaussianUnitaryParams(r=0.3), row_max, cols)
