@@ -12,13 +12,14 @@ even where the sampled hull cuts a corner.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import fmt17, parse_complex
-from .errors import OptimizerError
+from ._util import complex_pair, fmt17, parse_complex, require_finite, require_integer
+from .errors import DegenerateWitnessError, OptimizerError
 from .threshold import MONOTONICITY_SLACK, OptimizerConfig, compute_thresholds
 from .witness import (
     WitnessOperator,
@@ -74,6 +75,31 @@ def family_witness(family: dict, omega: float) -> WitnessOperator:
         return fock_pair_witness(int(family["j"]), int(family["k"]), omega)
     if ftype == "cat_pair":
         return cat_pair_witness(parse_complex(family["beta"]), omega)
+    raise ValueError(f"unknown witness family {ftype!r}")
+
+
+def family_descriptor(family: dict) -> dict:
+    """The checked descriptor of a witness family, built from the fields of
+    `family`: a fock_pair needs distinct integers j, k >= 0, a cat_pair a
+    finite nonzero beta (a number or a [re, im] pair).  A bad field raises
+    ValueError naming it."""
+    ftype = family.get("type") if isinstance(family, dict) else None
+    if ftype == "fock_pair":
+        j, k = (require_integer(family.get(key), key, 0) for key in ("j", "k"))
+        if j == k:
+            raise DegenerateWitnessError(f"fock_pair family needs j != k, got j = k = {j}")
+        return {"type": "fock_pair", "j": j, "k": k}
+    if ftype == "cat_pair":
+        raw = family.get("beta")
+        if isinstance(raw, (list, tuple)):
+            beta = parse_complex(raw)
+        elif isinstance(raw, numbers.Number) and not isinstance(raw, bool):
+            beta = complex(raw)
+        else:
+            raise ValueError(f"beta must be a number or a [re, im] pair, got {raw!r}")
+        if require_finite(beta, "beta") == 0:
+            raise DegenerateWitnessError("cat_pair family needs beta != 0")
+        return {"type": "cat_pair", "beta": complex_pair(beta)}
     raise ValueError(f"unknown witness family {ftype!r}")
 
 

@@ -22,6 +22,7 @@ from .boundary import (
     certify_pairs,
     curves_from_csv,
     curves_to_csv,
+    family_descriptor,
     family_witness,
     hull_to_json,
     repair_log,
@@ -83,20 +84,23 @@ def _build_config(args) -> OptimizerConfig:
     return config
 
 
-def cmd_threshold(args) -> int:
-    if args.recheck and not args.out:
-        raise ValueError("--recheck needs --out")
-    witness_obj = _load_json(args.witness)
-    config = _build_config(args)
+def _threshold_text(witness_obj: dict, rank: int, config: OptimizerConfig) -> str:
+    """The threshold file of a witness file's object at a rank: multimode
+    when the witness declares `modes`, single-mode otherwise."""
     if "modes" in witness_obj:
         witness = MultimodeWitness.from_json(witness_obj)
-        result = multimode_threshold(witness, witness.modes, args.rank, config)
+        result = multimode_threshold(witness, witness.modes, rank, config)
         payload = multimode_result_to_json(witness, result)
     else:
         witness = witness_from_json(witness_obj)
-        result = compute_threshold(witness, args.rank, config)
-        payload = result_to_json(witness, result)
-    text = dumps_stable(payload) + "\n"
+        payload = result_to_json(witness, compute_threshold(witness, rank, config))
+    return dumps_stable(payload) + "\n"
+
+
+def cmd_threshold(args) -> int:
+    if args.recheck and not args.out:
+        raise ValueError("--recheck needs --out")
+    text = _threshold_text(_load_json(args.witness), args.rank, _build_config(args))
     _emit(text, args.out)
     if args.recheck:
         return _recheck_threshold(args.out, args.rank)
@@ -104,34 +108,20 @@ def cmd_threshold(args) -> int:
 
 
 def _recheck_threshold(path: str, rank: int) -> int:
+    """Regenerate a threshold file from its own witness, config and seed; an
+    outer `modes` that disagrees with the witness makes the files differ."""
     stored = Path(path).read_text()
     obj = _load_json(path)
     config = OptimizerConfig.from_json(obj["diagnostics"]["config"], seed=obj["seed"])
-    if "modes" in obj:
-        witness = MultimodeWitness.from_json(obj["witness"])
-        result = multimode_threshold(witness, obj["modes"], rank, config)
-        regenerated = dumps_stable(multimode_result_to_json(witness, result)) + "\n"
-    else:
-        witness = witness_from_json(obj["witness"])
-        result = compute_threshold(witness, rank, config)
-        regenerated = dumps_stable(result_to_json(witness, result)) + "\n"
-    if regenerated != stored:
+    if _threshold_text(obj["witness"], rank, config) != stored:
         sys.stderr.write("recheck failed: regenerated threshold file differs\n")
         return EXIT_VALIDATION
     return EXIT_OK
 
 
 def _family_from_args(args) -> dict:
-    if args.family == "fock_pair":
-        if args.j is None or args.k is None:
-            raise ValueError("fock_pair family needs --j and --k")
-        return {"type": "fock_pair", "j": args.j, "k": args.k}
-    if args.family == "cat_pair":
-        if args.beta is None:
-            raise ValueError("cat_pair family needs --beta")
-        beta = _complex_from_flags(args.beta)
-        return {"type": "cat_pair", "beta": [beta.real, beta.imag]}
-    raise ValueError(f"unknown family {args.family!r}")
+    beta = None if args.beta is None else _complex_from_flags(args.beta)
+    return family_descriptor({"type": args.family, "j": args.j, "k": args.k, "beta": beta})
 
 
 def _complex_from_flags(values) -> complex:
@@ -201,8 +191,8 @@ def _load_curves(directory: str):
     csv_path = os.path.join(directory, "boundary.csv")
     if not os.path.exists(csv_path):
         raise ValueError(f"missing boundary.csv in {directory}")
-    curves = curves_from_csv(Path(csv_path).read_text(), manifest["family"])
-    return manifest, curves
+    family = family_descriptor(manifest["family"])
+    return family, curves_from_csv(Path(csv_path).read_text(), family)
 
 
 def _pair_from_state(state, family: dict):
@@ -214,13 +204,11 @@ def _pair_from_state(state, family: dict):
         j, k = family["j"], family["k"]
         get = lambda idx: float(probs[idx]) if idx < probs.size else 0.0
         return get(j), get(k)
-    if family["type"] == "cat_pair":
-        if not isinstance(state, (FockVector, FockDensity)):
-            raise ValueError("cat fidelities need a fock_vector or density state file")
-        first = expectation(family_witness(family, 0.0), state)
-        second = expectation(family_witness(family, math.pi / 2.0), state)
-        return first, second
-    raise ValueError(f"unknown family {family['type']!r}")
+    if not isinstance(state, (FockVector, FockDensity)):
+        raise ValueError("cat fidelities need a fock_vector or density state file")
+    first = expectation(family_witness(family, 0.0), state)
+    second = expectation(family_witness(family, math.pi / 2.0), state)
+    return first, second
 
 
 def _bound_from_separation(witness, value, threshold):
@@ -238,8 +226,7 @@ def cmd_certify(args) -> int:
         raise ValueError(f"--pair values must be finite, got {args.pair}")
     report = {"margin": margin}
     if args.curves:
-        manifest, curves = _load_curves(args.curves)
-        family = manifest["family"]
+        family, curves = _load_curves(args.curves)
         if args.pair is not None:
             pair = (args.pair[0], args.pair[1])
         elif args.state:

@@ -12,7 +12,7 @@ import inspect
 
 import numpy as np
 
-from .boundary import certify_pairs, repair_log, separations, sweep_family_ranks
+from .boundary import certify_pairs, family_descriptor, repair_log, separations, sweep_family_ranks
 from .threshold import OptimizerConfig
 
 
@@ -95,19 +95,13 @@ class StellarRankCertifier:
 
     # -- fitting and prediction ----------------------------------------------
 
-    def _family_descriptor(self) -> dict:
-        if self.family == "fock_pair":
-            return {"type": "fock_pair", "j": int(self.j), "k": int(self.k)}
-        if self.family == "cat_pair":
-            beta = complex(self.beta)
-            return {"type": "cat_pair", "beta": [beta.real, beta.imag]}
-        raise ValueError(f"unknown family {self.family!r}")
-
     def fit(self, X=None, y=None) -> "StellarRankCertifier":
         """Sweep the family and build the per-rank certification curves."""
         if self.max_rank < 1:
             raise ValueError("max_rank must be >= 1")
-        family = self._family_descriptor()
+        family = family_descriptor(
+            {"type": self.family, "j": self.j, "k": self.k, "beta": self.beta}
+        )
         omegas = [2.0 * np.pi * i / self.n_omegas for i in range(self.n_omegas)]
         config = OptimizerConfig(
             starts=self.starts,

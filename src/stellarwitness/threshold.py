@@ -63,13 +63,15 @@ class OptimizerConfig:
     initial_points: tuple = ()
 
     def __post_init__(self):
-        for name in ("starts", "max_iterations"):
+        for name in ("starts", "max_iterations", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         tol = self.simplex_tolerance
         if not (math.isfinite(tol) and tol > 0) or self.max_iterations < 1:
             raise ValueError("tolerances and iteration budgets must be positive and finite")
@@ -93,9 +95,9 @@ class OptimizerConfig:
                  ("starts", "r_max", "alpha_max", "simplex_tolerance", "max_iterations")
                  if k in obj}
         if seed is not None:
-            known["seed"] = int(seed)
+            known["seed"] = seed
         elif "seed" in obj:
-            known["seed"] = int(obj["seed"])
+            known["seed"] = obj["seed"]
         return cls(**known)
 
 

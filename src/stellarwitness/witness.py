@@ -5,6 +5,9 @@ coherent superpositions, pure Fock vectors, density blocks) plus a symbolic
 identity component.  Keeping terms in closed form lets the conjugation
 ``Π_{n-1} U W U† Π_{n-1}`` be assembled exactly from analytic columns instead
 of truncating a dense operator.
+
+One batched kernel conjugates every term; the compressions, the sweep's
+probability pairs and :func:`conjugate_witness` all read it.
 """
 
 from __future__ import annotations
@@ -17,13 +20,7 @@ import numpy as np
 
 from ._util import complex_pair, parse_complex, require_finite, require_integer
 from .errors import DegenerateWitnessError, HermiticityError
-from .fock_gaussian import (
-    GaussianUnitaryParams,
-    block_columns,
-    block_columns_batch,
-    coherent_columns,
-    transform_coherent,
-)
+from .fock_gaussian import GaussianUnitaryParams, block_columns_batch, coherent_columns
 from .numerics import hermitian_spectrum
 from .states import (
     FockDensity,
@@ -51,9 +48,7 @@ class WitnessTerm:
     data: object
 
     def tail_bound(self) -> float:
-        if self.kind == PURE:
-            return self.data.tail_bound
-        if self.kind == DENSITY:
+        if self.kind in (PURE, DENSITY):
             return self.data.tail_bound
         return 0.0
 
@@ -180,37 +175,29 @@ def assemble_matrix(witness: WitnessOperator, cutoff: int | None = None) -> np.n
     return out
 
 
-def _coherent_betas(witness: WitnessOperator) -> list:
-    """The distinct coherent inputs of the witness's superpositions."""
-    return list(
+def _conjugated_terms(witness: WitnessOperator, points, n: int, theta=None) -> list:
+    """Each term conjugated by U at every row (r, Re alpha, Im alpha[,
+    vartheta]) of `points`, output phases `theta` (None: 0), rows k < n: one
+    (weight, columns, density) entry per term, in term order.  Rank-one terms
+    give vectors (rows, n) and density None, density terms blocks (rows, n,
+    dim) and their matrix.
+
+    One :func:`coherent_columns` call serves every distinct coherent input
+    and one `block_columns_batch` call the union of the other terms' columns
+    (an element has the same bits whatever is computed beside it); pure and
+    density terms take leading columns, copied contiguous as blocks of their
+    own would be.
+    """
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    points = np.asarray(points, dtype=float)
+    betas = list(
         dict.fromkeys(beta for t in witness.terms if t.kind == COHERENT_SUM for _, beta in t.data)
     )
-
-
-def _coherent_columns(witness: WitnessOperator, params: GaussianUnitaryParams, k_max: int):
-    """<k|U|beta>, k <= k_max, once per distinct coherent input of the witness.
-
-    The cat terms share their inputs (±beta), so every coherent superposition
-    is summed from these columns instead of transforming each beta per term.
-    """
-    return {
-        beta: transform_coherent(params, beta, k_max).amplitudes
-        for beta in _coherent_betas(witness)
-    }
-
-
-def _term_vectors(witness: WitnessOperator, points, n: int, coherent: dict, theta=None):
-    """`conjugated_term_vectors` at every row (r, Re alpha, Im alpha[,
-    vartheta]) of `points`, with output phases `theta` (None: theta = 0).
-
-    `coherent` maps each coherent input to its columns, shape (rows, n).
-    Fock, pure and density terms share one `block_columns_batch` call over
-    the union of their columns (an element has the same bits whatever else is
-    computed beside it); pure and density terms take their leading columns,
-    copied contiguous as blocks of their own would be.  Returns rank-one
-    (weight, vectors (rows, n)) pairs and mixed (weight, blocks (rows, n,
-    dim), density) triples.
-    """
+    coherent = {}
+    if betas:
+        columns = coherent_columns(points, betas, n - 1, theta)
+        coherent = {beta: columns[:, i] for i, beta in enumerate(betas)}
     cols = set()
     for term in witness.terms:
         if term.kind == FOCK:
@@ -226,44 +213,43 @@ def _term_vectors(witness: WitnessOperator, points, n: int, coherent: dict, thet
     def leading(width):  # columns 0..width-1 are the first `width` of the union
         return np.ascontiguousarray(block[:, :, :width])
 
-    rank_one = []
-    mixed = []
+    entries = []
     for term in witness.terms:
         if term.kind == FOCK:
-            rank_one.append((term.weight, block[:, :, position[term.data]]))
+            entries.append((term.weight, block[:, :, position[term.data]], None))
         elif term.kind == PURE:
             amps = term.data.amplitudes
-            blocks = leading(amps.size)
-            rank_one.append((term.weight, np.stack([b @ amps for b in blocks])))
+            vec = np.stack([b @ amps for b in leading(amps.size)])
+            entries.append((term.weight, vec, None))
         elif term.kind == COHERENT_SUM:
             vec = np.zeros((len(points), n), dtype=complex)
             for coef, beta in term.data:
                 vec += coef * coherent[beta]
-            rank_one.append((term.weight, vec))
+            entries.append((term.weight, vec, None))
         elif term.kind == DENSITY:
-            mixed.append((term.weight, leading(term.data.matrix.shape[0]), term.data.matrix))
+            sigma = term.data.matrix
+            entries.append((term.weight, leading(sigma.shape[0]), sigma))
         else:
             raise ValueError(f"unknown term kind {term.kind!r}")
-    return rank_one, mixed
+    return entries
 
 
-def _compress(witness: WitnessOperator, points, n: int, coherent: dict, theta=None) -> np.ndarray:
-    """Stack (rows, n, n) of Π_{n-1} U W U† Π_{n-1}, one matrix per parameter row."""
-    rank_one, mixed = _term_vectors(witness, points, n, coherent, theta)
+def _compress(witness: WitnessOperator, points, n: int, theta=None) -> np.ndarray:
+    """Stack (rows, n, n) of Π_{n-1} U W U† Π_{n-1}, one matrix per parameter
+    row; the rank-one terms are summed first, then the density terms."""
+    entries = _conjugated_terms(witness, points, n, theta)
     out = np.zeros((len(points), n, n), dtype=complex)
-    for weight, vec in rank_one:
-        out += weight * (vec[:, :, None] * vec.conj()[:, None, :])
-    for weight, blocks, sigma in mixed:
-        for i, block in enumerate(blocks):
-            out[i] += weight * (block @ sigma @ block.conj().T)
+    for weight, vec, sigma in entries:
+        if sigma is None:
+            out += weight * (vec[:, :, None] * vec.conj()[:, None, :])
+    for weight, blocks, sigma in entries:
+        if sigma is not None:
+            for i, block in enumerate(blocks):
+                out[i] += weight * (block @ sigma @ block.conj().T)
     if witness.identity_weight:
         diag = np.arange(n)
         out[:, diag, diag] += witness.identity_weight
     return out
-
-
-def _one_row(columns: dict) -> dict:
-    return {beta: col[None] for beta, col in columns.items()}
 
 
 def conjugated_term_vectors(
@@ -276,11 +262,10 @@ def conjugated_term_vectors(
     terms go through the exact coherent transform, so the only truncation
     error is the witness's own declared tail bound.
     """
-    coherent = _one_row(_coherent_columns(witness, params, n - 1))
-    rank_one, mixed = _term_vectors(witness, [params.vector()], n, coherent, [params.theta])
+    entries = _conjugated_terms(witness, [params.vector()], n, [params.theta])
     return (
-        [(weight, vec[0]) for weight, vec in rank_one],
-        [(weight, blocks[0], sigma) for weight, blocks, sigma in mixed],
+        [(weight, vec[0]) for weight, vec, sigma in entries if sigma is None],
+        [(weight, blocks[0], sigma) for weight, blocks, sigma in entries if sigma is not None],
     )
 
 
@@ -292,68 +277,28 @@ def compress_conjugated(
     The one-row case of :func:`compress_conjugated_batch`, with any output
     phase theta; its bits equal that row's in any batch.
     """
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    coherent = _one_row(_coherent_columns(witness, params, n - 1))
-    return _compress(witness, [params.vector()], n, coherent, [params.theta])[0]
+    return _compress(witness, [params.vector()], n, [params.theta])[0]
 
 
 def compress_conjugated_batch(witness: WitnessOperator, points, n: int) -> np.ndarray:
     """:func:`compress_conjugated` at every row (r, Re alpha, Im alpha[,
-    vartheta]) of `points`, theta = 0, as a (rows, n, n) stack.
-
-    The coherent columns of all rows and all coherent inputs come from one
-    :func:`coherent_columns` call, the other terms' columns from one
-    :func:`block_columns_batch` call.
-    """
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    points = np.asarray(points, dtype=float)
-    betas = _coherent_betas(witness)
-    coherent = {}
-    if betas:
-        columns = coherent_columns(points, betas, n - 1)
-        coherent = {beta: columns[:, i] for i, beta in enumerate(betas)}
-    return _compress(witness, points, n, coherent)
+    vartheta]) of `points`, theta = 0, as a (rows, n, n) stack."""
+    return _compress(witness, points, n)
 
 
 def expectation(witness: WitnessOperator, state) -> float:
-    """Tr[W rho] for a FockVector or FockDensity state."""
-    imag_residue = 0.0
-    total = 0.0
+    """Tr[W rho] for a FockVector or FockDensity state, from the witness's
+    block on the state's Fock indices (psi† W psi for a vector)."""
     if isinstance(state, FockVector):
         psi = state.amplitudes
-        cutoff = state.cutoff
-        for term in witness.terms:
-            if term.kind == DENSITY:
-                sigma = term.data.matrix
-                k = min(cutoff + 1, sigma.shape[0])
-                val = complex(psi[:k].conj() @ sigma[:k, :k] @ psi[:k])
-                imag_residue = max(imag_residue, abs(val.imag))
-                total += term.weight * val.real
-            else:
-                amps = term_amplitudes(term, cutoff)
-                total += term.weight * abs(np.vdot(amps, psi)) ** 2
-        total += witness.identity_weight * state.norm_sq()
+        value = complex(np.vdot(psi, assemble_matrix(witness, state.cutoff) @ psi))
     elif isinstance(state, FockDensity):
-        rho = state.matrix
-        cutoff = state.cutoff
-        for term in witness.terms:
-            if term.kind == DENSITY:
-                sigma = term.data.matrix
-                k = min(cutoff + 1, sigma.shape[0])
-                val = complex(np.trace(sigma[:k, :k] @ rho[:k, :k]))
-            else:
-                amps = term_amplitudes(term, cutoff)
-                val = complex(amps.conj() @ rho @ amps)
-            imag_residue = max(imag_residue, abs(val.imag))
-            total += term.weight * val.real
-        total += witness.identity_weight * state.trace()
+        value = complex(np.trace(assemble_matrix(witness, state.cutoff) @ state.matrix))
     else:
         raise TypeError("expectation needs a FockVector or FockDensity")
-    if imag_residue > 1e-10:
-        raise HermiticityError(f"imaginary residue {imag_residue:.3e} above tolerance")
-    return float(total)
+    if abs(value.imag) > 1e-10:
+        raise HermiticityError(f"imaginary residue {abs(value.imag):.3e} above tolerance")
+    return value.real
 
 
 def scale_witness(witness: WitnessOperator, a: float, b: float) -> WitnessOperator:
@@ -398,43 +343,25 @@ def trace_distance_lower_bound(witness_value: float, threshold: float) -> float:
 def conjugate_witness(
     witness: WitnessOperator, params: GaussianUnitaryParams, cutoff: int
 ) -> WitnessOperator:
-    """V W V† for a Gaussian unitary V, term by term.
+    """V W V† for a Gaussian unitary V, term by term, on Fock indices
+    0..cutoff.
 
-    Pure terms become truncated Fock vectors (tail bounds recorded); the
-    symbolic identity component is untouched.
+    Rank-one terms become Fock vectors whose tail bound is the norm the
+    cutoff loses; density terms add their trace loss to their tail bound.
+    The symbolic identity component is untouched.
     """
-    coherent_cols = _coherent_columns(witness, params, cutoff)
+    entries = _conjugated_terms(witness, [params.vector()], cutoff + 1, [params.theta])
     terms = []
-    for term in witness.terms:
-        if term.kind == FOCK:
-            col = block_columns(params, cutoff + 1, [term.data])[:, 0]
-            tail = max(0.0, 1.0 - float(np.sum(np.abs(col) ** 2)))
-            terms.append(WitnessTerm(term.weight, PURE, FockVector(col, tail_bound=tail)))
-        elif term.kind == PURE:
-            B = block_columns(params, cutoff + 1, range(term.data.amplitudes.size))
-            vec = B @ term.data.amplitudes
-            tail = max(0.0, 1.0 - float(np.sum(np.abs(vec) ** 2)) - term.data.tail_bound)
-            terms.append(WitnessTerm(term.weight, PURE, FockVector(vec, tail_bound=tail)))
-        elif term.kind == COHERENT_SUM:
-            vec = np.zeros(cutoff + 1, dtype=complex)
-            for coef, beta in term.data:
-                vec += coef * coherent_cols[beta]
-            tail = max(0.0, 1.0 - float(np.sum(np.abs(vec) ** 2)))
-            terms.append(WitnessTerm(term.weight, PURE, FockVector(vec, tail_bound=tail)))
-        elif term.kind == DENSITY:
-            sigma = term.data.matrix
-            B = block_columns(params, cutoff + 1, range(sigma.shape[0]))
-            new_sigma = B @ sigma @ B.conj().T
-            trace_loss = max(0.0, float(np.real(np.trace(sigma) - np.trace(new_sigma))))
-            terms.append(
-                WitnessTerm(
-                    term.weight,
-                    DENSITY,
-                    FockDensity(new_sigma, tail_bound=term.data.tail_bound + trace_loss, validate=False),
-                )
-            )
+    for term, (weight, columns, sigma) in zip(witness.terms, entries):
+        if sigma is None:
+            vec = columns[0]
+            tail = max(0.0, 1.0 - float(np.sum(np.abs(vec) ** 2)) - term.tail_bound())
+            terms.append(WitnessTerm(weight, PURE, FockVector(vec, tail_bound=tail)))
         else:
-            raise ValueError(f"unknown term kind {term.kind!r}")
+            moved = columns[0] @ sigma @ columns[0].conj().T
+            trace_loss = max(0.0, float(np.real(np.trace(sigma) - np.trace(moved))))
+            density = FockDensity(moved, tail_bound=term.tail_bound() + trace_loss, validate=False)
+            terms.append(WitnessTerm(weight, DENSITY, density))
     return WitnessOperator(
         terms=tuple(terms),
         support_cutoff=cutoff,

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +130,33 @@ class TestThresholdCommand:
         assert code == 1
         assert "alpha_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [7.5, True, -3])
+    def test_bad_config_seed_exit_one(self, tmp_path, capsys, fock_pair_file, seed):
+        config = write_json(tmp_path / "config.json", {"starts": 8, "seed": seed})
+        out = tmp_path / "result.json"
+        code = main(["threshold", fock_pair_file, "--rank", "1", "--config", config,
+                     "--out", str(out)])
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("modes", [3, None])
+    def test_recheck_of_mismatched_modes_exit_three(self, tmp_path, monkeypatch, capsys, modes):
+        def emit_tampered(text, out):
+            payload = json.loads(text)
+            if modes is None:
+                del payload["modes"]
+            else:
+                payload["modes"] = modes
+            write_json(Path(out), payload)
+
+        monkeypatch.setattr(cli, "_emit", emit_tampered)
+        path = write_json(tmp_path / "mm.json", two_mode_witness([0, 0]))
+        out = tmp_path / "mm_result.json"
+        code = main(["threshold", path, "--rank", "1", *FAST_FLAGS, "--out", str(out), "--recheck"])
+        assert code == 3
+        assert "recheck failed" in capsys.readouterr().err
+
     def test_recheck_without_out_exit_one(self, fock_pair_file, capsys):
         code = main(["threshold", fock_pair_file, "--rank", "1", *FAST_FLAGS, "--recheck"])
         assert code == 1
@@ -236,6 +264,18 @@ class TestBoundaryCommand:
         assert main(["boundary", "--family", "fock_pair", "--omegas", "4",
                      "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [(["fock_pair", "--j", "-1", "--k", "2"], "j"), (["fock_pair", "--j", "2", "--k", "2"], "j"),
+         (["cat_pair", "--beta", "0"], "beta"), (["cat_pair", "--beta", "inf"], "beta")],
+    )
+    def test_bad_family_fields_exit_one(self, tmp_path, capsys, flags, field):
+        directory = tmp_path / "x"
+        code = main(["boundary", "--family", *flags, "--omegas", "4", "--out", str(directory)])
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not directory.exists()
+
     @pytest.mark.parametrize("max_rank", ["0", "-2"])
     def test_empty_rank_range_exit_one(self, tmp_path, capsys, max_rank):
         directory = tmp_path / "none"
@@ -306,6 +346,20 @@ class TestCertifyCommand:
 
     def test_missing_inputs_exit_one(self):
         assert main(["certify", "--pair", "0.5", "0.5"]) == 1
+
+    @pytest.mark.parametrize("field, value", [("j", -1), ("j", 1.7), ("k", True), ("j", 2)])
+    def test_bad_manifest_family_exit_one(self, boundary_dir, tmp_path, capsys, field, value):
+        directory = tmp_path / "curves"
+        shutil.copytree(boundary_dir, directory)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        manifest["family"][field] = value
+        write_json(directory / "manifest.json", manifest)
+        state = write_json(tmp_path / "p.json", state_to_json(np.array([0.1, 0.2, 0.3, 0.4])))
+        out = tmp_path / "report.json"
+        code = main(["certify", "--state", state, "--curves", str(directory), "--out", str(out)])
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags", [["--pair", "0", "1", "--margin", "nan"], ["--pair", "nan", "1"],

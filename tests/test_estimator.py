@@ -97,6 +97,16 @@ class TestFitPredict:
         with pytest.raises(ValueError):
             StellarRankCertifier(family="gkp").fit()
 
+    @pytest.mark.parametrize(
+        "params, field",
+        [({"j": -1}, "j"), ({"j": 1.7}, "j"), ({"k": True}, "k"), ({"j": 2}, "j"),
+         ({"family": "cat_pair", "beta": 0.0}, "beta"),
+         ({"family": "cat_pair", "beta": complex(math.nan, 1.0)}, "beta")],
+    )
+    def test_bad_family_fields_rejected(self, params, field):
+        with pytest.raises(ValueError, match=field):
+            StellarRankCertifier(**params).fit()
+
     def test_refit_same_seed_is_deterministic(self, fitted):
         twin = StellarRankCertifier(**fitted.get_params()).fit()
         for a, b in zip(twin.curves_, fitted.curves_):

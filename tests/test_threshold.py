@@ -156,6 +156,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             OptimizerConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [7.5, 7.0, True, "7", None, -3])
+    def test_bad_seed_rejected(self, value):
+        with pytest.raises(ValueError, match="seed"):
+            OptimizerConfig(seed=value)
+        with pytest.raises(ValueError, match="seed"):
+            OptimizerConfig.from_json({"seed": value})
+
+    def test_seed_from_json_kept(self):
+        assert OptimizerConfig.from_json({"seed": 7}).seed == 7
+        assert OptimizerConfig.from_json({"seed": 7}, seed=np.int64(0)).seed == 0
+
     def test_integer_counts_normalized(self):
         config = OptimizerConfig(starts=np.int64(3), max_iterations=np.int32(40))
         assert type(config.starts) is int and type(config.max_iterations) is int

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from stellarwitness import witness as witness_module
-from stellarwitness.errors import DegenerateWitnessError
+from stellarwitness.errors import DegenerateWitnessError, HermiticityError
 from stellarwitness.fock_gaussian import (
     GaussianUnitaryParams,
+    coherent_columns,
     oracle_gaussian_matrix,
     transform_coherent,
 )
 from stellarwitness.numerics import hermitian_spectrum
-from stellarwitness.states import FockVector, cat, coherent, thermal
+from stellarwitness.states import FockDensity, FockVector, cat, coherent, thermal
 from stellarwitness.threshold import objective
 from stellarwitness.witness import (
     CoreState,
@@ -181,24 +182,25 @@ class TestCompress:
 class TestCoherentTransforms:
     PARAMS = GaussianUnitaryParams(theta=0.3, vartheta=1.1, r=0.6, alpha=0.9 - 0.4j)
 
-    def counting(self, monkeypatch):
+    def test_one_column_call_carrying_each_beta(self, monkeypatch):
         calls = []
 
-        def counted(*args):
-            calls.append(args[1])
-            return transform_coherent(*args)
+        def counted(points, betas, k_max, theta=None):
+            calls.append(list(betas))
+            return coherent_columns(points, betas, k_max, theta)
 
-        monkeypatch.setattr(witness_module, "transform_coherent", counted)
-        return calls
-
-    def test_one_transform_per_distinct_beta(self, monkeypatch):
-        calls = self.counting(monkeypatch)
-        objective(cat_pair_witness(2.0, 0.7), 3, self.PARAMS)
-        assert len(calls) == 2
-        assert sorted(c.real for c in calls) == [-2.0, 2.0]
-        calls.clear()
-        conjugate_witness(cat_pair_witness(2.0, 0.7), self.PARAMS, 12)
-        assert len(calls) == 2
+        monkeypatch.setattr(witness_module, "coherent_columns", counted)
+        w = cat_pair_witness(2.0, 0.7)
+        for run in (
+            lambda: objective(w, 3, self.PARAMS),
+            lambda: conjugated_term_vectors(w, self.PARAMS, 3),
+            lambda: conjugate_witness(w, self.PARAMS, 12),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == 1
+            assert sorted(complex(beta).real for beta in calls[0]) == [-2.0, 2.0]
+            assert all(complex(beta).imag == 0.0 for beta in calls[0])
 
     def test_shared_columns_bit_identical_to_per_term_transforms(self):
         w = cat_pair_witness(1.3 + 0.4j, 2.2)
@@ -231,6 +233,20 @@ class TestExpectation:
         rho = thermal(1.0, cutoff=40)
         expected = math.cos(0.3) * 0.5 + math.sin(0.3) * 0.25
         assert abs(expectation(w, rho) - expected) < 1e-9
+
+    def test_non_hermitian_density_term_raises(self):
+        def density_witness(matrix):
+            term = WitnessTerm(1.0, "density", FockDensity(matrix, validate=False))
+            return WitnessOperator(terms=(term,), support_cutoff=1, phase_invariant=False)
+
+        skewed = density_witness(np.array([[0.5, 0.5], [0.0, 0.5]]))
+        hermitian = density_witness(np.array([[0.5, 0.25], [0.25, 0.5]]))
+        psi = FockVector(np.array([1.0, 1.0j]) / math.sqrt(2.0))
+        rho = FockDensity(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+        for state in (psi, rho):
+            with pytest.raises(HermiticityError):
+                expectation(skewed, state)
+            assert expectation(hermitian, state) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestRescale:
