@@ -69,13 +69,16 @@ class BoundaryCurve:
 
 
 def family_witness(family: dict, omega: float) -> WitnessOperator:
-    """Instantiate the swept witness of a family descriptor at a given omega."""
-    ftype = family.get("type")
-    if ftype == "fock_pair":
-        return fock_pair_witness(int(family["j"]), int(family["k"]), omega)
-    if ftype == "cat_pair":
-        return cat_pair_witness(parse_complex(family["beta"]), omega)
-    raise ValueError(f"unknown witness family {ftype!r}")
+    """Instantiate the swept witness of a family at a given omega; the
+    family's fields are checked by :func:`family_descriptor`."""
+    return _witness(family_descriptor(family), omega)
+
+
+def _witness(family: dict, omega: float) -> WitnessOperator:
+    """The swept witness of a checked family descriptor at omega."""
+    if family["type"] == "fock_pair":
+        return fock_pair_witness(family["j"], family["k"], omega)
+    return cat_pair_witness(parse_complex(family["beta"]), omega)
 
 
 def family_descriptor(family: dict) -> dict:
@@ -104,8 +107,9 @@ def family_descriptor(family: dict) -> dict:
 
 
 def _family_starts(family: dict) -> tuple:
-    """Domain-informed extra starts: cat families peak near displacements ±beta."""
-    if family.get("type") == "cat_pair":
+    """Domain-informed extra starts of a checked family descriptor: cat
+    families peak near displacements ±beta."""
+    if family["type"] == "cat_pair":
         beta = parse_complex(family["beta"])
         return (
             (0.0, beta.real, beta.imag, 0.0),
@@ -137,18 +141,20 @@ def sweep_family_ranks(
     search fails is kept as a flagged point.  The swept values are then
     audited and repaired (see `_repair`), which keeps them nondecreasing in
     rank.  `threads` is accepted for compatibility and ignored: the omegas
-    run serially.
+    run serially.  The family's fields are checked once, by
+    :func:`family_descriptor`; the curves keep the family as given.
     """
+    checked = family_descriptor(family)
     config = config or OptimizerConfig()
     ranks = list(ranks)
     omegas = [float(w) for w in omegas]
     if not omegas:
         raise ValueError("omega grid must be nonempty")
-    cfg = replace(config, initial_points=tuple(config.initial_points) + _family_starts(family))
+    cfg = replace(config, initial_points=tuple(config.initial_points) + _family_starts(checked))
 
     rows, winners = [], []
     for omega in omegas:
-        witness = family_witness(family, omega)
+        witness = _witness(checked, omega)
         try:
             results = compute_thresholds(witness, ranks, cfg)
         except OptimizerError:
@@ -160,7 +166,7 @@ def sweep_family_ranks(
             for result in results
         ])
         winners.append([result.params.vector() for result in results])
-    repairs = _repair(family, ranks, cfg, rows, winners)
+    repairs = _repair(checked, ranks, cfg, rows, winners)
     curves = []
     for j, rank in enumerate(ranks):
         points = [row[j] for row in rows]
@@ -181,10 +187,11 @@ def sweep_family_ranks(
 
 
 def _repair(family: dict, ranks: list, cfg: OptimizerConfig, rows: list, winners: list) -> list:
-    """Audit the swept thresholds against the attained pairs and re-run the
-    directions that fall short; `rows[i][j]` (the point at omega i and rank
-    j) and `winners[i][j]` (its winning parameter vector) are updated in
-    place.  Returns the Repairs of each rank.
+    """Audit the swept thresholds of a checked family descriptor against the
+    attained pairs and re-run the directions that fall short; `rows[i][j]`
+    (the point at omega i and rank j) and `winners[i][j]` (its winning
+    parameter vector) are updated in place.  Returns the Repairs of each
+    rank.
 
     Every pair of a searched point at rank j' <= j is attained by a state of
     rank below ranks[j], so the threshold at (i, j) is short of its supremum
@@ -214,7 +221,7 @@ def _repair(family: dict, ranks: list, cfg: OptimizerConfig, rows: list, winners
             if best is None:
                 continue
             rerun = True
-            point, witness = rows[i][j], family_witness(family, rows[i][j].omega)
+            point, witness = rows[i][j], _witness(family, rows[i][j].omega)
             starts = tuple(cfg.initial_points) + (winners[i][j], winners[best[0]][best[1]])
             try:
                 (result,) = compute_thresholds(witness, [ranks[j]], replace(cfg, initial_points=starts))

@@ -304,6 +304,15 @@ def cmd_gaussian_elements(args) -> int:
     if not block_in_range(params):
         raise ValueError("displacement out of range: <0|U|0> underflows, so every entry would be zero")
     block = gaussian_block(params, args.rows, args.cols)
+    # a block of a unitary has no row or column of norm above 1; one that
+    # does has lost accuracy in the recurrence and is not printed
+    worst = max(np.linalg.norm(block, axis=0).max(), np.linalg.norm(block, axis=1).max())
+    if not worst <= 1.0 + 1e-9:
+        sys.stderr.write(
+            f"block rejected: a row or column norm is {worst:.6g} > 1, so its entries "
+            "cannot be trusted (try a smaller block)\n"
+        )
+        return EXIT_VALIDATION
     payload = {
         "params": params.to_json(),
         "rows": args.rows,

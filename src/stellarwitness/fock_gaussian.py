@@ -16,9 +16,10 @@ Two independent evaluation paths are provided:
   column-by-column through Chebyshev expansions of the generators' actions
   (:func:`oracle_columns`), in two stages: squeezing, which couples k only to
   k ± 2, runs on each column's parity chain in a truncation sized for
-  squeezing alone, grown until the chains' tail mass passes; the squeezed
-  columns are then displaced in the truncation they widen to, and the tail
-  mass is checked again.
+  squeezing alone, grown until the chains' tail mass passes; displacement
+  runs on the returned rows, D(-alpha)|k>, in the truncation they widen to,
+  with their edge mass checked, and each element is the inner product of a
+  displaced row with a squeezed chain.
 
 Every analytic code path is pinned against the oracle in the test suite; the
 branch convention is principal square roots with ``r >= 0`` (squeezing along
@@ -294,10 +295,15 @@ def oracle_tail_defect(matrix: np.ndarray, cols) -> float:
     cols = list(cols)
     if not cols:
         return 0.0
-    band = min(matrix.shape[0] - 1, _EDGE_BAND) or 1
-    tail = matrix[-band:, cols]
-    edge_mass = float(np.sqrt(np.max(np.sum(np.abs(tail) ** 2, axis=0))))
+    edge_mass = _edge_mass(matrix, cols)
     return edge_mass * edge_mass
+
+
+def _edge_mass(matrix: np.ndarray, cols=slice(None)) -> float:
+    """Largest norm, over the given columns of `matrix`, of their last
+    _EDGE_BAND entries."""
+    band = min(matrix.shape[0] - 1, _EDGE_BAND) or 1
+    return float(np.sqrt(np.max(np.sum(np.abs(matrix[-band:, cols]) ** 2, axis=0))))
 
 
 def oracle_gaussian_matrix(
@@ -350,19 +356,19 @@ def _squeeze_dimension(r: float, col_max: int) -> float:
     return (col_max + 8.0) * math.cosh(min(2.0 * r, 700.0)) + 25.0 / max(decay, 1e-300) + 30.0
 
 
-def _displacement_dimension(squeeze_dim: float, alpha: complex) -> int:
-    """Truncation dimension of the displacement stage: a support of n states
-    widens to about (sqrt(n) + |alpha|)^2 under D(alpha)."""
-    return int(math.ceil((math.sqrt(squeeze_dim) + abs(alpha) + 6.0) ** 2 + 30.0))
+def _displacement_dimension(support: float, alpha: complex) -> int:
+    """Truncation dimension that D(alpha) widens a support of n states to:
+    about (sqrt(n) + |alpha|)^2, with a margin."""
+    return int(math.ceil((math.sqrt(support) + abs(alpha) + 6.0) ** 2 + 30.0))
 
 
 def oracle_dimension(params: GaussianUnitaryParams, col_max: int) -> int:
-    """Truncation dimension of the column oracle's displacement stage, from
-    the first estimate of the squeeze stage's dimension.
+    """A generous explicit `dim` for :func:`oracle_columns`: the first
+    estimate of the squeeze stage's dimension, widened as D(alpha) would
+    widen it.
 
-    It is where :func:`oracle_columns` starts, not a guarantee: both stages
-    check their truncation at run time, and the squeeze stage grows its
-    dimension until its check passes.
+    It exceeds the row stage's own truncation for row_max <= col_max, and
+    it is not a guarantee: both stages check their truncation at run time.
     """
     return _displacement_dimension(_squeeze_dimension(params.r, col_max), params.alpha)
 
@@ -398,20 +404,6 @@ def _chebyshev(advance, rho: float, block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exp_action(generator, block: np.ndarray) -> np.ndarray:
-    """exp(G) @ block for an anti-Hermitian sparse generator G, by
-    :func:`_chebyshev` (which consumes `block`) with rho the Gershgorin
-    bound on the spectrum of G."""
-    rho = float(abs(generator).sum(axis=1).max())
-    twice = generator.tocsr() * (2.0 / rho if rho else 0.0)
-
-    def advance(cur, prev):
-        prev += twice @ cur
-        return prev
-
-    return _chebyshev(advance, rho, block)
-
-
 def _squeeze_chains(r: float, cols, dim: int) -> np.ndarray:
     """exp(r/2 (a†² - a²)) |m>, m in `cols`, truncated to the states k < dim,
     as chains: entry j of column i is the amplitude of |cols[i] % 2 + 2j>.
@@ -441,30 +433,56 @@ def _squeeze_chains(r: float, cols, dim: int) -> np.ndarray:
     return _chebyshev(advance, rho, chains)
 
 
+def _displaced_basis(alpha: complex, count: int, dim: int) -> np.ndarray:
+    """exp(alpha a† - conj(alpha) a) |k>, k < count, truncated to the states
+    j < dim, as the columns of a (dim, count) array.
+
+    The generator couples j only to j ± 1, (G x)_j = alpha sqrt(j) x_(j-1) -
+    conj(alpha) sqrt(j+1) x_(j+1): a two-slice banded product, with rho =
+    |alpha| (sqrt(dim - 2) + sqrt(dim - 1)) its largest Gershgorin row sum.
+    """
+    roots = np.sqrt(np.arange(1.0, dim))[:, None]
+    rho = abs(alpha) * (math.sqrt(dim - 2) + math.sqrt(dim - 1))
+    scale = 2.0 / rho if rho else 0.0
+    up, down = roots * (scale * alpha), roots * (-scale * np.conjugate(alpha))
+
+    def advance(cur, prev):
+        prev[1:] += up * cur[:-1]
+        prev[:-1] += down * cur[1:]
+        return prev
+
+    basis = np.zeros((dim, count), dtype=complex)
+    basis[np.arange(count), np.arange(count)] = 1.0
+    return _chebyshev(advance, rho, basis)
+
+
 def oracle_columns(
     params: GaussianUnitaryParams,
     row_max: int,
     cols,
     dim: int | None = None,
 ) -> np.ndarray:
-    """Oracle columns <k|U|m>, k <= row_max, via sparse exponential actions.
+    """Oracle columns <k|U|m>, k <= row_max, via exponential actions of the
+    truncated generators.
 
     Equivalent to slicing :func:`oracle_gaussian_matrix` but scales to the
     large truncation dimensions that strong squeezing requires, because only
-    the requested columns are propagated, in two checked stages:
+    the requested columns and rows are propagated, in two checked stages:
 
-    * squeezing, on each column's parity chain (:func:`_squeeze_chains`), at
-      a dimension sized for squeezing alone: it starts from an estimate and
-      grows by 1.5 until the tail defect of the chains (over their last
-      states) passes, up to ``ORACLE_MAX_SQUEEZE_DIM``;
-    * displacement, of the squeezed columns by :func:`_exp_action`, at the
-      dimension (sqrt(n) + |alpha| + 6)^2 + 30 that the n squeezed states
-      widen to, checked again.
+    * squeezing, of the columns S(r)|m> on their parity chains
+      (:func:`_squeeze_chains`), at a dimension sized for squeezing alone:
+      it starts from an estimate and grows by 1.5 until the tail defect of
+      the chains (over their last states) passes, up to
+      ``ORACLE_MAX_SQUEEZE_DIM``;
+    * displacement, of the rows: D(-alpha)|k>, k <= row_max
+      (:func:`_displaced_basis`), in the (sqrt(row_max) + |alpha| + 6)^2 +
+      30 states that D(alpha) widens them to, whose edge mass (not its
+      square: every entry of a row enters the result) must stay within
+      ``ORACLE_DEFECT_TOL``.  Then <k|D(alpha)S(r)|m> is the inner product
+      of row k with chain m over the states both stages keep.
 
     An explicit `dim` runs both stages at that dimension, without growth.
     """
-    from scipy import sparse  # imported on first use, like scipy.linalg in numerics
-
     row_max = require_integer(row_max, "row_max", 0)
     cols = [require_integer(m, "column index", 0) for m in cols]
     if not cols:
@@ -490,18 +508,16 @@ def oracle_columns(
             )
         size = math.ceil(1.5 * size)
     if dim is None:
-        dim = max(_displacement_dimension(size, params.alpha), row_max + 2)
-    block = np.zeros((dim, len(cols)), dtype=complex)
-    phases = np.exp(1j * params.vartheta * np.array(cols))
-    odd = np.array(cols) % 2 == 1  # each chain fills its parity's rows: no full-size copy
+        dim = max(_displacement_dimension(row_max, params.alpha), row_max + 2)
+    rows = _displaced_basis(-params.alpha, row_max + 1, dim)
+    edge = _edge_mass(rows)
+    if edge > ORACLE_DEFECT_TOL:
+        raise TailBoundError(f"oracle dimension {dim} insufficient for rows <= {row_max}", edge)
+    rows = rows[: min(dim, size)].conj()
+    out = np.empty((row_max + 1, len(cols)), dtype=complex)
+    odd = np.array(cols) % 2 == 1
     for parity, chosen in ((0, ~odd), (1, odd)):
-        states = block[parity:size:2]
-        states[:, chosen] = chains[: len(states), chosen] * phases[chosen]
-    lower = sparse.diags(np.sqrt(np.arange(1.0, dim)), 1, format="csr")
-    propagated = _exp_action(params.alpha * lower.T - np.conjugate(params.alpha) * lower, block)
-    defect = oracle_tail_defect(propagated, range(len(cols)))
-    if defect > ORACLE_DEFECT_TOL:
-        raise TailBoundError(
-            f"oracle dimension {dim} insufficient for columns {cols[:4]}...", defect
-        )
-    return propagated[: row_max + 1] * np.exp(-1j * params.theta * np.arange(row_max + 1))[:, None]
+        states = rows[parity::2]  # chain j of this parity is the state parity + 2j
+        out[:, chosen] = states.T @ chains[: len(states), chosen]
+    out *= np.exp(1j * params.vartheta * np.array(cols))
+    return out * np.exp(-1j * params.theta * np.arange(row_max + 1))[:, None]

@@ -96,25 +96,27 @@ def states_suite(seed: int = 703, trials: int = 50) -> dict:
 
 
 def brute_force_hull(points) -> set:
-    """Hull vertex indices by checking every candidate edge against all points."""
-    n = len(points)
+    """Hull vertex indices by checking every candidate edge against all points.
+
+    (i, j), i != j, is an edge when every other point k has (bx - ax)(ky -
+    ay) - (by - ay)(kx - ax) >= 0, for a = point i and b = point j; all n^3
+    cross products are one array evaluation, with the float64 operations of
+    the one-at-a-time loop.  Points on an edge count as vertices, and so do
+    both copies of a repeated point (their degenerate edge passes).
+    """
+    xy = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = len(xy)
     if n == 1:
         return {0}
-    vertices = set()
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            ax, ay = points[i]
-            bx, by = points[j]
-            if all(
-                (bx - ax) * (points[k][1] - ay) - (by - ay) * (points[k][0] - ax) >= 0
-                for k in range(n)
-                if k not in (i, j)
-            ):
-                vertices.add(i)
-                vertices.add(j)
-    return vertices
+    rel = xy[None, :, :] - xy[:, None, :]  # rel[i, k] = point k - point i
+    cross = rel[:, :, None, 0] * rel[:, None, :, 1] - rel[:, :, None, 1] * rel[:, None, :, 0]
+    ends = np.arange(n)
+    left = cross >= 0  # left[i, j, k]
+    left[ends, :, ends] = True  # k = i
+    left[:, ends, ends] = True  # k = j
+    edge = left.all(axis=2)
+    edge[ends, ends] = False
+    return {int(v) for v in np.flatnonzero(edge.any(axis=1) | edge.any(axis=0))}
 
 
 def hull_suite(seed: int = 703, sets: int = 30) -> dict:

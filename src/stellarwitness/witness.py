@@ -346,17 +346,20 @@ def conjugate_witness(
     """V W V† for a Gaussian unitary V, term by term, on Fock indices
     0..cutoff.
 
-    Rank-one terms become Fock vectors whose tail bound is the norm the
-    cutoff loses; density terms add their trace loss to their tail bound.
-    The symbolic identity component is untouched.
+    Every term keeps its own tail bound and adds what the cutoff loses of it:
+    the norm² of a rank-one term (1 for Fock and coherent terms) less that of
+    its conjugated vector, the trace of a density term less that of its
+    conjugated block.  The symbolic identity component is untouched.
     """
     entries = _conjugated_terms(witness, [params.vector()], cutoff + 1, [params.theta])
     terms = []
     for term, (weight, columns, sigma) in zip(witness.terms, entries):
         if sigma is None:
             vec = columns[0]
-            tail = max(0.0, 1.0 - float(np.sum(np.abs(vec) ** 2)) - term.tail_bound())
-            terms.append(WitnessTerm(weight, PURE, FockVector(vec, tail_bound=tail)))
+            kept = term.data.norm_sq() if term.kind == PURE else 1.0
+            loss = max(0.0, kept - float(np.sum(np.abs(vec) ** 2)))
+            vector = FockVector(vec, tail_bound=loss + term.tail_bound())
+            terms.append(WitnessTerm(weight, PURE, vector))
         else:
             moved = columns[0] @ sigma @ columns[0].conj().T
             trace_loss = max(0.0, float(np.real(np.trace(sigma) - np.trace(moved))))

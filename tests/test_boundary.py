@@ -22,6 +22,7 @@ from stellarwitness.boundary import (
     sweep_family_ranks,
     tangent_witness,
 )
+from stellarwitness.errors import DegenerateWitnessError
 from stellarwitness.threshold import OptimizerConfig
 from stellarwitness.validation import brute_force_hull
 
@@ -90,6 +91,58 @@ class TestGiftWrap:
         assert signed_area(vertices) > 0
         for p in pts:
             assert hull_contains(vertices, p, slack=1e-9)
+
+
+class TestBruteForceHull:
+    """The reference hull of the `hull` suite: every ordered pair (i, j) with
+    all other points on its left or on its line is an edge."""
+
+    def test_collinear_edge_point_kept_interior_dropped(self):
+        pts = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 1), (1, 0)]
+        assert brute_force_hull(pts) == {0, 1, 2, 3, 5}
+
+    def test_all_collinear_points_are_vertices(self):
+        assert brute_force_hull([(0, 0), (1, 1), (2, 2), (3, 3)]) == {0, 1, 2, 3}
+
+    def test_duplicated_corner_keeps_both_copies(self):
+        pts = [(0, 0), (2, 0), (0, 2), (0, 0), (0.5, 0.5)]
+        assert brute_force_hull(pts) == {0, 1, 2, 3}
+
+    def test_duplicated_interior_point_counts(self):
+        # the edge between two copies of one point is degenerate: every
+        # cross product along it is 0, so both copies pass
+        pts = [(0, 0), (2, 0), (0, 2), (0.5, 0.5), (0.5, 0.5)]
+        assert brute_force_hull(pts) == {0, 1, 2, 3, 4}
+
+    def test_one_and_no_points(self):
+        assert brute_force_hull([(0.3, 0.4)]) == {0}
+        assert brute_force_hull([]) == set()
+
+    @staticmethod
+    def loop_hull(points):
+        """The one-cross-product-at-a-time reference."""
+        vertices = set()
+        for i, (ax, ay) in enumerate(points):
+            for j, (bx, by) in enumerate(points):
+                if i != j and all(
+                    (bx - ax) * (ky - ay) - (by - ay) * (kx - ax) >= 0
+                    for k, (kx, ky) in enumerate(points)
+                    if k not in (i, j)
+                ):
+                    vertices.update((i, j))
+        return vertices
+
+    def test_matches_loop_reference(self):
+        # the same float64 operations, so the same vertex sets exactly; grid
+        # points bring duplicates and collinear runs
+        rng = np.random.default_rng(4242)
+        for trial in range(60):
+            count = int(rng.integers(2, 30))
+            if trial % 2:
+                pts = [tuple(rng.integers(0, 4, 2) / 3.0) for _ in range(count)]
+            else:
+                pts = [tuple(rng.normal(size=2)) for _ in range(count)]
+            assert brute_force_hull(pts) == self.loop_hull(pts), pts
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +350,44 @@ class TestFamilies:
     def test_cat_family_instantiates(self):
         w = family_witness({"type": "cat_pair", "beta": [2.0, 0.0]}, 0.3)
         assert not w.phase_invariant
+
+    BAD_FAMILIES = [
+        ({"type": "fock_pair", "j": 1.7, "k": 2}, ValueError, "j must be"),
+        ({"type": "fock_pair", "j": -1, "k": 2}, ValueError, "j must be"),
+        ({"type": "fock_pair", "j": True, "k": 2}, ValueError, "j must be"),
+        ({"type": "fock_pair", "j": 1}, ValueError, "k must be"),
+        ({"type": "fock_pair", "j": 2, "k": 2}, DegenerateWitnessError, "j != k"),
+        ({"type": "cat_pair", "beta": [math.nan, 0.0]}, ValueError, "beta must be finite"),
+        ({"type": "cat_pair", "beta": "2"}, ValueError, "beta must be a number"),
+        ({"type": "cat_pair", "beta": 0.0}, DegenerateWitnessError, "beta != 0"),
+    ]
+
+    @pytest.mark.parametrize("family, error, message", BAD_FAMILIES)
+    def test_family_witness_checks_fields(self, family, error, message):
+        with pytest.raises(error, match=message):
+            family_witness(family, 0.3)
+
+    @pytest.mark.parametrize("family, error, message", BAD_FAMILIES)
+    def test_sweep_checks_fields_before_searching(self, family, error, message, monkeypatch):
+        from stellarwitness import boundary
+
+        def no_search(*args):
+            raise AssertionError("searched a malformed family")
+
+        monkeypatch.setattr(boundary, "compute_thresholds", no_search)
+        with pytest.raises(error, match=message):
+            sweep_family_ranks(family, [1], grid(4), FAST)
+
+    def test_sweep_checks_the_family_once(self, monkeypatch):
+        from stellarwitness import boundary
+
+        calls = []
+        checked = boundary.family_descriptor
+        monkeypatch.setattr(boundary, "family_descriptor", lambda f: calls.append(f) or checked(f))
+        family = {"type": "cat_pair", "beta": [2.0, 0.0]}
+        (curve,) = sweep_family_ranks(family, [1], grid(4), FAST)
+        assert calls == [family]
+        assert curve.family == family
 
     def test_small_beta_cat_family_certifies_single_photon(self):
         # |1> against the beta -> 0 cat family recovers the vacuum/one-photon

@@ -464,6 +464,25 @@ class TestGaussianElementsCommand:
         assert captured.out == ""
         assert "out of range" in captured.err
 
+    def test_block_with_norm_above_one_exit_three(self, capsys):
+        # the forward recurrence loses this 100 x 100 block (norms up to ~6e5)
+        code = main(["gaussian-elements", "--r", "0.3", "--alpha", "10", "--rows", "99",
+                     "--cols", "99"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "norm" in captured.err
+
+    def test_ordinary_block_passes_the_norm_check(self, capsys):
+        code = main(["gaussian-elements", "--theta", "0.4", "--r", "0.8", "--alpha", "1.5",
+                     "-2", "--rows", "9", "--cols", "9"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        block = np.array([[complex(re, im) for re, im in row] for row in payload["block"]])
+        assert block.shape == (10, 10)
+        assert np.linalg.norm(block, axis=0).max() <= 1.0
+        assert np.linalg.norm(block, axis=1).max() <= 1.0
+
 
 def test_console_entry_point():
     result = subprocess.run(

@@ -7,7 +7,8 @@ from stellarwitness import fock_gaussian
 from stellarwitness.errors import TailBoundError
 from stellarwitness.fock_gaussian import (
     GaussianUnitaryParams,
-    _exp_action,
+    _chebyshev,
+    _displaced_basis,
     _squeeze_chains,
     block_columns,
     block_columns_batch,
@@ -22,6 +23,21 @@ from stellarwitness.fock_gaussian import (
 )
 
 IDENTITY = GaussianUnitaryParams()
+
+
+def _exp_action(generator, block: np.ndarray) -> np.ndarray:
+    """exp(G) @ block for an anti-Hermitian sparse generator G, by the
+    oracle's Chebyshev series (which consumes `block`) with rho the
+    Gershgorin bound on the spectrum of G: the full-generator reference
+    for the oracle's banded stages."""
+    rho = float(abs(generator).sum(axis=1).max())
+    twice = generator.tocsr() * (2.0 / rho if rho else 0.0)
+
+    def advance(cur, prev):
+        prev += twice @ cur
+        return prev
+
+    return _chebyshev(advance, rho, block)
 
 
 def random_params(rng, r_max=2.0, alpha_max=4.0):
@@ -423,6 +439,50 @@ class TestStagedOracle:
                 got[m % 2 :: 2, i] = chains[:states, i]
                 assert not chains[states:, i].any()
             assert np.max(np.abs(got - expected)) < 1e-12, f"r={r}"
+
+    @pytest.mark.parametrize("dim", [2, 45, 120])
+    def test_displaced_basis_matches_full_generator(self, dim):
+        # alpha = 0 takes the rho = 0 branch; dim = 2 is the smallest row stage
+        from scipy import sparse
+
+        lower = sparse.diags(np.sqrt(np.arange(1.0, dim)), 1, format="csc").astype(complex)
+        raise_op = lower.conj().T.tocsc()
+        count = min(dim, 6)
+        for alpha in (0.0, 0.3, -1.2 + 0.7j, 2.5j):
+            basis = np.zeros((dim, count), dtype=complex)
+            basis[np.arange(count), np.arange(count)] = 1.0
+            expected = _exp_action(alpha * raise_op - np.conjugate(alpha) * lower, basis)
+            got = _displaced_basis(alpha, count, dim)
+            assert np.max(np.abs(got - expected)) < 1e-12, f"alpha={alpha}"
+
+    def test_row_stage_sized_for_the_rows(self, monkeypatch):
+        # the displacement runs on rows k <= row_max, in (sqrt(row_max) +
+        # |alpha| + 6)^2 + 30 states, not in the squeezed columns' widened
+        # truncation (4 757 states and more for 11 columns at r = 2.5)
+        p = GaussianUnitaryParams(theta=0.3, vartheta=1.1, r=2.5, alpha=6.0)
+        sizes, dims = [], []
+        chains, rows = fock_gaussian._squeeze_chains, fock_gaussian._displaced_basis
+        monkeypatch.setattr(
+            fock_gaussian,
+            "_squeeze_chains",
+            lambda r, cols, dim: sizes.append(dim) or chains(r, cols, dim),
+        )
+        monkeypatch.setattr(
+            fock_gaussian,
+            "_displaced_basis",
+            lambda alpha, count, dim: dims.append(dim) or rows(alpha, count, dim),
+        )
+        got = oracle_columns(p, 3, [0, 1])
+        assert len(dims) == 1 and dims[0] <= math.ceil((math.sqrt(3) + 6 + 6) ** 2 + 30)
+        assert fock_gaussian._displacement_dimension(sizes[-1], p.alpha) > 15 * dims[0]
+        assert np.max(np.abs(got - block_columns(p, 4, [0, 1]))) < 1e-10
+
+    def test_row_stage_tail_failure_raises(self, monkeypatch):
+        # a row truncation too short for |alpha| = 4 trips the row check, not
+        # the squeeze check (r = 0 keeps the chains exact)
+        monkeypatch.setattr(fock_gaussian, "_displacement_dimension", lambda support, alpha: 20)
+        with pytest.raises(TailBoundError, match="rows <= 3"):
+            oracle_columns(GaussianUnitaryParams(alpha=4.0), 3, range(4))
 
     @pytest.mark.parametrize("seed", [5, 17, 29, 41])
     def test_staged_default_matches_doubled_dimension(self, seed):

@@ -49,3 +49,15 @@ def test_multimode_search_uses_no_matrix_exponential():
         "print(len(calls), 'scipy.linalg' in sys.modules)"
     )
     assert run_fresh(code) == "0 False"
+
+
+def test_validate_loads_no_sparse_module():
+    """The column oracle's two stages are banded Chebyshev steps: a full
+    `validate` run never loads scipy.sparse."""
+    code = (
+        "import sys\n"
+        "from stellarwitness.validation import run_suites\n"
+        "report = run_suites('all', 703)\n"
+        "print(report['pass'], 'scipy.sparse' in sys.modules)"
+    )
+    assert run_fresh(code) == "True False"

@@ -306,6 +306,39 @@ class TestConjugation:
         moved = FockVector(block_columns(v, 41, range(9)) @ psi.amplitudes)
         assert abs(expectation(conj, moved) - expectation(w, psi)) < 1e-9
 
+    @staticmethod
+    def one_term(kind, data):
+        return WitnessOperator(terms=(WitnessTerm(1.0, kind, data),), support_cutoff=2,
+                               phase_invariant=False)
+
+    def test_terms_keep_their_tail_at_the_identity(self):
+        pure = self.one_term(witness_module.PURE, FockVector([1, 0, 0], tail_bound=0.1))
+        density = self.one_term(
+            witness_module.DENSITY, FockDensity(np.diag([1.0, 0.0, 0.0]), tail_bound=0.1)
+        )
+        fock = self.one_term(witness_module.FOCK, 1)
+        for w, tail in ((pure, 0.1), (density, 0.1), (fock, 0.0)):
+            (term,) = conjugate_witness(w, IDENTITY, 2).terms
+            assert term.tail_bound() == tail, term.kind
+
+    def test_unnormalized_pure_term_loses_nothing_at_the_identity(self):
+        w = self.one_term(witness_module.PURE, FockVector([0.6, 0.0]))
+        (term,) = conjugate_witness(w, IDENTITY, 4).terms
+        assert term.tail_bound() == 0.0
+
+    def test_tail_adds_what_the_cutoff_loses(self):
+        # D(1)|0> keeps sum_{k <= 3} e^-1 / k! of its norm at cutoff 3
+        kept = sum(math.exp(-1.0) / math.factorial(k) for k in range(4))
+        shift = GaussianUnitaryParams(alpha=1.0)
+        pure = self.one_term(witness_module.PURE, FockVector([1, 0, 0], tail_bound=0.1))
+        density = self.one_term(
+            witness_module.DENSITY, FockDensity(np.diag([1.0, 0.0, 0.0]), tail_bound=0.1)
+        )
+        fock = self.one_term(witness_module.FOCK, 0)
+        for w, own in ((pure, 0.1), (density, 0.1), (fock, 0.0)):
+            (term,) = conjugate_witness(w, shift, 3).terms
+            assert abs(term.tail_bound() - (1.0 - kept + own)) < 1e-14, term.kind
+
 
 class TestWitnessFiles:
     def test_descriptor_round_trips(self):
