@@ -192,7 +192,14 @@ def _load_curves(directory: str):
     if not os.path.exists(csv_path):
         raise ValueError(f"missing boundary.csv in {directory}")
     family = family_descriptor(manifest["family"])
-    return family, curves_from_csv(Path(csv_path).read_text(), family)
+    curves = curves_from_csv(Path(csv_path).read_text(), family)
+    ranks = [curve.rank for curve in curves]
+    if ranks != manifest.get("ranks"):
+        raise ValueError(
+            f"boundary.csv in {directory} holds the curves of ranks {ranks}, "
+            f"but manifest.json lists ranks {manifest.get('ranks')}"
+        )
+    return family, curves
 
 
 def _pair_from_state(state, family: dict):

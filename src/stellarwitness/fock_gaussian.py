@@ -142,17 +142,20 @@ def _ladder(r, ar, ai, height: int, width: int) -> tuple:
     t = np.sinh(r) / mu
     scale = np.maximum(np.ceil(log_size / math.log(2.0)), -_SCALE_FLOOR)
     roots = np.sqrt(np.arange(max(height, width)))
-    down = roots[1:] / mu[:, None]  # sqrt(k) / mu for k >= 1
-    lead, back = u + 1j * v, (1j * ai - ar) / mu
+    lead = u + 1j * v
     scaled = np.zeros((len(r), height, width), dtype=complex)
     scaled[:, 0, 0] = np.exp(log_size - scale * math.log(2.0) - 1j * t * ar * ai)
-    across = scaled.transpose(0, 2, 1)  # line s of it is column s
+    if width > 1:  # one column has no steps in m and no sqrt(m) coupling
+        down = roots[1:] / mu[:, None]  # sqrt(k) / mu for k >= 1
+        back = (1j * ai - ar) / mu
+        across = scaled.transpose(0, 2, 1)  # line s of it is column s
 
     def step(lines, s, length, first, second):  # line s from lines s - 1 and s - 2
         nxt = first[:, None] * lines[:, s - 1, :length]
         if s > 1:
             nxt += second * lines[:, s - 2, :length]
-        nxt[:, 1:] += down[:, : length - 1] * lines[:, s - 1, : length - 1]
+        if length > 1:
+            nxt[:, 1:] += down[:, : length - 1] * lines[:, s - 1, : length - 1]
         lines[:, s, :length] = nxt / roots[s]
 
     for s in range(1, max(height, width)):
@@ -232,25 +235,30 @@ def coherent_columns(points, betas, k_max: int, theta=None) -> np.ndarray:
     ``alpha + beta_tilde``, times the phase exp(i Im(alpha conj(beta_tilde))).
     """
     betas = np.asarray(betas, dtype=complex)
-    if not np.isfinite(betas).all():
-        raise ValueError("coherent input and displacement must be finite")
     points = np.asarray(points, dtype=float)
-    count = len(points)
-    r = np.repeat(points[:, 0], len(betas))
+    count, size = len(points), len(betas)
+    r = points[:, 0].repeat(size)
     vartheta = points[:, 3] if points.shape[1] > 3 else np.zeros(count)
     # repeated and tiled, not broadcast: a complex product against a broadcast
     # operand can round differently with the number of betas
-    rotated = np.exp(1j * np.repeat(vartheta, len(betas))) * np.tile(betas, count)
+    tiled = np.empty((count, size), dtype=complex)
+    tiled[:] = betas
+    rotated = np.exp(1j * vartheta.repeat(size)) * tiled.reshape(-1)
     tilde = rotated * np.cosh(r) + rotated.conj() * np.sinh(r)  # S(r) D(b) = D(b~) S(r)
-    alpha = np.repeat(points[:, 1] + 1j * points[:, 2], len(betas))
+    alpha = (points[:, 1] + 1j * points[:, 2]).repeat(size)
     shifted = alpha + tilde
+    # a non-finite beta makes its shifted displacement non-finite at every point
     if not np.isfinite(shifted).all():
         raise ValueError("coherent input and displacement must be finite")
-    theta = np.zeros(count) if theta is None else np.asarray(theta, dtype=float)
-    turns = np.exp(np.outer(-1j * np.repeat(theta, len(betas)), np.arange(k_max + 1)))
     column, unscale = _ladder(r, shifted.real, shifted.imag, k_max + 1, 1)
-    turns *= (np.exp(1j * (alpha * tilde.conj()).imag) * unscale)[:, None]
-    return (turns * column[:, :, 0]).reshape(count, len(betas), k_max + 1)
+    factor = np.exp(1j * (alpha * tilde.conj()).imag) * unscale
+    if theta is None:  # e^{-ik theta} = 1 + 0i, and (1 + 0i) times the factor has its bits
+        turns = factor.repeat(k_max + 1).reshape(-1, k_max + 1)
+    else:
+        theta = np.asarray(theta, dtype=float).repeat(size)
+        turns = np.exp(np.outer(-1j * theta, np.arange(k_max + 1)))
+        turns *= factor[:, None]
+    return (turns * column[:, :, 0]).reshape(count, size, k_max + 1)
 
 
 def transform_coherent(

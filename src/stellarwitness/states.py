@@ -7,6 +7,7 @@ an upper bound on the probability mass the truncation dropped.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -114,9 +115,11 @@ def coherent(beta: complex, cutoff: int | None = None) -> FockVector:
 
 
 def cat_normalization(beta: complex, parity: str) -> float:
-    """N_+ = 1 + e^{-2|beta|^2} (even), N_- = 1 - e^{-2|beta|^2} (odd)."""
-    overlap = math.exp(-2.0 * abs(beta) ** 2)
-    return 1.0 + overlap if parity == "even" else 1.0 - overlap
+    """N_+ = 1 + e^{-2|beta|^2} (even), N_- = 1 - e^{-2|beta|^2} (odd), the
+    latter as -expm1(-2|beta|^2), which keeps its precision as beta -> 0."""
+    if parity == "even":
+        return 1.0 + math.exp(-2.0 * abs(beta) ** 2)
+    return -math.expm1(-2.0 * abs(beta) ** 2)
 
 
 def cat(beta: complex, parity: str, cutoff: int | None = None) -> FockVector:
@@ -128,13 +131,14 @@ def cat(beta: complex, parity: str, cutoff: int | None = None) -> FockVector:
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     beta = complex(beta)
-    if parity == "odd" and beta == 0:
-        raise ValueError("odd cat with beta=0 is degenerate (N_- = 0)")
+    norm = cat_normalization(beta, parity)
+    if norm < sys.float_info.min:  # beta = 0, or N_- underflows (|beta| below ~1e-154)
+        raise ValueError(f"odd cat with |beta| = {abs(beta):.3g} is degenerate (N_- = {norm:.3g})")
     base = coherent(beta, cutoff)
     amps = base.amplitudes.copy()
     keep = np.arange(amps.size) % 2 == (0 if parity == "even" else 1)
     amps[~keep] = 0.0
-    amps[keep] *= 2.0 / math.sqrt(2.0 * cat_normalization(beta, parity))
+    amps[keep] *= 2.0 / math.sqrt(2.0 * norm)
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
     if tail > _TAIL_TOL:
         raise TailBoundError(f"cutoff too small for {parity} cat at |beta|={abs(beta):.3g}", tail)

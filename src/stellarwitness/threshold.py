@@ -14,6 +14,11 @@ objective call per round.  A point's value has the same bits in any batch,
 so each start follows the trajectory it follows alone and a fixed config and
 seed reproduce every bit.  `multistart` runs both the single-mode search here
 and the multimode search in `multimode`.
+
+A round holds only a few points per start, so its fixed costs dominate: the
+objective reads the witness's conjugation plan, derived once per witness
+(`WitnessOperator.conjugation_plan`), and each start keeps its simplex in
+Python floats, with the bits of the numpy operations they replace.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -154,40 +161,52 @@ def objectives(witness: WitnessOperator, n: int, points) -> np.ndarray:
     return _top_eigenvalues(compress_conjugated_batch(witness, points, n))
 
 
+def _clip(x, lo, hi) -> list:
+    """`x` clipped into [lo, hi] coordinate by coordinate, as Python floats
+    with ``ndarray.clip``'s bits: a NaN stays, and a coordinate equal to a
+    bound (as -0.0 is to 0.0) becomes the bound."""
+    x = [low if v <= low else v for v, low in zip(x, lo)]
+    return [high if v >= high else v for v, high in zip(x, hi)]
+
+
 def _nelder_mead(x0, lo, hi, tol, max_evals):
     """Minimize over the box by Nelder-Mead with adaptive coefficients and
     one shrunken restart around the incumbent.  Fully deterministic.
 
-    A generator: it yields each (k, dims) array of clipped points it needs
-    evaluated, is sent their k values, and returns
-    ``(x, value, evals, converged)``.  Points that do not depend on each
-    other's values (a new simplex, a shrink) come in one array.
+    A generator: it yields each list of k clipped points (lists of dims
+    floats) it needs evaluated, is sent their k values, and returns
+    ``(x, value, evals, converged)`` with x an array.  Points that do not
+    depend on each other's values (a new simplex, a shrink) come in one list.
+    The simplex is kept in Python floats, whose operations round as numpy's
+    elementwise ones do; the centroid sums from 0.0, vertex by vertex, as
+    ``np.add.reduce`` over the vertices does.
     """
-    dims = x0.size
+    dims = len(x0)
     alpha, gamma = 1.0, 1.0 + 2.0 / dims
     rho, sigma = 0.75 - 1.0 / (2.0 * dims), 1.0 - 1.0 / dims
-    span = hi - lo
+    lo, hi = np.asarray(lo, dtype=float).tolist(), np.asarray(hi, dtype=float).tolist()
+    span = [high - low for low, high in zip(lo, hi)]
     evals = 0
 
     def build_simplex(center, scale):
-        pts = [np.array(center)]
+        pts = [list(center)]
         for d in range(dims):
             step = scale * span[d]
             if center[d] + step > hi[d]:
                 step = -step
-            vertex = np.array(center)
+            vertex = list(center)
             vertex[d] = vertex[d] + step
             pts.append(vertex)
         return pts
 
-    best_x = np.clip(x0, lo, hi)
-    (best_f,) = yield best_x[None]
+    best_x = _clip(np.asarray(x0, dtype=float).tolist(), lo, hi)
+    (best_f,) = yield [best_x]
     evals += 1
     converged = False
     for attempt, scale in enumerate((0.10, 0.005)):
         simplex = build_simplex(best_x, scale)
         fresh = simplex if attempt else simplex[1:]
-        values = ([] if attempt else [best_f]) + (yield np.clip(fresh, lo, hi))
+        values = ([] if attempt else [best_f]) + (yield [_clip(v, lo, hi) for v in fresh])
         evals += len(fresh)
         while evals < max_evals:
             order = sorted(range(len(simplex)), key=values.__getitem__)
@@ -196,13 +215,14 @@ def _nelder_mead(x0, lo, hi, tol, max_evals):
             if values[-1] - values[0] <= tol * (1.0 + abs(values[0])):
                 converged = True
                 break
-            centroid = np.add.reduce(simplex[:-1], axis=0) / dims  # np.mean's bits
-            reflected = centroid + alpha * (centroid - simplex[-1])
-            (f_reflected,) = yield reflected.clip(lo, hi)[None]
+            centroid = [reduce(add, column, 0.0) / dims for column in zip(*simplex[:-1])]
+            worst = simplex[-1]
+            reflected = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
+            (f_reflected,) = yield [_clip(reflected, lo, hi)]
             evals += 1
             if f_reflected < values[0]:
-                expanded = centroid + gamma * (reflected - centroid)
-                (f_expanded,) = yield expanded.clip(lo, hi)[None]
+                expanded = [c + gamma * (x - c) for c, x in zip(centroid, reflected)]
+                (f_expanded,) = yield [_clip(expanded, lo, hi)]
                 evals += 1
                 if f_expanded < f_reflected:
                     simplex[-1], values[-1] = expanded, f_expanded
@@ -211,23 +231,24 @@ def _nelder_mead(x0, lo, hi, tol, max_evals):
             elif f_reflected < values[-2]:
                 simplex[-1], values[-1] = reflected, f_reflected
             else:
-                contracted = centroid + rho * (simplex[-1] - centroid)
-                (f_contracted,) = yield contracted.clip(lo, hi)[None]
+                contracted = [c + rho * (w - c) for c, w in zip(centroid, worst)]
+                (f_contracted,) = yield [_clip(contracted, lo, hi)]
                 evals += 1
                 if f_contracted < values[-1]:
                     simplex[-1], values[-1] = contracted, f_contracted
                 else:
+                    first = simplex[0]
                     for i in range(1, len(simplex)):
-                        simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
-                    values[1:] = yield np.clip(simplex[1:], lo, hi)
+                        simplex[i] = [a + sigma * (b - a) for a, b in zip(first, simplex[i])]
+                    values[1:] = yield [_clip(v, lo, hi) for v in simplex[1:]]
                     evals += len(simplex) - 1
         lowest = int(np.argmin(values))
         if values[lowest] < best_f:
             best_f = values[lowest]
-            best_x = np.clip(simplex[lowest], lo, hi)
+            best_x = _clip(simplex[lowest], lo, hi)
         if evals >= max_evals:
             break
-    return best_x, best_f, evals, converged
+    return np.array(best_x), best_f, evals, converged
 
 
 def _start_points(lo, hi, config, extra_starts=()) -> list:
@@ -264,7 +285,8 @@ def multistart(batch_fun, lo, hi, config, extra_starts=(), key=tuple):
     pending = {i: next(search) for i, search in enumerate(searches)}
     outcomes = [None] * len(searches)
     while pending:
-        negated = (-np.asarray(batch_fun(np.concatenate(list(pending.values()))))).tolist()
+        batch = np.array([x for points in pending.values() for x in points])
+        negated = (-np.asarray(batch_fun(batch))).tolist()
         offset = 0
         for i, points in list(pending.items()):
             values, offset = negated[offset : offset + len(points)], offset + len(points)

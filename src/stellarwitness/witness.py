@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +37,11 @@ FOCK = "fock"
 PURE = "pure"
 COHERENT_SUM = "coherent_sum"
 DENSITY = "density"
+
+#: smallest |beta| of a cat pair witness.  Its odd term carries
+#: c_- ~ 1/(2|beta|) times the difference of the coherent columns at +beta and
+#: -beta, so below this their rounding (~1e-16) would grow past ~1e-9.
+MIN_CAT_BETA = 1e-7
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,12 @@ class WitnessOperator:
     def max_tail_bound(self) -> float:
         return max((t.tail_bound() for t in self.terms), default=0.0)
 
+    @cached_property
+    def conjugation_plan(self) -> tuple:
+        """The term structure :func:`_conjugated_terms` reads, derived on
+        first use and kept (see :func:`_conjugation_plan`)."""
+        return _conjugation_plan(self.terms)
+
 
 def fock_pair_witness(j: int, k: int, omega: float) -> WitnessOperator:
     """cos(omega)|j><j| + sin(omega)|k><k| (diagonal, so phase invariant)."""
@@ -108,8 +120,11 @@ def cat_pair_witness(beta: complex, omega: float, cutoff: int | None = None) -> 
     the exact displaced-squeezed reduction of coherent inputs.
     """
     beta = complex(beta)
-    if beta == 0:
-        raise DegenerateWitnessError("cat pair witness needs beta != 0 (odd cat degenerates)")
+    if not abs(beta) >= MIN_CAT_BETA:
+        raise DegenerateWitnessError(
+            f"cat pair witness needs |beta| >= {MIN_CAT_BETA:g}, got beta = {beta}: "
+            "the odd cat degenerates"
+        )
     if cutoff is None:
         cutoff = default_cutoff(beta)
     c_minus = 1.0 / math.sqrt(2.0 * cat_normalization(beta, "odd"))
@@ -175,31 +190,18 @@ def assemble_matrix(witness: WitnessOperator, cutoff: int | None = None) -> np.n
     return out
 
 
-def _conjugated_terms(witness: WitnessOperator, points, n: int, theta=None) -> list:
-    """Each term conjugated by U at every row (r, Re alpha, Im alpha[,
-    vartheta]) of `points`, output phases `theta` (None: 0), rows k < n: one
-    (weight, columns, density) entry per term, in term order.  Rank-one terms
-    give vectors (rows, n) and density None, density terms blocks (rows, n,
-    dim) and their matrix.
+def _conjugation_plan(terms) -> tuple:
+    """(betas, cols, steps): what conjugating these terms needs of them.
 
-    One :func:`coherent_columns` call serves every distinct coherent input
-    and one `block_columns_batch` call the union of the other terms' columns
-    (an element has the same bits whatever is computed beside it); pure and
-    density terms take leading columns, copied contiguous as blocks of their
-    own would be.
+    `betas` holds the distinct coherent inputs in order of first use, `cols`
+    the sorted union of the Fock columns of the Fock, pure and density
+    terms, and `steps` one (kind, weight, data) per term, in term order,
+    with data the term's position in `cols` (Fock), amplitudes (pure),
+    (coef, index into `betas`) pairs (coherent sums) or matrix (density).
     """
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    points = np.asarray(points, dtype=float)
-    betas = list(
-        dict.fromkeys(beta for t in witness.terms if t.kind == COHERENT_SUM for _, beta in t.data)
-    )
-    coherent = {}
-    if betas:
-        columns = coherent_columns(points, betas, n - 1, theta)
-        coherent = {beta: columns[:, i] for i, beta in enumerate(betas)}
+    betas = list(dict.fromkeys(beta for t in terms if t.kind == COHERENT_SUM for _, beta in t.data))
     cols = set()
-    for term in witness.terms:
+    for term in terms:
         if term.kind == FOCK:
             cols.add(term.data)
         elif term.kind == PURE:
@@ -207,30 +209,64 @@ def _conjugated_terms(witness: WitnessOperator, points, n: int, theta=None) -> l
         elif term.kind == DENSITY:
             cols.update(range(term.data.matrix.shape[0]))
     cols = sorted(cols)
-    block = block_columns_batch(points, n, cols, theta) if cols else None
     position = {m: i for i, m in enumerate(cols)}
+    index = {beta: i for i, beta in enumerate(betas)}
+    steps = []
+    for term in terms:
+        if term.kind == FOCK:
+            data = position[term.data]
+        elif term.kind == PURE:
+            data = term.data.amplitudes
+        elif term.kind == COHERENT_SUM:
+            data = tuple((coef, index[beta]) for coef, beta in term.data)
+        elif term.kind == DENSITY:
+            data = term.data.matrix
+        else:
+            raise ValueError(f"unknown term kind {term.kind!r}")
+        steps.append((term.kind, term.weight, data))
+    return np.array(betas, dtype=complex), cols, tuple(steps)
+
+
+def _conjugated_terms(witness: WitnessOperator, points, n: int, theta=None) -> list:
+    """Each term conjugated by U at every row (r, Re alpha, Im alpha[,
+    vartheta]) of `points`, output phases `theta` (None: 0), rows k < n: one
+    (weight, columns, density) entry per term, in term order.  Rank-one terms
+    give vectors (rows, n) and density None, density terms blocks (rows, n,
+    dim) and their matrix.
+
+    The witness's `conjugation_plan` (derived once per witness) names the
+    distinct coherent inputs, the union of the other terms' columns and
+    what each term reads of them.  One :func:`coherent_columns` call serves
+    every coherent input and one `block_columns_batch` call the column
+    union (an element has the same bits whatever is computed beside it);
+    pure and density terms take leading columns, copied contiguous as blocks
+    of their own would be.
+    """
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    points = np.asarray(points, dtype=float)
+    betas, cols, steps = witness.conjugation_plan
+    if betas.size:
+        coherent = coherent_columns(points, betas, n - 1, theta)
+    block = block_columns_batch(points, n, cols, theta) if cols else None
 
     def leading(width):  # columns 0..width-1 are the first `width` of the union
         return np.ascontiguousarray(block[:, :, :width])
 
     entries = []
-    for term in witness.terms:
-        if term.kind == FOCK:
-            entries.append((term.weight, block[:, :, position[term.data]], None))
-        elif term.kind == PURE:
-            amps = term.data.amplitudes
-            vec = np.stack([b @ amps for b in leading(amps.size)])
-            entries.append((term.weight, vec, None))
-        elif term.kind == COHERENT_SUM:
+    for kind, weight, data in steps:
+        if kind == FOCK:
+            entries.append((weight, block[:, :, data], None))
+        elif kind == PURE:
+            vec = np.stack([b @ data for b in leading(data.size)])
+            entries.append((weight, vec, None))
+        elif kind == COHERENT_SUM:
             vec = np.zeros((len(points), n), dtype=complex)
-            for coef, beta in term.data:
-                vec += coef * coherent[beta]
-            entries.append((term.weight, vec, None))
-        elif term.kind == DENSITY:
-            sigma = term.data.matrix
-            entries.append((term.weight, leading(sigma.shape[0]), sigma))
+            for coef, i in data:
+                vec += coef * coherent[:, i]
+            entries.append((weight, vec, None))
         else:
-            raise ValueError(f"unknown term kind {term.kind!r}")
+            entries.append((weight, leading(data.shape[0]), data))
     return entries
 
 

@@ -211,6 +211,31 @@ class TestSweep:
         assert len(curve.hull) >= 1
 
 
+class TestThresholdCalls:
+    """The benchmark counts and times a sweep's thresholds by replacing the
+    module global `threshold.compute_threshold` and reading each call's
+    witness descriptor; a sweep must keep calling it through that name."""
+
+    def test_one_call_per_point_and_rerun(self, monkeypatch):
+        from stellarwitness import threshold
+
+        calls = []
+        original = threshold.compute_threshold
+
+        def probed(witness_op, n, *args, **kwargs):
+            calls.append((witness_op.descriptor["omega"], n))
+            return original(witness_op, n, *args, **kwargs)
+
+        monkeypatch.setattr(threshold, "compute_threshold", probed)
+        omegas = [math.pi / 2, 3 * math.pi / 4]
+        config = OptimizerConfig(starts=8, max_iterations=300, seed=202)
+        curves = sweep_family_ranks({"type": "cat_pair", "beta": 2.0}, [1, 2], omegas, config)
+        reruns = sum(len(curve.repairs) for curve in curves)
+        assert reruns > 0
+        assert len(calls) == len(omegas) * 2 + reruns
+        assert set(calls) == {(omega, n) for omega in omegas for n in (1, 2)}
+
+
 class TestRepair:
     # the acceptance sweep's search settings, at three directions where its
     # searches stop short of what a neighbouring direction attains

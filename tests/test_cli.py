@@ -267,7 +267,8 @@ class TestBoundaryCommand:
     @pytest.mark.parametrize(
         "flags, field",
         [(["fock_pair", "--j", "-1", "--k", "2"], "j"), (["fock_pair", "--j", "2", "--k", "2"], "j"),
-         (["cat_pair", "--beta", "0"], "beta"), (["cat_pair", "--beta", "inf"], "beta")],
+         (["cat_pair", "--beta", "0"], "beta"), (["cat_pair", "--beta", "inf"], "beta"),
+         (["cat_pair", "--beta", "1e-9"], "beta"), (["cat_pair", "--beta", "1e-170"], "beta")],
     )
     def test_bad_family_fields_exit_one(self, tmp_path, capsys, flags, field):
         directory = tmp_path / "x"
@@ -359,6 +360,19 @@ class TestCertifyCommand:
         code = main(["certify", "--state", state, "--curves", str(directory), "--out", str(out)])
         assert code == 1
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("keep", [0, 13], ids=["header-only", "rank-1-only"])
+    def test_csv_ranks_differ_from_manifest_exit_one(self, boundary_dir, tmp_path, capsys, keep):
+        directory = tmp_path / "curves"
+        shutil.copytree(boundary_dir, directory)
+        lines = (directory / "boundary.csv").read_text().splitlines()
+        (directory / "boundary.csv").write_text("\n".join(lines[: keep + 1]) + "\n")
+        out = tmp_path / "report.json"
+        code = main(["certify", "--pair", "0.9", "0.05", "--curves", str(directory),
+                     "--out", str(out)])
+        assert code == 1
+        assert "manifest.json lists ranks [1, 2]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from stellarwitness.fock_gaussian import (
     GaussianUnitaryParams,
     _chebyshev,
     _displaced_basis,
+    _ladder,
     _squeeze_chains,
     block_columns,
     block_columns_batch,
@@ -229,6 +230,16 @@ class TestBlockColumns:
         with pytest.raises(ValueError, match="finite"):
             block_columns_batch(bad, 3, [0])
 
+    @pytest.mark.parametrize("height", [1, 4, 9])
+    def test_one_column_ladder_is_column_zero_of_a_wider_one(self, height):
+        # the one-column ladder skips the steps in m; column 0 keeps its bits
+        points, _ = self.points(600, np.random.default_rng(height))
+        r, ar, ai = points[:, 0], points[:, 1], points[:, 2]
+        one, one_unscale = _ladder(r, ar, ai, height, 1)
+        wide, wide_unscale = _ladder(r, ar, ai, height, 3)
+        assert one[:, :, 0].tobytes() == wide[:, :, 0].tobytes()
+        assert one_unscale.tobytes() == wide_unscale.tobytes()
+
 
 class TestTransformCoherent:
     def test_identity_on_vacuum(self):
@@ -366,6 +377,18 @@ class TestCoherentColumns:
     def test_non_finite_displacement_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             coherent_columns([[0.2, math.inf, 0.0]], self.BETAS, 2)
+
+    @pytest.mark.parametrize("beta", [math.inf, complex(0.0, math.nan)])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="finite"):
+            coherent_columns(self.points(5), [2.0, beta], 2)
+
+    @pytest.mark.parametrize("k_max", [0, 2, 5])
+    def test_no_theta_is_zero_theta(self, k_max):
+        # bytes, not values: signed zeros must agree too
+        points = self.points(600)
+        zero = coherent_columns(points, self.BETAS, k_max, np.zeros(len(points)))
+        assert coherent_columns(points, self.BETAS, k_max).tobytes() == zero.tobytes()
 
 
 class TestOracle:

@@ -9,6 +9,7 @@ from stellarwitness.states import (
     FockDensity,
     FockVector,
     cat,
+    cat_normalization,
     click_statistics,
     coherent,
     lossy_cat,
@@ -53,6 +54,22 @@ class TestCat:
     def test_small_odd_cat_is_single_photon(self):
         vec = cat(0.05, "odd")
         assert abs(vec.amplitudes[1]) ** 2 > 0.999
+
+    def test_tiny_odd_cat_is_single_photon(self):
+        # 1 - e^{-2|beta|^2} rounds to 0 here; -expm1 keeps N_- = 2e-18
+        vec = cat(1e-9, "odd")
+        assert np.max(np.abs(vec.amplitudes - np.eye(vec.cutoff + 1)[1])) < 1e-15
+
+    def test_odd_cat_normalization_keeps_precision(self):
+        beta = 1e-5
+        exact = 2 * beta**2 * (1 - beta**2 + 2 * beta**4 / 3)
+        assert abs(cat_normalization(beta, "odd") / exact - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-170])
+    def test_degenerate_odd_cat_rejected(self, beta):
+        # N_- = 0 (beta = 0) or underflowed to 0 (|beta|^2 below the subnormals)
+        with pytest.raises(ValueError, match="degenerate"):
+            cat(beta, "odd")
 
     def test_even_overlap_with_coherent(self):
         # |<beta|beta_+>|^2 = N_+/2 via <beta|-beta> = exp(-2|beta|^2)

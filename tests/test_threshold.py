@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stellarwitness import multimode
+from stellarwitness import witness as witness_module
 from stellarwitness.errors import OptimizerError
 from stellarwitness.fock_gaussian import (
     GaussianUnitaryParams,
@@ -14,6 +15,7 @@ from stellarwitness.states import FockDensity, FockVector
 from stellarwitness.threshold import (
     OptimizerConfig,
     _box,
+    _clip,
     _nelder_mead,
     _start_points,
     compute_threshold,
@@ -295,6 +297,24 @@ class TestBatchedObjective:
         assert values.tobytes() == np.array(expected).tobytes()
 
 
+class TestConjugationPlan:
+    @pytest.mark.parametrize(
+        "make", [lambda: cat_pair_witness(2.0, 0.7), mixed_terms_witness], ids=["cat", "mixed"]
+    )
+    def test_derived_once_per_threshold(self, monkeypatch, make):
+        calls = []
+
+        def counted(terms):
+            calls.append(terms)
+            return plan(terms)
+
+        plan = witness_module._conjugation_plan
+        monkeypatch.setattr(witness_module, "_conjugation_plan", counted)
+        witness = make()
+        compute_threshold(witness, 2, OptimizerConfig(starts=4, max_iterations=400, seed=5))
+        assert calls == [witness.terms]
+
+
 def drive_alone(search, fun):
     """Run one Nelder-Mead start by itself, one point per objective call."""
     points = next(search)
@@ -307,6 +327,138 @@ def drive_alone(search, fun):
 
 def outcome_bits(x, value, evals, converged):
     return x.tobytes(), np.float64(value).tobytes(), evals, converged
+
+
+def numpy_nelder_mead(x0, lo, hi, tol, max_evals):
+    """`_nelder_mead` with its simplex in numpy arrays: the reference whose
+    every point and outcome the float version must reproduce bit for bit."""
+    dims = x0.size
+    alpha, gamma = 1.0, 1.0 + 2.0 / dims
+    rho, sigma = 0.75 - 1.0 / (2.0 * dims), 1.0 - 1.0 / dims
+    span = hi - lo
+    evals = 0
+
+    def build_simplex(center, scale):
+        pts = [np.array(center)]
+        for d in range(dims):
+            step = scale * span[d]
+            if center[d] + step > hi[d]:
+                step = -step
+            vertex = np.array(center)
+            vertex[d] = vertex[d] + step
+            pts.append(vertex)
+        return pts
+
+    best_x = np.clip(x0, lo, hi)
+    (best_f,) = yield best_x[None]
+    evals += 1
+    converged = False
+    for attempt, scale in enumerate((0.10, 0.005)):
+        simplex = build_simplex(best_x, scale)
+        fresh = simplex if attempt else simplex[1:]
+        values = ([] if attempt else [best_f]) + (yield np.clip(fresh, lo, hi))
+        evals += len(fresh)
+        while evals < max_evals:
+            order = sorted(range(len(simplex)), key=values.__getitem__)
+            simplex = [simplex[i] for i in order]
+            values = [values[i] for i in order]
+            if values[-1] - values[0] <= tol * (1.0 + abs(values[0])):
+                converged = True
+                break
+            centroid = np.add.reduce(simplex[:-1], axis=0) / dims
+            reflected = centroid + alpha * (centroid - simplex[-1])
+            (f_reflected,) = yield reflected.clip(lo, hi)[None]
+            evals += 1
+            if f_reflected < values[0]:
+                expanded = centroid + gamma * (reflected - centroid)
+                (f_expanded,) = yield expanded.clip(lo, hi)[None]
+                evals += 1
+                if f_expanded < f_reflected:
+                    simplex[-1], values[-1] = expanded, f_expanded
+                else:
+                    simplex[-1], values[-1] = reflected, f_reflected
+            elif f_reflected < values[-2]:
+                simplex[-1], values[-1] = reflected, f_reflected
+            else:
+                contracted = centroid + rho * (simplex[-1] - centroid)
+                (f_contracted,) = yield contracted.clip(lo, hi)[None]
+                evals += 1
+                if f_contracted < values[-1]:
+                    simplex[-1], values[-1] = contracted, f_contracted
+                else:
+                    for i in range(1, len(simplex)):
+                        simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
+                    values[1:] = yield np.clip(simplex[1:], lo, hi)
+                    evals += len(simplex) - 1
+        lowest = int(np.argmin(values))
+        if values[lowest] < best_f:
+            best_f = values[lowest]
+            best_x = np.clip(simplex[lowest], lo, hi)
+        if evals >= max_evals:
+            break
+    return best_x, best_f, evals, converged
+
+
+def recorded_run(search, fun):
+    """Drive one start alone; the bytes of every batch it asked for, and its outcome."""
+    asked = []
+    points = next(search)
+    while True:
+        asked.append(np.asarray(points, dtype=float).tobytes())
+        try:
+            points = search.send([-fun(x) for x in points])
+        except StopIteration as done:
+            return asked, outcome_bits(*done.value)
+
+
+class TestSimplexReference:
+    """The float simplex against the numpy one, point for point."""
+
+    @pytest.mark.parametrize(
+        "witness, n, dims, alpha_max",
+        [
+            (cat_pair_witness(2.0, 2.2), 3, 4, 6.0),
+            (fock_pair_witness(0, 2, 0.9), 2, 3, 6.0),
+            # alpha_max = 0: the box's lower alpha bounds are -0.0
+            (cat_pair_witness(1.5, 0.4), 2, 4, 0.0),
+        ],
+        ids=["cat", "fock", "signed-zero-box"],
+    )
+    def test_single_mode(self, witness, n, dims, alpha_max):
+        config = OptimizerConfig(starts=5, max_iterations=300, alpha_max=alpha_max, seed=9)
+        lo, hi = _box(config, dims)
+        outside = np.array([5.0, -9.0, 0.5, 7.0])[:dims]  # clipped on entry
+        for x0 in _start_points(lo, hi, config, [outside]):
+            def fun(x):
+                return objective(witness, n, params_from_vector(x))
+
+            args = (x0, lo, hi, config.simplex_tolerance, config.max_iterations)
+            assert recorded_run(_nelder_mead(*args), fun) == recorded_run(
+                numpy_nelder_mead(*args), fun
+            )
+
+    def test_clip_has_ndarray_clip_bits(self):
+        # signed zeros, NaN and infinities against every ordered pair of bounds
+        grid = [-0.0, 0.0, math.nan, 1.0, -1.0, 2.5, math.inf, -math.inf]
+        bounds = [(lo, hi) for lo in grid for hi in grid if lo == lo and hi == hi and lo <= hi]
+        lo, hi = np.array(bounds).T
+        for value in grid:
+            x = np.full(len(bounds), value)
+            assert np.array(_clip(x.tolist(), lo, hi)).tobytes() == x.clip(lo, hi).tobytes()
+
+    def test_two_mode(self):
+        witness = multimode.multimode_fock_projector((1, 0))
+        config = OptimizerConfig(starts=2, max_iterations=150, seed=23)
+        lo, hi = multimode._multimode_box(config, 2)
+
+        def fun(x):
+            return multimode.multimode_objective(witness, 2, multimode._unpack_vector(x, 2))
+
+        for x0 in _start_points(lo, hi, config):
+            args = (x0, lo, hi, config.simplex_tolerance, config.max_iterations)
+            assert recorded_run(_nelder_mead(*args), fun) == recorded_run(
+                numpy_nelder_mead(*args), fun
+            )
 
 
 class TestLockstep:

@@ -84,6 +84,21 @@ class TestConstruction:
         with pytest.raises(DegenerateWitnessError):
             cat_pair_witness(0.0, 0.3)
 
+    @pytest.mark.parametrize("beta", [1e-9, 1e-170])
+    def test_cat_pair_tiny_beta_rejected(self, beta):
+        # c_- ~ 1/(2|beta|) would amplify the columns' rounding past ~1e-9
+        with pytest.raises(DegenerateWitnessError, match="beta"):
+            cat_pair_witness(beta, 0.7)
+
+    def test_cat_pair_beta_1e5_matches_one_photon_limit(self):
+        w = cat_pair_witness(1e-5, 0.7)
+        limit = fock_pair_witness(1, 0, 0.7)
+        mat = assemble_matrix(w)
+        assert np.max(np.abs(mat - assemble_matrix(limit, w.support_cutoff))) < 1e-9
+        params = GaussianUnitaryParams(theta=0.3, vartheta=1.1, r=0.6, alpha=0.9 - 0.4j)
+        conjugated = compress_conjugated(w, params, 3)
+        assert np.max(np.abs(conjugated - compress_conjugated(limit, params, 3))) < 1e-9
+
 
 class TestCoreState:
     def test_normalizes(self):
