@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="optimizer seed (overrides config file)")
         p.add_argument("--starts", type=int, help="multi-start count")
         p.add_argument("--max-iterations", dest="max_iterations", type=int,
-                       help="function evaluation budget per start")
+                       help="budget per start of the function evaluations the search uses")
         p.add_argument("--threads", type=int,
                        help="ignored; kept for compatibility (computations run serially)")
 

@@ -20,7 +20,10 @@ _TAIL_TOL = 1e-6
 def default_cutoff(beta: complex) -> int:
     """Poisson tail past mean + 8 sigma is below 1e-9 for |beta| <= 4."""
     b = abs(beta)
-    return max(16, math.ceil(b * b + 8.0 * b + 8.0))
+    cutoff = b * b + 8.0 * b + 8.0
+    if not math.isfinite(cutoff):
+        raise ValueError(f"beta = {beta} has no finite default cutoff |beta|^2 + 8|beta| + 8")
+    return max(16, math.ceil(cutoff))
 
 
 class FockVector:

@@ -15,8 +15,11 @@ so each start follows the trajectory it follows alone and a fixed config and
 seed reproduce every bit.  `multistart` runs both the single-mode search here
 and the multimode search in `multimode`.
 
-A round holds only a few points per start, so its fixed costs dominate: the
-objective reads the witness's conjugation plan, derived once per witness
+A round's fixed costs outweigh its points, so rounds are few and full: each
+Nelder-Mead iteration asks for its reflected, expanded and contracted points
+in one round, though it reads at most two of their values, and the driver
+clips each round's points into the box at once.  The objective reads the
+witness's conjugation plan, derived once per witness
 (`WitnessOperator.conjugation_plan`), and each start keeps its simplex in
 Python floats, with the bits of the numpy operations they replace.
 """
@@ -59,6 +62,8 @@ class OptimizerConfig:
     `initial_points` are extra deterministic starts, each a full
     (r, Re alpha, Im alpha, vartheta) vector; the identity point is always
     start zero, and seeded Halton points fill the remaining budget.
+    `max_iterations` is each start's budget of objective values the search
+    uses; candidates it asks for but does not read are not counted.
     """
 
     starts: int = 200
@@ -173,10 +178,13 @@ def _nelder_mead(x0, lo, hi, tol, max_evals):
     """Minimize over the box by Nelder-Mead with adaptive coefficients and
     one shrunken restart around the incumbent.  Fully deterministic.
 
-    A generator: it yields each list of k clipped points (lists of dims
-    floats) it needs evaluated, is sent their k values, and returns
-    ``(x, value, evals, converged)`` with x an array.  Points that do not
-    depend on each other's values (a new simplex, a shrink) come in one list.
+    A generator: it yields each list of k raw points (lists of dims floats)
+    it needs evaluated, is sent the values of those points clipped into
+    [lo, hi] (the caller clips), and returns ``(x, value, evals, converged)``
+    with x a clipped array.  Points that do not depend on each other's values
+    come in one list: a new simplex, a shrink, or an iteration's reflected,
+    expanded and contracted points, of which the search reads what the
+    one-point-at-a-time method reads; `evals` counts only those values.
     The simplex is kept in Python floats, whose operations round as numpy's
     elementwise ones do; the centroid sums from 0.0, vertex by vertex, as
     ``np.add.reduce`` over the vertices does.
@@ -206,7 +214,7 @@ def _nelder_mead(x0, lo, hi, tol, max_evals):
     for attempt, scale in enumerate((0.10, 0.005)):
         simplex = build_simplex(best_x, scale)
         fresh = simplex if attempt else simplex[1:]
-        values = ([] if attempt else [best_f]) + (yield [_clip(v, lo, hi) for v in fresh])
+        values = ([] if attempt else [best_f]) + (yield fresh)
         evals += len(fresh)
         while evals < max_evals:
             order = sorted(range(len(simplex)), key=values.__getitem__)
@@ -218,11 +226,11 @@ def _nelder_mead(x0, lo, hi, tol, max_evals):
             centroid = [reduce(add, column, 0.0) / dims for column in zip(*simplex[:-1])]
             worst = simplex[-1]
             reflected = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
-            (f_reflected,) = yield [_clip(reflected, lo, hi)]
+            expanded = [c + gamma * (x - c) for c, x in zip(centroid, reflected)]
+            contracted = [c + rho * (w - c) for c, w in zip(centroid, worst)]
+            f_reflected, f_expanded, f_contracted = yield [reflected, expanded, contracted]
             evals += 1
             if f_reflected < values[0]:
-                expanded = [c + gamma * (x - c) for c, x in zip(centroid, reflected)]
-                (f_expanded,) = yield [_clip(expanded, lo, hi)]
                 evals += 1
                 if f_expanded < f_reflected:
                     simplex[-1], values[-1] = expanded, f_expanded
@@ -231,8 +239,6 @@ def _nelder_mead(x0, lo, hi, tol, max_evals):
             elif f_reflected < values[-2]:
                 simplex[-1], values[-1] = reflected, f_reflected
             else:
-                contracted = [c + rho * (w - c) for c, w in zip(centroid, worst)]
-                (f_contracted,) = yield [_clip(contracted, lo, hi)]
                 evals += 1
                 if f_contracted < values[-1]:
                     simplex[-1], values[-1] = contracted, f_contracted
@@ -240,7 +246,7 @@ def _nelder_mead(x0, lo, hi, tol, max_evals):
                     first = simplex[0]
                     for i in range(1, len(simplex)):
                         simplex[i] = [a + sigma * (b - a) for a, b in zip(first, simplex[i])]
-                    values[1:] = yield [_clip(v, lo, hi) for v in simplex[1:]]
+                    values[1:] = yield simplex[1:]
                     evals += len(simplex) - 1
         lowest = int(np.argmin(values))
         if values[lowest] < best_f:
@@ -271,11 +277,11 @@ def multistart(batch_fun, lo, hi, config, extra_starts=(), key=tuple):
 
     `batch_fun` maps a (rows, dims) array of points to their values.  The
     starts (see `_start_points`) advance together: each round stacks the
-    points every running start asks for into one `batch_fun` call and sends
-    each start its values, so a start's trajectory is the one it follows
-    alone as long as a point's value does not depend on its batch.  Among
-    starts within the tie window of the best value, the smallest `key(x)`
-    wins.  Returns the winning vector and the per-start outcomes
+    points every running start asks for, clips them into the box at once,
+    makes one `batch_fun` call and sends each start its values, so a start's
+    trajectory is the one it follows alone as long as a point's value does
+    not depend on its batch.  Among starts within the tie window of the best
+    value, the smallest `key(x)` wins.  Returns the winning vector and the per-start outcomes
     `(x, value, evals, converged)`.
     """
     searches = [
@@ -285,7 +291,7 @@ def multistart(batch_fun, lo, hi, config, extra_starts=(), key=tuple):
     pending = {i: next(search) for i, search in enumerate(searches)}
     outcomes = [None] * len(searches)
     while pending:
-        batch = np.array([x for points in pending.values() for x in points])
+        batch = np.array([x for points in pending.values() for x in points]).clip(lo, hi)
         negated = (-np.asarray(batch_fun(batch))).tolist()
         offset = 0
         for i, points in list(pending.items()):

@@ -268,7 +268,8 @@ class TestBoundaryCommand:
         "flags, field",
         [(["fock_pair", "--j", "-1", "--k", "2"], "j"), (["fock_pair", "--j", "2", "--k", "2"], "j"),
          (["cat_pair", "--beta", "0"], "beta"), (["cat_pair", "--beta", "inf"], "beta"),
-         (["cat_pair", "--beta", "1e-9"], "beta"), (["cat_pair", "--beta", "1e-170"], "beta")],
+         (["cat_pair", "--beta", "1e-9"], "beta"), (["cat_pair", "--beta", "1e-170"], "beta"),
+         (["cat_pair", "--beta", "1e200"], "beta")],
     )
     def test_bad_family_fields_exit_one(self, tmp_path, capsys, flags, field):
         directory = tmp_path / "x"
@@ -276,6 +277,13 @@ class TestBoundaryCommand:
         assert code == 1
         assert field in capsys.readouterr().err
         assert not directory.exists()
+
+    def test_large_beta_accepted(self, tmp_path):
+        directory = tmp_path / "large"
+        code = main(["boundary", "--family", "cat_pair", "--beta", "40", "--max-rank", "1",
+                     "--omegas", "4", *FAST_FLAGS, "--out", str(directory)])
+        assert code == 0
+        assert (directory / "boundary.csv").exists()
 
     @pytest.mark.parametrize("max_rank", ["0", "-2"])
     def test_empty_rank_range_exit_one(self, tmp_path, capsys, max_rank):

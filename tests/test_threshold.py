@@ -1,9 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from stellarwitness import multimode
+from stellarwitness import threshold as threshold_module
 from stellarwitness import witness as witness_module
 from stellarwitness.errors import OptimizerError
 from stellarwitness.fock_gaussian import (
@@ -399,20 +401,58 @@ def numpy_nelder_mead(x0, lo, hi, tol, max_evals):
     return best_x, best_f, evals, converged
 
 
-def recorded_run(search, fun):
-    """Drive one start alone; the bytes of every batch it asked for, and its outcome."""
+def recorded_run(search, fun, lo=None, hi=None):
+    """Drive one start alone: the bytes of every point it asked for, in
+    order, and its outcome.  With bounds, each batch is first clipped into
+    them, as `multistart` clips its rounds."""
     asked = []
     points = next(search)
     while True:
-        asked.append(np.asarray(points, dtype=float).tobytes())
+        points = np.asarray(points, dtype=float)
+        if lo is not None:
+            points = points.clip(lo, hi)
+        asked += [x.tobytes() for x in points]
         try:
             points = search.send([-fun(x) for x in points])
         except StopIteration as done:
             return asked, outcome_bits(*done.value)
 
 
+def check_against_reference(args, fun):
+    """`_nelder_mead`, clipped as `multistart` clips, ends with the outcome
+    bits of the reference and asks for every point the reference asks for,
+    in the reference's order."""
+    lo, hi = args[1], args[2]
+    asked, outcome = recorded_run(_nelder_mead(*args), fun, lo, hi)
+    reference_asked, reference_outcome = recorded_run(numpy_nelder_mead(*args), fun)
+    assert outcome == reference_outcome
+    remaining = iter(asked)
+    assert all(point in remaining for point in reference_asked)
+
+
+def reference_rounds(search, fun):
+    """Drive the reference alone: its requests other than an expansion or a
+    contraction (the lockstep generator asks for both with the reflection,
+    so these are its rounds), and its evaluation count.  A request's kind is
+    the line of the reference at which it waits."""
+    source, first = inspect.getsourcelines(numpy_nelder_mead)
+    follow_ups = {
+        first + i for i, line in enumerate(source)
+        if "yield expanded" in line or "yield contracted" in line
+    }
+    rounds = 0
+    points = next(search)
+    while True:
+        rounds += search.gi_frame.f_lineno not in follow_ups
+        try:
+            points = search.send([-fun(x) for x in points])
+        except StopIteration as done:
+            return rounds, done.value[2]
+
+
 class TestSimplexReference:
-    """The float simplex against the numpy one, point for point."""
+    """The float simplex, asking for each iteration's three candidates at
+    once, against the numpy one, which asks only for those it reads."""
 
     @pytest.mark.parametrize(
         "witness, n, dims, alpha_max",
@@ -432,9 +472,8 @@ class TestSimplexReference:
             def fun(x):
                 return objective(witness, n, params_from_vector(x))
 
-            args = (x0, lo, hi, config.simplex_tolerance, config.max_iterations)
-            assert recorded_run(_nelder_mead(*args), fun) == recorded_run(
-                numpy_nelder_mead(*args), fun
+            check_against_reference(
+                (x0, lo, hi, config.simplex_tolerance, config.max_iterations), fun
             )
 
     def test_clip_has_ndarray_clip_bits(self):
@@ -455,15 +494,14 @@ class TestSimplexReference:
             return multimode.multimode_objective(witness, 2, multimode._unpack_vector(x, 2))
 
         for x0 in _start_points(lo, hi, config):
-            args = (x0, lo, hi, config.simplex_tolerance, config.max_iterations)
-            assert recorded_run(_nelder_mead(*args), fun) == recorded_run(
-                numpy_nelder_mead(*args), fun
+            check_against_reference(
+                (x0, lo, hi, config.simplex_tolerance, config.max_iterations), fun
             )
 
 
 class TestLockstep:
     """`multistart` runs every start in lockstep through batched calls; each
-    start must end exactly where it ends when driven alone."""
+    start must end exactly where the reference ends when driven alone."""
 
     def check(self, batch_fun, one_fun, lo, hi, config, extra=()):
         _, outcomes = multistart(batch_fun, lo, hi, config, extra)
@@ -471,10 +509,12 @@ class TestLockstep:
         assert len(outcomes) == len(starts) == config.starts
         tol, budget = config.simplex_tolerance, config.max_iterations
         for x0, outcome in zip(starts, outcomes):
-            x, f, evals, converged = drive_alone(_nelder_mead(x0, lo, hi, tol, budget), one_fun)
+            x, f, evals, converged = drive_alone(
+                numpy_nelder_mead(x0, lo, hi, tol, budget), one_fun
+            )
             assert outcome_bits(*outcome) == outcome_bits(x, -f, evals, converged)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_cat_vartheta_free(self, n):
         witness = cat_pair_witness(2.0, 2.2)
         config = OptimizerConfig(starts=6, max_iterations=150, seed=3)
@@ -485,24 +525,69 @@ class TestLockstep:
             lo, hi, config, [np.array([0.4, 0.8, -0.3, 1.3])],
         )
 
-    def test_fock_pair(self):
+    def check_fock_pair(self, n):
         witness = fock_pair_witness(0, 2, 0.9)
         config = OptimizerConfig(starts=6, max_iterations=200, seed=5)
         lo, hi = _box(config, 3)
         self.check(
-            lambda X: objectives(witness, 2, X),
-            lambda x: objective(witness, 2, params_from_vector(x)),
+            lambda X: objectives(witness, n, X),
+            lambda x: objective(witness, n, params_from_vector(x)),
             lo, hi, config,
         )
 
-    def test_two_mode(self):
-        witness = multimode.multimode_fock_projector((1, 0))
-        config = OptimizerConfig(starts=3, max_iterations=100, simplex_tolerance=1e-4, seed=23)
-        lo, hi = multimode._multimode_box(config, 2)
+    def test_fock_pair(self):
+        self.check_fock_pair(2)
+
+    def test_fock_pair_rank_eight(self):
+        self.check_fock_pair(8)
+
+    def check_projector(self, occupations, n, iterations):
+        modes = len(occupations)
+        witness = multimode.multimode_fock_projector(occupations)
+        config = OptimizerConfig(
+            starts=3, max_iterations=iterations, simplex_tolerance=1e-4, seed=23
+        )
+        lo, hi = multimode._multimode_box(config, modes)
 
         def one(x):
-            return multimode.multimode_objective(witness, 2, multimode._unpack_vector(x, 2))
+            return multimode.multimode_objective(witness, n, multimode._unpack_vector(x, modes))
 
         self.check(
-            lambda X: multimode.multimode_objectives(witness, 2, X, 2), one, lo, hi, config
+            lambda X: multimode.multimode_objectives(witness, n, X, modes), one, lo, hi, config
         )
+
+    def test_two_mode(self):
+        self.check_projector((1, 0), 2, 100)
+
+    def test_three_mode(self):
+        # 18 parameters: the float simplex's largest centroid
+        self.check_projector((1, 0, 1), 2, 150)
+
+    def test_rounds(self, monkeypatch):
+        """One objective call per round, each a non-empty batch inside the
+        box; as many rounds as the longest start needs when it asks for an
+        iteration's candidates together, and the reference's evaluations."""
+        witness = cat_pair_witness(2.0, 2.2)
+        config = OptimizerConfig(starts=6, max_iterations=150, seed=3)
+        lo, hi = _box(config, 4)
+        calls = []
+
+        def spy(witness_op, n, points):
+            calls.append(np.array(points))
+            return objectives(witness_op, n, points)
+
+        monkeypatch.setattr(threshold_module, "objectives", spy)
+        result = compute_threshold(witness, 2, config)
+
+        def one(x):
+            return objective(witness, 2, params_from_vector(x))
+
+        rounds, evals = zip(*(
+            reference_rounds(
+                numpy_nelder_mead(x0, lo, hi, config.simplex_tolerance, config.max_iterations), one
+            )
+            for x0 in _start_points(lo, hi, config)
+        ))
+        assert all(len(X) > 0 and (X >= lo).all() and (X <= hi).all() for X in calls)
+        assert len(calls) == max(rounds)
+        assert result.diagnostics["function_evaluations"] == sum(evals)

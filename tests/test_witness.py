@@ -90,6 +90,14 @@ class TestConstruction:
         with pytest.raises(DegenerateWitnessError, match="beta"):
             cat_pair_witness(beta, 0.7)
 
+    def test_cat_pair_huge_beta_rejected(self):
+        # |beta|^2 overflows, so the default cutoff is not finite
+        with pytest.raises(ValueError, match="beta"):
+            cat_pair_witness(1e200, 0.7)
+
+    def test_cat_pair_large_beta_accepted(self):
+        assert cat_pair_witness(40.0, 0.7).support_cutoff == 40 * 40 + 8 * 40 + 8
+
     def test_cat_pair_beta_1e5_matches_one_photon_limit(self):
         w = cat_pair_witness(1e-5, 0.7)
         limit = fock_pair_witness(1, 0, 0.7)
