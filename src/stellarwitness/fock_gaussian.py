@@ -173,7 +173,9 @@ def block_columns_batch(points, rows: int, cols, theta=None) -> np.ndarray:
     the rows' output phases, and None means theta = 0.
 
     The block of D(alpha)S(r) from the ladder recurrence (:func:`_ladder`),
-    then the phases e^{-ik theta} e^{im vartheta}.
+    then the phases e^{-ik theta} e^{im vartheta}.  A phase known to be 0
+    is not exponentiated: e^{i0} is 1 + 0i, and the product keeps the bits
+    it has through the exponential.
     """
     points = np.asarray(points, dtype=float)
     cols = list(cols)
@@ -181,14 +183,18 @@ def block_columns_batch(points, rows: int, cols, theta=None) -> np.ndarray:
         raise ValueError("Fock indices must be >= 0")
     if not np.isfinite(points).all():
         raise ValueError("Gaussian unitary parameters must be finite")
-    count = len(points)
-    vartheta = points[:, 3] if points.shape[1] > 3 else np.zeros(count)
-    theta = np.zeros(count) if theta is None else np.asarray(theta, dtype=float)
     height, width = max(rows, 1), max(cols, default=0) + 1
     scaled, unscale = _ladder(points[:, 0], points[:, 1], points[:, 2], height, width)
-    turns = np.exp(np.outer(-1j * theta, np.arange(rows)))
-    turns *= unscale[:, None]  # undoes the scale exactly
-    return scaled[:, :rows, cols] * turns[:, :, None] * np.exp(np.outer(1j * vartheta, cols))[:, None]
+    if theta is None:  # (1 + 0i) times the scale is the scale plus 0i
+        turns = (unscale + 0j)[:, None, None]
+    else:
+        turns = np.exp(np.outer(-1j * np.asarray(theta, dtype=float), np.arange(rows)))
+        turns *= unscale[:, None]  # undoes the scale exactly
+        turns = turns[:, :, None]
+    out = scaled[:, :rows, cols] * turns
+    if points.shape[1] > 3:
+        return out * np.exp(np.outer(1j * points[:, 3], cols))[:, None]
+    return out * (1 + 0j)  # not skipped: the product by 1 + 0i sets signed zeros
 
 
 def block_columns(params: GaussianUnitaryParams, rows: int, cols) -> np.ndarray:

@@ -14,6 +14,13 @@ where rows(n) lists mode j n_j times.  The per-mode displaced squeezers reuse
 the single-mode analytic columns.  A batch of search points goes through
 stacked ``eigh`` calls and elementwise gathers and products only, so every
 point's value has the same bits in any batch.
+
+Each witness derives its conjugation plan once
+(`MultimodeWitness.conjugation_plan`): the photon-number sectors its
+occupations lie in and each amplitude's column among theirs.  A search round
+mixes only those sectors with the mode columns, and a witness that reads
+sector 0 alone, where V̂ is 1, builds no interferometer; a column has the
+same bits whatever else is computed beside it.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -62,14 +69,19 @@ def sector_indices(modes: int, total: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _identity(modes: int) -> np.ndarray:
+    return np.eye(modes)
+
+
 def _check_unitary(V: np.ndarray) -> None:
     """Raise unless every matrix of the (B, N, N) stack `V` is unitary to
     1e-10; a NaN or infinite entry fails."""
-    with np.errstate(invalid="ignore"):  # inf entries give NaN defects, which fail
-        products = V.conj().swapaxes(-1, -2) @ V
-    defects = np.max(np.abs(products - np.eye(V.shape[-1])), axis=(-2, -1))
-    if not np.all(defects <= 1e-10):
-        raise ValueError(f"interferometer unitarity defect {np.max(defects):.3e} above 1e-10")
+    if not np.isfinite(V).all():
+        raise ValueError("interferometer unitarity defect nan above 1e-10")
+    defect = np.max(np.abs(V.conj().swapaxes(-1, -2) @ V - _identity(V.shape[-1])))
+    if not defect <= 1e-10:
+        raise ValueError(f"interferometer unitarity defect {defect:.3e} above 1e-10")
 
 
 def _interferometers(H: np.ndarray) -> np.ndarray:
@@ -180,9 +192,13 @@ class MultimodeWitness:
         object.__setattr__(self, "identity_weight", identity)
 
     def support_total(self) -> int:
-        return max(
-            (sum(occ) for _, amplitudes in self.terms for occ in amplitudes), default=0
-        )
+        return self.conjugation_plan[0][-1]
+
+    @cached_property
+    def conjugation_plan(self) -> tuple:
+        """The term structure :func:`_compressions` reads, derived on first use
+        and kept (see :func:`_conjugation_plan`)."""
+        return _conjugation_plan(self.modes, self.terms)
 
     def to_json(self) -> dict:
         terms = []
@@ -212,10 +228,16 @@ class MultimodeWitness:
             state = entry["state"]
             if state.get("kind") != "multimode_fock_vector":
                 raise ValueError("multimode witness terms must be multimode_fock_vector states")
-            amplitudes = {
-                tuple(item["occupations"]): parse_complex(item["value"])
-                for item in state["amplitudes"]
-            }
+            if state.get("modes", obj["modes"]) != obj["modes"]:
+                raise ValueError(
+                    f"state modes {state['modes']} do not match the witness's modes {obj['modes']}"
+                )
+            amplitudes = {}
+            for item in state["amplitudes"]:
+                occ = tuple(item["occupations"])
+                if occ in amplitudes:
+                    raise ValueError(f"occupations {list(occ)} listed twice in one state")
+                amplitudes[occ] = parse_complex(item["value"])
             terms.append((float(entry["weight"]), amplitudes))
         identity = float(obj.get("identity_weight", 0.0))
         return cls(modes=obj["modes"], terms=tuple(terms), identity_weight=identity)
@@ -224,6 +246,27 @@ class MultimodeWitness:
 def multimode_fock_projector(occupations) -> MultimodeWitness:
     occ = tuple(occupations)
     return MultimodeWitness(modes=len(occ), terms=((1.0, {occ: 1.0 + 0j}),))
+
+
+def _conjugation_plan(modes: int, terms) -> tuple:
+    """(sectors, steps): what compressing these terms reads of the conjugated
+    columns.
+
+    `sectors` holds the ascending photon numbers of the terms' occupations,
+    and `steps` one (weight, ((column, amplitude), ...)) per term, in term
+    order, with `column` the occupation's position among the columns of
+    `sectors` (each sector's columns in graded order).  A witness without
+    occupations reads sector 0, so its search vectors are checked as any
+    other witness's are.
+    """
+    sectors = sorted({sum(occ) for _, amplitudes in terms for occ in amplitudes}) or [0]
+    occupations = [occ for t in sectors for occ in sector_indices(modes, t)]
+    column = {occ: i for i, occ in enumerate(occupations)}
+    steps = tuple(
+        (weight, tuple((column[occ], amp) for occ, amp in amplitudes.items()))
+        for weight, amplitudes in terms
+    )
+    return tuple(sectors), steps
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +303,11 @@ def _sector_table(modes: int, total: int):
     return occupations, (rows[:, None, :], cols[None, :, None], first, coef)
 
 
-def _sector_matrices(V: np.ndarray, max_total: int) -> list:
+def _sector_matrices(V, count: int, max_total: int) -> list:
     """The blocks of V̂ on the sectors 0..max_total for every unitary of a
-    (B, N, N) stack, each of shape (B, states, states)."""
-    out = [np.ones((len(V), 1, 1), dtype=complex)]
+    (count, N, N) stack, each of shape (count, states, states); V is not read
+    for max_total = 0."""
+    out = [np.ones((count, 1, 1), dtype=complex)]
     for t in range(1, max_total + 1):
         rows, cols, first, coef = _sector_table(V.shape[-1], t)[1]
         below = out[-1][:, rows, cols]
@@ -273,7 +317,7 @@ def _sector_matrices(V: np.ndarray, max_total: int) -> list:
 
 def _passive_action(V: np.ndarray, amplitudes: dict) -> dict:
     """Amplitude map of V̂ for one unitary `V` (N x N); photon-number exact."""
-    blocks = _sector_matrices(V[None], max(sum(occ) for occ in amplitudes))
+    blocks = _sector_matrices(V[None], 1, max(sum(occ) for occ in amplitudes))
     out = {}
     for t in sorted({sum(occ) for occ in amplitudes}):
         basis = sector_indices(V.shape[0], t)
@@ -301,43 +345,66 @@ def conjugate_multimode_witness(witness: MultimodeWitness, X: np.ndarray) -> Mul
 # ---------------------------------------------------------------------------
 
 
-def _conjugated_columns(V: np.ndarray, mode_points, row_total: int, max_total: int):
-    """<k|U|m> for every k with |k| <= row_total and m with |m| <= max_total
-    (both graded), shape (B, rows, columns), with U = (⊗_k D_k S_k) V̂, from
-    the (B, N, N) unitaries and their per-mode rows (r, Re alpha, Im alpha)
-    (row-major over points and modes), whose single-mode columns come from
-    one :func:`block_columns_batch` call."""
-    modes = V.shape[-1]
-    blocks = block_columns_batch(mode_points, row_total + 1, range(max_total + 1))
-    blocks = blocks.reshape(len(V), modes, row_total + 1, max_total + 1)
+@lru_cache(maxsize=None)
+def _mixing_table(modes: int, row_total: int, sectors: tuple):
+    """Where the mode-column products of :func:`_conjugated_columns` gather
+    from: the flat index of <k_j|mode j block|m_j> in a (modes, row_total +
+    1, top sector + 1) stack of single-mode blocks, shape (rows, columns,
+    modes), for every graded row k with |k| <= row_total and every column m
+    of `sectors`."""
     rows = np.concatenate([_sector_table(modes, t)[0] for t in range(row_total + 1)])
+    mids = np.concatenate([_sector_table(modes, t)[0] for t in sectors])
+    width = sectors[-1] + 1
+    return np.arange(modes) * (row_total + 1) * width + rows[:, None, :] * width + mids[None, :, :]
+
+
+def _conjugated_columns(V, mode_points: np.ndarray, row_total: int, sectors: tuple):
+    """<k|U|m> for every k with |k| <= row_total (graded) and every m in the
+    photon-number `sectors` (ascending, each in graded order), shape (B,
+    rows, columns), with U = (⊗_k D_k S_k) V̂, from the (B, N, N) unitaries
+    and their (B, N, 3) per-mode rows (r, Re alpha, Im alpha), whose
+    single-mode columns come from one :func:`block_columns_batch` call.
+
+    Only the asked sectors are mixed; V̂ is built on every sector up to the
+    top one, as its recursion needs them.  V̂ is 1 on sector 0, so V may be
+    None when only sector 0 is asked.  A column has the same bits whatever
+    else is asked.
+    """
+    count, modes = mode_points.shape[:2]
+    top = sectors[-1]
+    blocks = block_columns_batch(mode_points.reshape(-1, 3), row_total + 1, range(top + 1))
+    gathered = blocks.reshape(count, -1)[:, _mixing_table(modes, row_total, sectors)]
+    mixed = gathered[..., 0]
+    for k in range(1, modes):
+        mixed = mixed * gathered[..., k]
+    passive = _sector_matrices(V, count, top)
     columns = []
-    for t, passive in enumerate(_sector_matrices(V, max_total)):
-        mids = _sector_table(modes, t)[0]
-        mixed = blocks[:, 0][:, rows[:, 0, None], mids[None, :, 0]]
-        for k in range(1, modes):
-            mixed = mixed * blocks[:, k][:, rows[:, k, None], mids[None, :, k]]
-        out = mixed[:, :, :1] * passive[:, None, 0, :]
-        for j in range(1, len(mids)):
-            out = out + mixed[:, :, j : j + 1] * passive[:, None, j, :]
+    start = 0
+    for t in sectors:
+        block = passive[t]
+        out = mixed[:, :, start : start + 1] * block[:, None, 0, :]
+        for j in range(1, block.shape[1]):
+            out = out + mixed[:, :, start + j : start + j + 1] * block[:, None, j, :]
         columns.append(out)
+        start += block.shape[1]
     return np.concatenate(columns, axis=2)
 
 
-def _compressions(witness: MultimodeWitness, n: int, V: np.ndarray, mode_points):
+def _compressions(witness: MultimodeWitness, n: int, V, mode_points: np.ndarray):
     """Π_{n-1,N} U W U† Π_{n-1,N} for every unitary of the (B, N, N) stack `V`
-    with its per-mode rows, shape (B, dim, dim)."""
+    with its (B, N, 3) per-mode rows, shape (B, dim, dim): the columns of the
+    witness's `conjugation_plan` only (V may be None when that reads sector 0
+    alone)."""
     if n < 1:
         raise ValueError("rank must be >= 1")
-    support = witness.support_total()
-    columns = _conjugated_columns(V, mode_points, n - 1, support)
-    position = {occ: i for i, occ in enumerate(enumerate_subspace(V.shape[-1], support))}
-    dim = columns.shape[1]
-    out = np.zeros((len(V), dim, dim), dtype=complex)
-    for weight, amplitudes in witness.terms:
-        vec = np.zeros((len(V), dim), dtype=complex)
-        for occ, amp in amplitudes.items():
-            vec = vec + amp * columns[:, :, position[occ]]
+    sectors, steps = witness.conjugation_plan
+    columns = _conjugated_columns(V, mode_points, n - 1, sectors)
+    count, dim = columns.shape[:2]
+    out = np.zeros((count, dim, dim), dtype=complex)
+    for weight, entries in steps:
+        vec = np.zeros((count, dim), dtype=complex)
+        for column, amp in entries:
+            vec = vec + amp * columns[:, :, column]
         out = out + weight * (vec[:, :, None] * vec.conj()[:, None, :])
     if witness.identity_weight:
         diag = np.arange(dim)
@@ -349,7 +416,7 @@ def compress_conjugated_multimode(
     witness: MultimodeWitness, params: MultimodeGaussianParams, n: int
 ) -> np.ndarray:
     """Π_{n-1,N} U W U† Π_{n-1,N} on the graded multi-index basis."""
-    return _compressions(witness, n, params.interferometer[None], params.mode_points())[0]
+    return _compressions(witness, n, params.interferometer[None], params.mode_points()[None])[0]
 
 
 def multimode_gaussian_block(
@@ -360,7 +427,8 @@ def multimode_gaussian_block(
     modes = params.modes
     max_total = modes * cutoff
     V = params.interferometer[None]
-    columns = _conjugated_columns(V, params.mode_points(), n_rows, max_total)[0]
+    sectors = tuple(range(max_total + 1))
+    columns = _conjugated_columns(V, params.mode_points()[None], n_rows, sectors)[0]
     position = {occ: i for i, occ in enumerate(enumerate_subspace(modes, max_total))}
     return columns[:, [position[c] for c in itertools.product(range(cutoff + 1), repeat=modes)]]
 
@@ -381,14 +449,19 @@ class MultimodeThresholdResult:
     seed: int = 0
 
 
+@lru_cache(maxsize=None)
+def _generator_slots(modes: int) -> tuple:
+    """(diagonal, upper-triangle rows, upper-triangle columns) of N x N."""
+    return (np.arange(modes), *np.triu_indices(modes, 1))
+
+
 def _generators(points: np.ndarray, modes: int) -> np.ndarray:
     """The Hermitian generators H (V = exp(iH)) of a (B, N^2 + 3N) stack of
     search vectors, which hold H's diagonal, then (Re, Im) of its upper
     triangle row by row, then squeezings, then displacement components."""
     H = np.zeros((len(points), modes, modes), dtype=complex)
-    diag = np.arange(modes)
+    diag, j, k = _generator_slots(modes)
     H.real[:, diag, diag] = points[:, :modes]
-    j, k = np.triu_indices(modes, 1)
     pairs = points[:, modes : modes * modes]
     H.real[:, j, k] = H.real[:, k, j] = pairs[:, 0::2]
     H.imag[:, j, k] = pairs[:, 1::2]
@@ -397,10 +470,10 @@ def _generators(points: np.ndarray, modes: int) -> np.ndarray:
 
 
 def _search_mode_points(points: np.ndarray, modes: int) -> np.ndarray:
-    """Per-mode rows (r, Re alpha, Im alpha) of a stack of search vectors,
-    row-major over points."""
-    rs = points[:, modes * modes : modes * modes + modes].reshape(-1, 1)
-    return np.hstack([rs, points[:, modes * modes + modes :].reshape(-1, 2)])
+    """Per-mode rows (r, Re alpha, Im alpha) of a (B, N^2 + 3N) stack of
+    search vectors, shape (B, N, 3)."""
+    rs = points[:, modes * modes : modes * modes + modes, None]
+    return np.concatenate([rs, points[:, modes * modes + modes :].reshape(-1, modes, 2)], axis=2)
 
 
 def _unpack_vector(vec: np.ndarray, modes: int) -> MultimodeGaussianParams:
@@ -408,7 +481,7 @@ def _unpack_vector(vec: np.ndarray, modes: int) -> MultimodeGaussianParams:
     its row in :func:`multimode_objectives`."""
     point = np.asarray(vec, dtype=float)[None]
     H = _generators(point, modes)
-    r, re, im = _search_mode_points(point, modes).T
+    r, re, im = _search_mode_points(point, modes)[0].T
     return MultimodeGaussianParams(
         _interferometers(H)[0], tuple(r), tuple(map(complex, re, im)), generator=1j * H[0]
     )
@@ -445,9 +518,16 @@ def multimode_objectives(witness: MultimodeWitness, n: int, points, modes: int) 
     """:func:`multimode_objective` at every search vector (row) of `points`:
     one stacked ``eigh`` for the interferometers, one ladder recurrence for
     the mode columns, gathers for the sector blocks and one stacked eigen
-    step."""
+    step.  A witness that reads sector 0 alone, where V̂ is 1, gets no
+    interferometers; a non-finite generator entry is rejected all the same.
+    """
     points = np.asarray(points, dtype=float).reshape(-1, modes * modes + 3 * modes)
-    V = _interferometers(_generators(points, modes))
+    if witness.conjugation_plan[0][-1]:
+        V = _interferometers(_generators(points, modes))
+    elif np.isfinite(points[:, : modes * modes]).all():
+        V = None
+    else:
+        raise ValueError("interferometer unitarity defect nan above 1e-10")
     return _top_eigenvalues(_compressions(witness, n, V, _search_mode_points(points, modes)))
 
 

@@ -98,25 +98,32 @@ def states_suite(seed: int = 703, trials: int = 50) -> dict:
 def brute_force_hull(points) -> set:
     """Hull vertex indices by checking every candidate edge against all points.
 
-    (i, j), i != j, is an edge when every other point k has (bx - ax)(ky -
-    ay) - (by - ay)(kx - ax) >= 0, for a = point i and b = point j; all n^3
-    cross products are one array evaluation, with the float64 operations of
-    the one-at-a-time loop.  Points on an edge count as vertices, and so do
-    both copies of a repeated point (their degenerate edge passes).
+    (i, j), i != j, is an edge when every point k is on its left, (bx - ax)(ky
+    - ay) - (by - ay)(kx - ax) > 0 for a = point i and b = point j, or on the
+    segment from a to b, 0 <= (k - a)·(b - a) <= |b - a|^2 where the cross
+    product is 0.  All n^3 cross products are one array evaluation, and the
+    dot products are taken for the pairs that pass it.  So it follows
+    :func:`~stellarwitness.boundary.gift_wrap`'s conventions for exact
+    duplicates (only the first copy can be a vertex) and for exactly
+    collinear points (only the extremes of a run are), not its 1e-12
+    tolerances.
     """
-    xy = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = len(xy)
-    if n == 1:
+    xy = np.ascontiguousarray(points, dtype=float).reshape(-1, 2)
+    if not len(xy):
+        return set()
+    z = xy.view(complex)[:, 0]
+    first = (z[:, None] == z).argmax(axis=0) == np.arange(len(z))  # no earlier copy
+    if np.count_nonzero(first) == 1:
         return {0}
     rel = xy[None, :, :] - xy[:, None, :]  # rel[i, k] = point k - point i
     cross = rel[:, :, None, 0] * rel[:, None, :, 1] - rel[:, :, None, 1] * rel[:, None, :, 0]
-    ends = np.arange(n)
-    left = cross >= 0  # left[i, j, k]
-    left[ends, :, ends] = True  # k = i
-    left[:, ends, ends] = True  # k = j
-    edge = left.all(axis=2)
-    edge[ends, ends] = False
-    return {int(v) for v in np.flatnonzero(edge.any(axis=1) | edge.any(axis=0))}
+    left = (cross >= 0).all(axis=2) & first[:, None] & first[None, :]
+    np.fill_diagonal(left, False)
+    i, j = np.nonzero(left)
+    along = (rel[i] * rel[i, j][:, None, :]).sum(axis=2)  # (k - a)·(b - a)
+    on_segment = (along >= 0) & (along <= along[np.arange(len(i)), j][:, None])
+    edge = ((cross[i, j] > 0) | on_segment).all(axis=1)
+    return {int(v) for v in np.concatenate([i[edge], j[edge]])}
 
 
 def hull_suite(seed: int = 703, sets: int = 30) -> dict:

@@ -94,47 +94,60 @@ class TestGiftWrap:
 
 
 class TestBruteForceHull:
-    """The reference hull of the `hull` suite: every ordered pair (i, j) with
-    all other points on its left or on its line is an edge."""
+    """The reference hull of the `hull` suite: every ordered pair (i, j) of
+    first copies with all other points on its left or on its segment is an
+    edge, which is `gift_wrap`'s convention for exact duplicates and exactly
+    collinear points."""
 
-    def test_collinear_edge_point_kept_interior_dropped(self):
+    def test_edge_midpoint_and_interior_dropped(self):
         pts = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 1), (1, 0)]
-        assert brute_force_hull(pts) == {0, 1, 2, 3, 5}
+        assert brute_force_hull(pts) == {0, 1, 2, 3} == set(gift_wrap(pts))
 
-    def test_all_collinear_points_are_vertices(self):
-        assert brute_force_hull([(0, 0), (1, 1), (2, 2), (3, 3)]) == {0, 1, 2, 3}
+    def test_collinear_points_keep_their_extremes(self):
+        pts = [(0, 0), (1, 1), (2, 2), (3, 3)]
+        assert brute_force_hull(pts) == {0, 3} == set(gift_wrap(pts))
 
-    def test_duplicated_corner_keeps_both_copies(self):
+    def test_duplicated_corner_keeps_its_first_copy(self):
         pts = [(0, 0), (2, 0), (0, 2), (0, 0), (0.5, 0.5)]
-        assert brute_force_hull(pts) == {0, 1, 2, 3}
+        assert brute_force_hull(pts) == {0, 1, 2} == set(gift_wrap(pts))
 
-    def test_duplicated_interior_point_counts(self):
-        # the edge between two copies of one point is degenerate: every
-        # cross product along it is 0, so both copies pass
-        pts = [(0, 0), (2, 0), (0, 2), (0.5, 0.5), (0.5, 0.5)]
-        assert brute_force_hull(pts) == {0, 1, 2, 3, 4}
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [(0, 0), (2, 0), (0, 2), (0.5, 0.5), (0.5, 0.5)],  # a repeated interior point
+            [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0)],  # the midpoint of a square's edge
+        ],
+        ids=["repeated-interior", "edge-midpoint"],
+    )
+    def test_agrees_with_gift_wrap_on_degenerate_input(self, pts):
+        assert brute_force_hull(pts) == set(gift_wrap(pts))
 
     def test_one_and_no_points(self):
         assert brute_force_hull([(0.3, 0.4)]) == {0}
+        assert brute_force_hull([(0.3, 0.4)] * 3) == {0}
         assert brute_force_hull([]) == set()
 
     @staticmethod
     def loop_hull(points):
-        """The one-cross-product-at-a-time reference."""
+        """The one-pair-at-a-time reference."""
         vertices = set()
         for i, (ax, ay) in enumerate(points):
             for j, (bx, by) in enumerate(points):
-                if i != j and all(
-                    (bx - ax) * (ky - ay) - (by - ay) * (kx - ax) >= 0
-                    for k, (kx, ky) in enumerate(points)
-                    if k not in (i, j)
-                ):
+                if i == j or (ax, ay) in points[:i] or (bx, by) in points[:j]:
+                    continue
+                ok = True
+                for kx, ky in points:
+                    cross = (bx - ax) * (ky - ay) - (by - ay) * (kx - ax)
+                    along = (bx - ax) * (kx - ax) + (by - ay) * (ky - ay)
+                    length = (bx - ax) * (bx - ax) + (by - ay) * (by - ay)
+                    ok = ok and (cross > 0 or (cross == 0 and 0 <= along <= length))
+                if ok:
                     vertices.update((i, j))
         return vertices
 
     def test_matches_loop_reference(self):
         # the same float64 operations, so the same vertex sets exactly; grid
-        # points bring duplicates and collinear runs
+        # points bring duplicates and collinear runs, where gift_wrap agrees too
         rng = np.random.default_rng(4242)
         for trial in range(60):
             count = int(rng.integers(2, 30))
@@ -142,7 +155,7 @@ class TestBruteForceHull:
                 pts = [tuple(rng.integers(0, 4, 2) / 3.0) for _ in range(count)]
             else:
                 pts = [tuple(rng.normal(size=2)) for _ in range(count)]
-            assert brute_force_hull(pts) == self.loop_hull(pts), pts
+            assert brute_force_hull(pts) == self.loop_hull(pts) == set(gift_wrap(pts)), pts
 
 
 @pytest.fixture(scope="module")

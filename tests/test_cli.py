@@ -103,6 +103,44 @@ class TestThresholdCommand:
         code = main(["threshold", path, "--rank", "1", "--starts", "2", "--max-iterations", "3"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda state: state["amplitudes"].append(
+                {"occupations": [0, 1], "value": [2.0, 0.0]}), "occupations"),
+            (lambda state: state.update(modes=3), "modes"),
+        ],
+        ids=["repeated-occupations", "state-modes"],
+    )
+    def test_lossy_multimode_witness_exit_one(self, tmp_path, capsys, edit, field):
+        # a repeated occupation kept only its last amplitude; a state of other
+        # modes than its witness was read as the witness's
+        obj = two_mode_witness([0, 1])
+        edit(obj["terms"][0]["state"])
+        path = write_json(tmp_path / "mm.json", obj)
+        out = tmp_path / "mm_result.json"
+        code = main(["threshold", path, "--rank", "1", *FAST_FLAGS, "--out", str(out)])
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("state", [None, []], ids=["no-terms", "no-amplitudes"])
+    def test_empty_multimode_witness_threshold_zero(self, tmp_path, state):
+        obj = two_mode_witness([0, 0])
+        if state is None:
+            obj["terms"] = []
+        else:
+            obj["terms"][0]["state"]["amplitudes"] = state
+        path = write_json(tmp_path / "mm.json", obj)
+        outputs = []
+        for name in ("first.json", "again.json"):
+            out = tmp_path / name
+            code = main(["threshold", path, "--rank", "2", *FAST_FLAGS, "--out", str(out), "--recheck"])
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["value"] == 0.0
+
     @pytest.mark.parametrize("box", [{"alpha_max": -2.0}, {"r_max": -0.5}])
     def test_negative_box_exit_one(self, tmp_path, capsys, box):
         witness = write_json(

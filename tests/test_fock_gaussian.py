@@ -220,6 +220,27 @@ class TestBlockColumns:
         full = block_columns_batch(points, 4, [0, 3])
         assert block_columns_batch(points[:, :3], 4, [0, 3]).tobytes() == full.tobytes()
 
+    @pytest.mark.parametrize("rows, cols", [(1, [0]), (3, [0, 1, 2]), (6, [0, 2, 3, 7])])
+    def test_no_theta_is_zero_theta(self, rows, cols):
+        # bytes, not values: the unit phases are not exponentiated, and signed
+        # zeros must come out as through the exponentials
+        points, theta = self.points(300, np.random.default_rng(9))
+        corners = [(0.0, 0.0, 0.0), (0.0, -0.0, 0.0), (0.0, 0.0, -0.0), (0.0, -0.0, -0.0),
+                   (0.0, 1e-320, -1e-320), (0.4, -0.0, 1e-320), (1e-12, -1e-320, -0.0),
+                   # entries that underflow when unscaled, with both parts negative
+                   (0.0, 27.0, -27.0), (0.0, 30.0, 27.0), (0.1, -27.2, -27.2), (0.5, 26.0, -26.0)]
+        points = np.vstack([corners, points[:, :3]])
+        with_vartheta = np.column_stack([points, np.zeros(len(points))])
+        plain = block_columns_batch(points, rows, cols)
+        zero_theta = block_columns_batch(points, rows, cols, np.zeros(len(points)))
+        zero_vartheta = block_columns_batch(with_vartheta, rows, cols)
+        assert plain.tobytes() == zero_theta.tobytes() == zero_vartheta.tobytes()
+        theta = np.concatenate([np.full(len(corners), 0.4), theta])
+        turned = block_columns_batch(points, rows, cols, theta)
+        assert turned.tobytes() == block_columns_batch(with_vartheta, rows, cols, theta).tobytes()
+        identity = block_columns_batch([(0.0, 0.0, 0.0)], rows, range(rows))[0]
+        assert np.array_equal(identity, np.eye(rows))
+
     def test_empty_columns_and_rows(self):
         points, _ = self.points(3, np.random.default_rng(8))
         assert block_columns_batch(points, 4, []).shape == (3, 4, 0)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from stellarwitness import multimode
 from stellarwitness.errors import OptimizerError
-from stellarwitness.fock_gaussian import GaussianUnitaryParams, gaussian_block
+from stellarwitness.fock_gaussian import GaussianUnitaryParams, block_columns_batch, gaussian_block
 from stellarwitness.multimode import (
     MultimodeGaussianParams,
     MultimodeWitness,
@@ -23,8 +24,18 @@ from stellarwitness.multimode import (
     multimode_threshold,
     sector_indices,
 )
-from stellarwitness.multimode import _multimode_box, _unpack_vector
-from stellarwitness.threshold import OptimizerConfig, compute_threshold
+from stellarwitness.multimode import (
+    _compressions,
+    _conjugated_columns,
+    _generators,
+    _interferometers,
+    _multimode_box,
+    _search_mode_points,
+    _sector_matrices,
+    _sector_table,
+    _unpack_vector,
+)
+from stellarwitness.threshold import OptimizerConfig, _top_eigenvalues, compute_threshold
 from stellarwitness.witness import fock_diagonal_witness, fock_pair_witness
 
 FAST = OptimizerConfig(starts=16, max_iterations=400, seed=23)
@@ -372,10 +383,203 @@ class TestKernel:
             assert np.max(np.abs(params.interferometer - expected)) < 1e-12
 
     def test_nan_row_rejected(self):
+        # the vacuum projector builds no interferometer, and is rejected all the same
+        for witness in (MIXED[2], multimode_fock_projector((0, 0)), MultimodeWitness(2, ())):
+            for bad in (math.nan, math.inf):
+                points = np.zeros((3, 10))
+                points[1, 2] = bad
+                with pytest.raises(ValueError, match="unitarity"):
+                    multimode_objectives(witness, 1, points, 2)
+
+    @pytest.mark.parametrize(
+        "witness", [MIXED[2], multimode_fock_projector((0, 0)), MultimodeWitness(2, ())],
+        ids=["mixed", "vacuum", "empty"],
+    )
+    def test_non_finite_mode_row_rejected(self, witness):
         points = np.zeros((3, 10))
-        points[1, 2] = math.nan
-        with pytest.raises(ValueError, match="unitarity"):
-            multimode_objectives(MIXED[2], 1, points, 2)
+        points[2, 7] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            multimode_objectives(witness, 1, points, 2)
+
+
+def all_sector_columns(V, mode_points, row_total, max_total):
+    """The all-sector conjugated columns, every sector 0..max_total mixed with
+    the mode columns: the reference whose every column a witness's plan reads
+    must come out with the same bits."""
+    count, modes = mode_points.shape[:2]
+    blocks = block_columns_batch(mode_points.reshape(-1, 3), row_total + 1, range(max_total + 1))
+    blocks = blocks.reshape(count, modes, row_total + 1, max_total + 1)
+    rows = np.concatenate([_sector_table(modes, t)[0] for t in range(row_total + 1)])
+    columns = []
+    for t, passive in enumerate(_sector_matrices(V, count, max_total)):
+        mids = _sector_table(modes, t)[0]
+        mixed = blocks[:, 0][:, rows[:, 0, None], mids[None, :, 0]]
+        for k in range(1, modes):
+            mixed = mixed * blocks[:, k][:, rows[:, k, None], mids[None, :, k]]
+        out = mixed[:, :, :1] * passive[:, None, 0, :]
+        for j in range(1, len(mids)):
+            out = out + mixed[:, :, j : j + 1] * passive[:, None, j, :]
+        columns.append(out)
+    return np.concatenate(columns, axis=2)
+
+
+def reference_compressions(witness, n, V, mode_points):
+    """Π U W U† Π assembled from :func:`all_sector_columns`."""
+    support = max((sum(occ) for _, amps in witness.terms for occ in amps), default=0)
+    columns = all_sector_columns(V, mode_points, n - 1, support)
+    position = {occ: i for i, occ in enumerate(enumerate_subspace(witness.modes, support))}
+    count, dim = columns.shape[:2]
+    out = np.zeros((count, dim, dim), dtype=complex)
+    for weight, amplitudes in witness.terms:
+        vec = np.zeros((count, dim), dtype=complex)
+        for occ, amp in amplitudes.items():
+            vec = vec + amp * columns[:, :, position[occ]]
+        out = out + weight * (vec[:, :, None] * vec.conj()[:, None, :])
+    if witness.identity_weight:
+        diag = np.arange(dim)
+        out[:, diag, diag] += witness.identity_weight
+    return out
+
+
+# A term that mixes sectors 0 and 2 and skips sector 1, with an identity weight.
+SKIPPING = MultimodeWitness(2, ((1.0, {(1, 1): 1.0 + 0j, (0, 0): 0.5 + 0j}),), identity_weight=0.25)
+
+PLAN_WITNESSES = {
+    "one-mode": MultimodeWitness(
+        1, ((0.6, {(0,): 1.0 + 0j}), (-0.8, {(2,): 0.5 + 0j, (1,): 0.3j})), identity_weight=0.1
+    ),
+    "skipping": SKIPPING,
+    "mixed-2": MIXED[2],
+    "vacuum": multimode_fock_projector((0, 0)),
+    "pair": multimode_fock_projector((1, 1)),
+    "mixed-3": MIXED[3],
+    "three": multimode_fock_projector((1, 0, 1)),
+}
+
+
+def plan_points(modes, seed=4):
+    """Box points, the origin and signed-zero and subnormal corners."""
+    lo, hi = _multimode_box(OptimizerConfig(), modes)
+    points = lo + np.random.default_rng(seed).random((12, lo.size)) * (hi - lo)
+    corners = np.zeros((3, lo.size))
+    corners[1] = -0.0
+    corners[2] = np.where(np.arange(lo.size) % 2, -0.0, 1e-320)
+    return np.vstack([points, corners])
+
+
+class TestPlan:
+    """Each witness's `conjugation_plan` names the sectors and columns its
+    compression reads; the search computes those alone."""
+
+    def test_plan_of_a_skipping_term(self):
+        sectors, steps = SKIPPING.conjugation_plan
+        assert sectors == (0, 2)
+        # sector 0 holds (0, 0); sector 2 holds (2, 0), (1, 1), (0, 2)
+        assert steps == ((1.0, ((2, 1.0 + 0j), (0, 0.5 + 0j))),)
+        assert SKIPPING.support_total() == 2
+
+    @pytest.mark.parametrize("witness", [MultimodeWitness(2, ()), MultimodeWitness(2, ((0.5, {}),))])
+    def test_plan_of_an_empty_witness(self, witness):
+        assert witness.conjugation_plan[0] == (0,)
+        assert witness.support_total() == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(PLAN_WITNESSES))
+    def test_plan_columns_bit_equal_to_all_sectors(self, name, n):
+        witness = PLAN_WITNESSES[name]
+        modes = witness.modes
+        points = plan_points(modes)
+        V = _interferometers(_generators(points, modes))
+        mode_points = _search_mode_points(points, modes)
+        sectors, steps = witness.conjugation_plan
+        reference = all_sector_columns(V, mode_points, n - 1, sectors[-1])
+        position = {occ: i for i, occ in enumerate(enumerate_subspace(modes, sectors[-1]))}
+        got = _conjugated_columns(V, mode_points, n - 1, sectors)
+        for (_, amplitudes), (_, entries) in zip(witness.terms, steps):
+            for occ, (column, _) in zip(amplitudes, entries):
+                assert got[:, :, column].tobytes() == reference[:, :, position[occ]].tobytes()
+        expected = reference_compressions(witness, n, V, mode_points)
+        assert _compressions(witness, n, V, mode_points).tobytes() == expected.tobytes()
+        values = multimode_objectives(witness, n, points, modes)
+        assert values.tobytes() == _top_eigenvalues(expected).tobytes()
+
+    def test_sector_zero_needs_no_interferometer(self):
+        points = plan_points(2)
+        mode_points = _search_mode_points(points, 2)
+        V = _interferometers(_generators(points, 2))
+        alone = _conjugated_columns(None, mode_points, 2, (0,))
+        assert alone.tobytes() == all_sector_columns(V, mode_points, 2, 0).tobytes()
+
+    @pytest.mark.parametrize(
+        "witness", [MultimodeWitness(2, ()), MultimodeWitness(2, ((-0.5, {}),), identity_weight=0.25)],
+        ids=["no-terms", "no-amplitudes"],
+    )
+    def test_empty_witness_threshold(self, witness):
+        points = plan_points(2)
+        V = _interferometers(_generators(points, 2))
+        mode_points = _search_mode_points(points, 2)
+        for n in (1, 2):
+            expected = reference_compressions(witness, n, V, mode_points)
+            assert _compressions(witness, n, V, mode_points).tobytes() == expected.tobytes()
+        result = multimode_threshold(witness, 2, 2, FAST)
+        assert result.value == witness.identity_weight
+
+    def test_vacuum_builds_one_interferometer(self, monkeypatch):
+        calls = []
+
+        def spy(H):
+            calls.append(H)
+            return build(H)
+
+        build = multimode._interferometers
+        monkeypatch.setattr(multimode, "_interferometers", spy)
+        result = multimode_threshold(multimode_fock_projector((0, 0)), 2, 1, FAST)
+        assert len(calls) == 1 and calls[0].shape == (1, 2, 2)  # the winner's
+        assert np.array_equal(1j * calls[0][0], result.params.generator)
+        calls.clear()
+        multimode_threshold(multimode_fock_projector((0, 1)), 2, 1, FAST)
+        assert len(calls) > 1  # one per round, then the winner's
+
+    def test_plan_derived_once_per_threshold(self, monkeypatch):
+        calls = []
+
+        def counted(modes, terms):
+            calls.append(terms)
+            return plan(modes, terms)
+
+        plan = multimode._conjugation_plan
+        monkeypatch.setattr(multimode, "_conjugation_plan", counted)
+        witness = MIXED[2]
+        fresh = MultimodeWitness(witness.modes, witness.terms, witness.identity_weight)
+        multimode_threshold(fresh, 2, 2, OptimizerConfig(starts=4, max_iterations=200, seed=5))
+        assert calls == [fresh.terms]
+
+
+class TestBenchmarkCalls:
+    """The calls of the benchmark's multimode unit, under its config: results
+    do not depend on `threads`, which the benchmark passes as 1."""
+
+    def test_threads_is_a_no_op(self):
+        config = OptimizerConfig(starts=16, max_iterations=400, seed=23)
+        single = compute_threshold(fock_diagonal_witness([0.0, 1.0]), 1, config)
+        embedded = np.zeros(10)
+        embedded[5] = single.params.r
+        embedded[8] = single.params.alpha.real
+        embedded[9] = single.params.alpha.imag
+        cases = [
+            ((0, 0), 1, config),
+            ((0, 1), 1, replace(config, initial_points=(tuple(embedded),))),
+            ((1, 1), 2, config),
+        ]
+        for occupations, n, cfg in cases:
+            projector = multimode_fock_projector(occupations)
+            pinned = multimode_threshold(projector, 2, n, cfg, threads=1)
+            free = multimode_threshold(projector, 2, n, cfg, threads=None)
+            assert multimode_result_to_json(projector, pinned) == multimode_result_to_json(
+                projector, free
+            )
+            assert np.float64(pinned.value).tobytes() == np.float64(free.value).tobytes()
+            assert pinned.params.interferometer.tobytes() == free.params.interferometer.tobytes()
 
 
 class TestThreshold:
@@ -469,6 +673,21 @@ class TestFiles:
         assert again.modes == 2
         assert again.identity_weight == 0.25
         assert again.terms[0][1][(1, 0)] == 0.5j
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda state: state["amplitudes"].append(
+                {"occupations": [0, 1], "value": [2.0, 0.0]}), "occupations"),
+            (lambda state: state.update(modes=3), "modes"),
+        ],
+        ids=["repeated-occupations", "state-modes"],
+    )
+    def test_lossy_witness_file_rejected(self, edit, field):
+        obj = multimode_fock_projector((0, 1)).to_json()
+        edit(obj["terms"][0]["state"])
+        with pytest.raises(ValueError, match=field):
+            MultimodeWitness.from_json(obj)
 
     def test_result_payload(self):
         result = multimode_threshold(multimode_fock_projector((0, 0)), 2, 1, FAST)
