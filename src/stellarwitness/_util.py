@@ -83,13 +83,20 @@ def require_integer(value, name: str, least: int) -> int:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file and rename, so failures never leave partial output."""
+    """Write via a temp file and rename, so failures never leave partial output.
+
+    The file gets the mode a plain `open` would give it, 0o666 less the
+    umask, not mkstemp's 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        umask = os.umask(0)  # read by setting it: there is no other portable way
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -19,7 +19,10 @@ Two independent evaluation paths are provided:
   squeezing alone, grown until the chains' tail mass passes; displacement
   runs on the returned rows, D(-alpha)|k>, in the truncation they widen to,
   with their edge mass checked, and each element is the inner product of a
-  displaced row with a squeezed chain.
+  displaced row with a squeezed chain.  The expansions take their Bessel
+  coefficients from Miller's recurrence (:func:`_bessel_j`), so the column
+  oracle loads no scipy, and each order touches only the rows it has
+  reached.
 
 Every analytic code path is pinned against the oracle in the test suite; the
 branch convention is principal square roots with ``r >= 0`` (squeezing along
@@ -114,7 +117,8 @@ def block_in_range(params: GaussianUnitaryParams) -> bool:
     in range: below |<0|U|0>| = 2**-(_SCALE_FLOOR + 1074) every entry comes
     out zero."""
     alpha = complex(params.alpha)
-    log_size = _vacuum_terms(np.array([params.r]), alpha.real, alpha.imag)[3][0]
+    with np.errstate(over="ignore"):  # an overflow makes log_size -inf: out of range
+        log_size = _vacuum_terms(np.array([params.r]), alpha.real, alpha.imag)[3][0]
     return bool(log_size >= -(_SCALE_FLOOR + 1074) * math.log(2.0))
 
 
@@ -387,34 +391,78 @@ def oracle_dimension(params: GaussianUnitaryParams, col_max: int) -> int:
     return _displacement_dimension(_squeeze_dimension(params.r, col_max), params.alpha)
 
 
+def _bessel_j(rho: float, count: int) -> np.ndarray:
+    """J_k(rho), k < count, for rho > 0, by Miller's backward recurrence
+    (DLMF §3.6).
+
+    J_(k-1) = (2k / rho) J_k - J_(k+1) is run downward from a unit value a
+    few sqrt(count) orders above `count`: run downward, J_k is the solution
+    that grows fastest, so the start's error has died out long before
+    `count`.  The sequence is then normalized by J_0 + 2 sum_k J_2k = 1.  A step multiplies by at most 2 top / rho, so a
+    value below `big` stays finite through it; whenever a value passes
+    `big`, the values so far are rescaled to bring it to 1, and those far
+    above may underflow to 0, as J_k does.  Below rho = 1e-200, J_0 = 1 -
+    rho^2 / 4 and J_1 = rho / 2 in double precision, and J_k, k > 1,
+    underflows.
+    """
+    if rho < 1e-200:
+        values = np.zeros(count)
+        values[:2] = (1.0, rho / 2.0)[:count]
+        return values
+    top = count + 4 * math.isqrt(count) + 16
+    big = min(1e250, 1e300 * rho / (2.0 * top))
+    values = [0.0] * (top + 1)
+    above, current = 0.0, 1.0
+    for k in range(top, 0, -1):
+        values[k] = current
+        above, current = current, 2.0 * k / rho * current - above
+        if abs(current) > big:
+            scale = 1.0 / abs(current)
+            values[k:] = [value * scale for value in values[k:]]
+            above, current = above * scale, current * scale
+    values[0] = current
+    return np.array(values[:count]) / (current + 2.0 * math.fsum(values[2::2]))
+
+
 def _chebyshev(advance, rho: float, block: np.ndarray) -> np.ndarray:
     """exp(rho X) @ block for an anti-Hermitian X with spectral radius <= 1,
-    where advance(cur, prev) returns 2 X cur + prev and may overwrite prev.
+    where advance(cur, prev) overwrites prev with 2 X cur + prev and returns
+    prev, or its leading rows if the rest of it is known to be zero.
 
     exp(-i rho x) = sum_k (2 - [k=0]) (-i)^k J_k(rho) T_k(x) at the Hermitian
     x = iX; the vectors P_k = (-i)^k T_k(iX) block obey P_(k+1) = 2 X P_k +
     P_(k-1), so the coefficients are real and a real X keeps a real block
-    real.  The Bessel coefficients fall below 1e-19 once k exceeds rho by
-    16 (rho/2)^(1/3), so that many orders (plus 20) are summed, one product
-    each, with no step-size or norm search per step.  `block` is consumed:
-    it is the first of the three vectors the recurrence overwrites.
-    """
-    # imported here: scipy.special adds ~50 ms to every start-up, and only
-    # the oracle needs it.
-    from scipy.special import jv
+    real.  They come from :func:`_bessel_j` and fall below 1e-19 once k
+    exceeds rho by 16 (rho/2)^(1/3), so that many orders (plus 20) are
+    summed, one product each, with no step-size or norm search per step.
+    `block` is consumed: it is the first of the three vectors the recurrence
+    overwrites.
 
+    Each order adds only the rows `advance` returned, which gives the bits
+    of adding all rows: a zero row leaves the sum as it is, with one
+    exception.  After coefficients that all carry a sign bit, the rows no
+    order has reached hold -0, which adding 0 times a coefficient without a
+    sign bit turns into +0; so until the first such coefficient, every row
+    is added.
+    """
     if rho == 0.0:
         return block
-    orders = np.arange(int(rho + 16.0 * (rho / 2.0) ** (1.0 / 3.0)) + 20)
-    coeffs = 2.0 * jv(orders, rho)
+    coeffs = 2.0 * _bessel_j(rho, int(rho + 16.0 * (rho / 2.0) ** (1.0 / 3.0)) + 20)
     coeffs[0] /= 2.0
-    prev, cur = block, advance(block, np.zeros_like(block))
-    cur *= 0.5
+    prev, cur = block, np.zeros_like(block)
+    reached = advance(prev, cur)
+    reached *= 0.5
     out = coeffs[1] * cur
     out += coeffs[0] * prev
+    signed = np.signbit(coeffs[0]) and np.signbit(coeffs[1])
     for c in coeffs[2:]:
-        prev, cur = cur, advance(cur, prev)
-        out += c * cur
+        reached = advance(cur, prev)
+        prev, cur = cur, prev
+        if signed:
+            out += c * cur
+            signed = np.signbit(c)
+        else:
+            out[: len(reached)] += c * reached
     return out
 
 
@@ -426,7 +474,8 @@ def _squeeze_chains(r: float, cols, dim: int) -> np.ndarray:
     ±c_k = ±r/2 sqrt((k+1)(k+2)), so every column stays on its parity chain
     and stays real.  All columns are packed in one (ceil(dim/2), len(cols))
     array, with per-column couplings (zero past the truncation) and a
-    two-slice banded product.
+    two-slice banded product over the rows order k can reach: chain indices
+    up to max(cols) // 2 + k.
     """
     cols = np.asarray(cols, dtype=int)
     length = (dim + 1) // 2
@@ -435,12 +484,16 @@ def _squeeze_chains(r: float, cols, dim: int) -> np.ndarray:
     rows = coupling.copy()
     rows[1:] += coupling[:-1]
     rho = float(rows.max(initial=0.0))
-    twice = coupling * (2.0 / rho if rho else 0.0)
+    twice = 2.0 * coupling / rho if rho else coupling  # not 2 / rho: at subnormal r it overflows
+
+    reach = int(cols.max()) // 2 + 1  # rows of the latest order that can be nonzero
 
     def advance(cur, prev):  # (G x)_j = c_(j-1) x_(j-1) - c_j x_(j+1), G/rho
-        prev[1:] += twice * cur[:-1]
-        prev[:-1] -= twice * cur[1:]
-        return prev
+        nonlocal reach
+        reach = n = min(reach + 1, length)
+        prev[1:n] += twice[: n - 1] * cur[: n - 1]
+        prev[: n - 1] -= twice[: n - 1] * cur[1:n]
+        return prev[:n]
 
     chains = np.zeros((length, len(cols)))
     chains[cols // 2, np.arange(len(cols))] = 1.0
@@ -452,18 +505,22 @@ def _displaced_basis(alpha: complex, count: int, dim: int) -> np.ndarray:
     j < dim, as the columns of a (dim, count) array.
 
     The generator couples j only to j ± 1, (G x)_j = alpha sqrt(j) x_(j-1) -
-    conj(alpha) sqrt(j+1) x_(j+1): a two-slice banded product, with rho =
-    |alpha| (sqrt(dim - 2) + sqrt(dim - 1)) its largest Gershgorin row sum.
+    conj(alpha) sqrt(j+1) x_(j+1): a two-slice banded product over the rows
+    order k can reach, j < count + k, with rho = |alpha| (sqrt(dim - 2) +
+    sqrt(dim - 1)) its largest Gershgorin row sum.
     """
     roots = np.sqrt(np.arange(1.0, dim))[:, None]
     rho = abs(alpha) * (math.sqrt(dim - 2) + math.sqrt(dim - 1))
-    scale = 2.0 / rho if rho else 0.0
-    up, down = roots * (scale * alpha), roots * (-scale * np.conjugate(alpha))
+    unit = 2.0 * alpha / rho if rho else 0.0  # not 2 / rho, which overflows at subnormal alpha
+    up, down = roots * unit, roots * -np.conjugate(unit)
+    reach = count  # rows of the latest order that can be nonzero
 
     def advance(cur, prev):
-        prev[1:] += up * cur[:-1]
-        prev[:-1] += down * cur[1:]
-        return prev
+        nonlocal reach
+        reach = n = min(reach + 1, dim)
+        prev[1:n] += up[: n - 1] * cur[: n - 1]
+        prev[: n - 1] += down[: n - 1] * cur[1:n]
+        return prev[:n]
 
     basis = np.zeros((dim, count), dtype=complex)
     basis[np.arange(count), np.arange(count)] = 1.0
@@ -514,7 +571,7 @@ def oracle_columns(
             )
         chains = _squeeze_chains(params.r, cols, size)
         defect = oracle_tail_defect(chains, range(len(cols)))
-        if defect <= ORACLE_DEFECT_TOL:
+        if not defect > ORACLE_DEFECT_TOL:  # a NaN, which growth cannot mend, goes on
             break
         if dim is not None:
             raise TailBoundError(

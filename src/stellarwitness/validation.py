@@ -20,6 +20,13 @@ Q0_TOL = 1e-8
 CLICK_TOL = 1e-9
 
 
+def _worse(value, worst: float) -> bool:
+    """Whether `value` replaces the worst deviation so far: it is larger, or
+    it is the first non-finite one, which no later value replaces (a NaN
+    compares False both ways, so `value > worst` would let it pass)."""
+    return math.isfinite(worst) and not value <= worst
+
+
 def _random_params(rng) -> GaussianUnitaryParams:
     r = rng.uniform(0.0, 2.0)
     alpha = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
@@ -43,7 +50,7 @@ def elements_suite(seed: int = 703, tuples: int = 25, size: int = 8) -> dict:
         oracle = oracle_columns(params, size - 1, range(size))
         dev = np.abs(analytic - oracle)
         k, m = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        if dev[k, m] > worst:
+        if _worse(dev[k, m], worst):
             worst = float(dev[k, m])
             worst_case = {"params": params.to_json(), "k": int(k), "m": int(m)}
     return {
@@ -67,7 +74,7 @@ def states_suite(seed: int = 703, trials: int = 50) -> dict:
         tau = thermal(nbar, cutoff=80)
         overlap = float(np.dot(tau.probabilities()[:dim], p))
         residual = abs(q0_after_loss(p, T) - (1.0 + nbar) * overlap)
-        if residual > worst_q0:
+        if _worse(residual, worst_q0):
             worst_q0 = residual
             worst_q0_case = {"T": float(T), "dim": dim}
     worst_click = 0.0
@@ -82,7 +89,7 @@ def states_suite(seed: int = 703, trials: int = 50) -> dict:
             math.comb(M, m) * click_statistics(p, M, eta, dark, m) for m in range(M + 1)
         )
         residual = abs(total - 1.0)
-        if residual > worst_click:
+        if _worse(residual, worst_click):
             worst_click = residual
             worst_click_case = {"M": M, "eta": float(eta), "dark": float(dark)}
     return {

@@ -449,17 +449,32 @@ class TestValidateCommand:
         report = json.loads(out.read_text())
         assert report["pass"] is True
 
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=["022", "077", "002"]
+    )
+    def test_out_file_mode_follows_umask(self, tmp_path, umask, mode):
+        # the file gets the mode a plain open() would give it, not mkstemp's 0600
+        out = tmp_path / "d" / "x.json"
+        previous = os.umask(umask)
+        try:
+            assert main(["validate", "--suite", "hull", "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert out.stat().st_mode & 0o777 == mode
+        assert [p.name for p in out.parent.iterdir()] == ["x.json"]
+
     def test_states_suite_passes(self, capsys):
         assert main(["validate", "--suite", "states"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["suites"]["states"]["q0_identity_residual"] <= 1e-8
 
     def test_elements_suite_passes(self, capsys):
-        # analytic blocks against the column oracle; the two agree to ~1e-13,
-        # far inside the suite's 1e-8 tolerance
+        # analytic blocks against the column oracle; the two agree to ~1e-15,
+        # far inside the suite's 1e-8 tolerance (8.5e-14 with scipy's jv as
+        # the oracle's Bessel coefficients)
         assert main(["validate", "--suite", "elements", "--seed", "703"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["suites"]["elements"]["max_deviation"] <= 1e-11
+        assert report["suites"]["elements"]["max_deviation"] <= 1e-14
 
 
 class TestGaussianElementsCommand:
@@ -523,6 +538,19 @@ class TestGaussianElementsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "out of range" in captured.err
+
+    def test_overflowing_displacement_prints_only_the_error(self):
+        # |alpha|^2 overflows in the range check: no numpy warning before the message
+        result = subprocess.run(
+            [sys.executable, "-m", "stellarwitness.cli", "gaussian-elements", "--r", "0.1",
+             "--alpha", "1e200", "--rows", "3", "--cols", "3"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: displacement out of range: <0|U|0> underflows, so every entry would be zero\n"
+        )
 
     def test_block_with_norm_above_one_exit_three(self, capsys):
         # the forward recurrence loses this 100 x 100 block (norms up to ~6e5)

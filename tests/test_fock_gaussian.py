@@ -7,6 +7,7 @@ from stellarwitness import fock_gaussian
 from stellarwitness.errors import TailBoundError
 from stellarwitness.fock_gaussian import (
     GaussianUnitaryParams,
+    _bessel_j,
     _chebyshev,
     _displaced_basis,
     _ladder,
@@ -568,6 +569,15 @@ class TestStagedOracle:
         with pytest.raises(TailBoundError):
             oracle_columns(p, 3, range(4), dim=dim)
 
+    @pytest.mark.parametrize("r, alpha", [(1e-310, 0.5), (0.3, 1e-310), (1e-310, 5e-324j)])
+    def test_subnormal_parameters(self, r, alpha):
+        # 2 / rho overflows here: the stages scale their generators by
+        # 2 c / rho instead, and a NaN defect is never grown past
+        p = GaussianUnitaryParams(theta=0.2, vartheta=0.9, r=r, alpha=alpha)
+        with np.errstate(over="raise", invalid="raise"):
+            got = oracle_columns(p, 3, [0, 1, 2])
+        assert np.max(np.abs(got - block_columns(p, 4, [0, 1, 2]))) < 1e-14
+
     def test_squeezing_beyond_reach_raises(self):
         with pytest.raises(TailBoundError, match="needs more than"):
             oracle_columns(GaussianUnitaryParams(r=50.0), 3, [0])
@@ -575,10 +585,10 @@ class TestStagedOracle:
     @pytest.mark.parametrize("alpha", [6.0, 6.0 * complex(math.cos(0.7), math.sin(0.7))])
     def test_strong_squeezing_matches_kernel(self, alpha):
         # r = 2.5 and |alpha| = 6, inside the search box (r_max = 3); r = 3
-        # agrees as well (1e-12) but takes ~20 s a call
+        # agrees as well (2.3e-15) but takes ~17 s a call
         p = GaussianUnitaryParams(theta=0.3, vartheta=1.1, r=2.5, alpha=alpha)
         got = oracle_columns(p, 3, range(11))
-        assert np.max(np.abs(got - block_columns(p, 4, range(11)))) < 1e-10
+        assert np.max(np.abs(got - block_columns(p, 4, range(11)))) < 1e-13
 
     @pytest.mark.parametrize(
         "row_max, cols",
@@ -587,3 +597,158 @@ class TestStagedOracle:
     def test_malformed_indices_rejected(self, row_max, cols):
         with pytest.raises(ValueError, match="must be an integer >= 0"):
             oracle_columns(GaussianUnitaryParams(r=0.3), row_max, cols)
+
+
+def chebyshev_orders(rho):
+    """The number of Bessel coefficients the oracle's Chebyshev series sums."""
+    return int(rho + 16.0 * (rho / 2.0) ** (1.0 / 3.0)) + 20
+
+
+class TestBessel:
+    @pytest.mark.parametrize("rho", [1e-12, 1e-3, 0.3, 5.0, 37.2, 400.0, 2500.0])
+    def test_matches_mpmath(self, rho):
+        mpmath = pytest.importorskip("mpmath")
+        count = chebyshev_orders(rho)
+        got = _bessel_j(rho, count)
+        orders = sorted({0, 1, 2, count - 1, *np.linspace(0, count - 1, 60).astype(int)})
+        with mpmath.workdps(40):
+            expected = [float(mpmath.besselj(k, mpmath.mpf(rho))) for k in orders]
+        assert np.max(np.abs(got[orders] - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("rho", [1e-3, 2.0, 123.4, 2500.0, 1.2e4, 1.1e5])
+    def test_matches_scipy_up_to_the_squeeze_stage_reach(self, rho):
+        # rho = 1.1e5 is the squeeze stage's at ORACLE_MAX_SQUEEZE_DIM states
+        special = pytest.importorskip("scipy.special")
+        count = chebyshev_orders(rho)
+        expected = special.jv(np.arange(count), rho)
+        assert np.max(np.abs(_bessel_j(rho, count) - expected)) <= 1e-12
+
+    def test_finite_and_normalized(self):
+        for rho in (5e-324, 1e-310, *np.logspace(-300, 5, 62), 4.5, 1.1e5):
+            values = _bessel_j(rho, chebyshev_orders(rho))
+            assert np.isfinite(values).all(), rho
+            assert abs(values[0] + 2.0 * values[2::2].sum() - 1.0) <= 1e-14, rho
+
+
+def full_window_chebyshev(advance, rho, block):
+    """The Chebyshev series with every order summed over all rows: the
+    reference for the oracle's reached-rows sums."""
+    if rho == 0.0:
+        return block
+    coeffs = 2.0 * _bessel_j(rho, chebyshev_orders(rho))
+    coeffs[0] /= 2.0
+    prev, cur = block, advance(block, np.zeros_like(block))
+    cur *= 0.5
+    out = coeffs[1] * cur
+    out += coeffs[0] * prev
+    for c in coeffs[2:]:
+        prev, cur = cur, advance(cur, prev)
+        out += c * cur
+    return out
+
+
+def chain_series(r, cols, dim):
+    """(advance, rho, chains) of :func:`_squeeze_chains`, with every order
+    advanced over all rows."""
+    cols = np.asarray(cols, dtype=int)
+    length = (dim + 1) // 2
+    states = cols % 2 + 2 * np.arange(length - 1)[:, None]
+    coupling = np.where(states + 2 < dim, 0.5 * r * np.sqrt((states + 1.0) * (states + 2.0)), 0.0)
+    rows = coupling.copy()
+    rows[1:] += coupling[:-1]
+    rho = float(rows.max(initial=0.0))
+    twice = 2.0 * coupling / rho if rho else coupling
+
+    def advance(cur, prev):
+        prev[1:] += twice * cur[:-1]
+        prev[:-1] -= twice * cur[1:]
+        return prev
+
+    chains = np.zeros((length, len(cols)))
+    chains[cols // 2, np.arange(len(cols))] = 1.0
+    return advance, rho, chains
+
+
+def basis_series(alpha, count, dim):
+    """(advance, rho, basis) of :func:`_displaced_basis`, with every order
+    advanced over all rows."""
+    roots = np.sqrt(np.arange(1.0, dim))[:, None]
+    rho = abs(alpha) * (math.sqrt(dim - 2) + math.sqrt(dim - 1))
+    unit = 2.0 * alpha / rho if rho else 0.0
+    up, down = roots * unit, roots * -np.conjugate(unit)
+
+    def advance(cur, prev):
+        prev[1:] += up * cur[:-1]
+        prev[:-1] += down * cur[1:]
+        return prev
+
+    basis = np.zeros((dim, count), dtype=complex)
+    basis[np.arange(count), np.arange(count)] = 1.0
+    return advance, rho, basis
+
+
+def full_window_chains(r, cols, dim):
+    return full_window_chebyshev(*chain_series(r, cols, dim))
+
+
+def full_window_basis(alpha, count, dim):
+    return full_window_chebyshev(*basis_series(alpha, count, dim))
+
+
+def same_bits(a, b):
+    """Equal values and signed zeros (and NaN payloads), shape and dtype."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def leading_coefficients_signed(rho):
+    """Whether J_0(rho) and J_1(rho) both carry a sign bit: the case where the
+    reached-rows sum must add every row for a while."""
+    if rho == 0.0:
+        return False
+    return bool(np.signbit(_bessel_j(rho, chebyshev_orders(rho))[:2]).all())
+
+
+class TestReachedRows:
+    """Each Chebyshev order of the oracle's stages touches only the rows it
+    has reached; its outputs keep the full-window series' bits, signed
+    zeros included, also where J_0(rho) and J_1(rho) are both negative and
+    the unreached rows hold -0 for a while."""
+
+    @pytest.mark.parametrize(
+        "cols, dim", [([0], 9), ([0, 1, 2, 5, 8, 13], 61), ([3, 4], 80), ([1, 10], 401)]
+    )
+    def test_squeeze_stage_bit_identical_to_full_window(self, cols, dim):
+        signed = 0
+        for r in (0.0, 1e-12, *np.linspace(0.01, 2.5, 40)):
+            expected = full_window_chains(r, cols, dim)
+            assert same_bits(_squeeze_chains(r, cols, dim), expected), f"r={r}"
+            signed += leading_coefficients_signed(chain_series(r, cols, dim)[1])
+        assert signed
+
+    @pytest.mark.parametrize("count, dim", [(1, 2), (6, 45), (4, 120), (10, 300)])
+    def test_displacement_stage_bit_identical_to_full_window(self, count, dim):
+        rng = np.random.default_rng(dim)
+        signed = 0
+        for size in (0.0, 1e-12, *np.linspace(0.05, 4.0, 40)):
+            alpha = size * complex(*rng.normal(size=2))
+            expected = full_window_basis(alpha, count, dim)
+            assert same_bits(_displaced_basis(alpha, count, dim), expected), f"alpha={alpha}"
+            signed += leading_coefficients_signed(basis_series(alpha, count, dim)[1])
+        assert signed
+
+    @pytest.mark.parametrize("case", ["default", "grown", "explicit dim"])
+    def test_oracle_columns_bit_identical_to_full_window(self, monkeypatch, case):
+        p = GaussianUnitaryParams(theta=0.4, vartheta=2.0, r=1.3, alpha=1.5 - 2j)
+        dim = oracle_dimension(p, 7) if case == "explicit dim" else None
+        if case == "grown":  # a short first estimate, grown by 1.5 until the chains pass
+            monkeypatch.setattr(fock_gaussian, "_squeeze_dimension", lambda r, col_max: 12.0)
+        got = oracle_columns(p, 7, range(8), dim)
+        sizes = []
+        monkeypatch.setattr(
+            fock_gaussian,
+            "_squeeze_chains",
+            lambda r, cols, size: sizes.append(size) or full_window_chains(r, cols, size),
+        )
+        monkeypatch.setattr(fock_gaussian, "_displaced_basis", full_window_basis)
+        assert same_bits(got, oracle_columns(p, 7, range(8), dim))
+        assert (sizes[:3] == [12, 18, 27] and len(sizes) > 3) == (case == "grown")

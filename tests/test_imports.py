@@ -52,12 +52,14 @@ def test_multimode_search_uses_no_matrix_exponential():
 
 
 def test_validate_loads_no_sparse_module():
-    """The column oracle's two stages are banded Chebyshev steps: a full
-    `validate` run never loads scipy.sparse."""
+    """The column oracle's two stages are banded Chebyshev steps with Bessel
+    coefficients from an in-package recurrence: a full `validate` run never
+    loads scipy.sparse, nor any other scipy module."""
     code = (
         "import sys\n"
         "from stellarwitness.validation import run_suites\n"
         "report = run_suites('all', 703)\n"
-        "print(report['pass'], 'scipy.sparse' in sys.modules)"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(report['pass'], 'scipy.sparse' in sys.modules, scipy)"
     )
-    assert run_fresh(code) == "True False"
+    assert run_fresh(code) == "True False []"
