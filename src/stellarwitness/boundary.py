@@ -140,9 +140,9 @@ def sweep_family_ranks(
     batch so each inherits the previous rank's optimum.  A direction whose
     search fails is kept as a flagged point.  The swept values are then
     audited and repaired (see `_repair`), which keeps them nondecreasing in
-    rank.  `threads` is accepted for compatibility and ignored: the omegas
-    run serially.  The family's fields are checked once, by
-    :func:`family_descriptor`; the curves keep the family as given.
+    rank.  The family's fields are checked once, by :func:`family_descriptor`;
+    the curves keep the family as given.  `threads` is ignored, and kept only
+    for the benchmark's calls until `bench/` stops passing it.
     """
     checked = family_descriptor(family)
     config = config or OptimizerConfig()
@@ -262,9 +262,8 @@ def sweep_family(
     n: int,
     omegas: Sequence[float],
     config: OptimizerConfig | None = None,
-    threads: int | None = None,
 ) -> BoundaryCurve:
-    """The rank-n curve of `sweep_family_ranks`; `threads` is ignored."""
+    """The rank-n curve of `sweep_family_ranks`."""
     return sweep_family_ranks(family, [n], omegas, config)[0]
 
 
@@ -349,17 +348,6 @@ def hull_contains(vertices, point, slack: float = 1e-9) -> bool:
         if cross / norm < -slack:
             return False
     return True
-
-
-def support_region_contains(curve: BoundaryCurve, point, slack: float = 1e-6) -> bool:
-    """Whether the point satisfies every swept support inequality of the curve.
-
-    The achievable region is bounded by the support lines
-    cos(w) x + sin(w) y = threshold(w); the inscribed vertex hull only samples
-    it, so region-nesting statements are tested against this form.
-    """
-    sep, _, _ = separations([curve], [point])
-    return bool(sep[0, 0] <= slack)
 
 
 def separations(curves: Sequence[BoundaryCurve], pairs) -> tuple:

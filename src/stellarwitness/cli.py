@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 malformed input, 2 optimizer failure, 3 validation
 or recheck failure.  All outputs are written atomically and, for a fixed
-config and seed, are byte-identical across runs.  `--threads` is accepted
-for compatibility and ignored: every computation runs serially.
+config and seed, are byte-identical across runs.  A usage error (an unknown
+flag, a missing argument) is malformed input too, and exits 1.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ def _omega_grid(count: int) -> list:
     return [2.0 * math.pi * i / count for i in range(count)]
 
 
-def _boundary_outputs(family, ranks, omega_count, config, threads=None):
-    """The boundary directory's files by name; `threads` is ignored."""
+def _boundary_outputs(family, ranks, omega_count, config):
+    """The boundary directory's files by name."""
     omegas = _omega_grid(omega_count)
     curves = sweep_family_ranks(family, ranks, omegas, config)
     manifest = {
@@ -330,8 +330,15 @@ def cmd_gaussian_elements(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """argparse's usage message, with the malformed-input exit code."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="stellarwitness",
         description="Witnesses of stellar rank: thresholds, boundary curves, certification.",
     )
@@ -343,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--starts", type=int, help="multi-start count")
         p.add_argument("--max-iterations", dest="max_iterations", type=int,
                        help="budget per start of the function evaluations the search uses")
-        p.add_argument("--threads", type=int,
-                       help="ignored; kept for compatibility (computations run serially)")
 
     p = sub.add_parser("threshold", help="compute a witness threshold at a rank")
     p.add_argument("witness", help="witness JSON file")

@@ -42,7 +42,6 @@ class StellarRankCertifier:
     n_omegas : size of the swept direction grid over [0, 2pi)
     margin : certification safety margin added to thresholds
     starts, max_iterations, seed : optimizer budget per swept direction
-    threads : ignored; kept for compatibility (the sweep runs serially)
 
     After `fit`, `predict(X)` maps each (p_first, p_second) row to the largest
     certified rank (0 when the pair is explainable at every fitted rank), and
@@ -61,7 +60,6 @@ class StellarRankCertifier:
         starts: int = 24,
         max_iterations: int = 600,
         seed: int = 1905,
-        threads: int | None = None,
     ):
         self.family = family
         self.j = j
@@ -73,7 +71,6 @@ class StellarRankCertifier:
         self.starts = starts
         self.max_iterations = max_iterations
         self.seed = seed
-        self.threads = threads
 
     # -- sklearn protocol ---------------------------------------------------
 

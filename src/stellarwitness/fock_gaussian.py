@@ -245,6 +245,8 @@ def coherent_columns(points, betas, k_max: int, theta=None) -> np.ndarray:
     ``alpha + beta_tilde``, times the phase exp(i Im(alpha conj(beta_tilde))).
     """
     betas = np.asarray(betas, dtype=complex)
+    if not np.isfinite(betas).all():
+        raise ValueError("coherent input and displacement must be finite")
     points = np.asarray(points, dtype=float)
     count, size = len(points), len(betas)
     r = points[:, 0].repeat(size)
@@ -257,7 +259,7 @@ def coherent_columns(points, betas, k_max: int, theta=None) -> np.ndarray:
     tilde = rotated * np.cosh(r) + rotated.conj() * np.sinh(r)  # S(r) D(b) = D(b~) S(r)
     alpha = (points[:, 1] + 1j * points[:, 2]).repeat(size)
     shifted = alpha + tilde
-    # a non-finite beta makes its shifted displacement non-finite at every point
+    # a non-finite displacement, or an overflow from finite inputs
     if not np.isfinite(shifted).all():
         raise ValueError("coherent input and displacement must be finite")
     column, unscale = _ladder(r, shifted.real, shifted.imag, k_max + 1, 1)
@@ -378,17 +380,6 @@ def _displacement_dimension(support: float, alpha: complex) -> int:
     """Truncation dimension that D(alpha) widens a support of n states to:
     about (sqrt(n) + |alpha|)^2, with a margin."""
     return int(math.ceil((math.sqrt(support) + abs(alpha) + 6.0) ** 2 + 30.0))
-
-
-def oracle_dimension(params: GaussianUnitaryParams, col_max: int) -> int:
-    """A generous explicit `dim` for :func:`oracle_columns`: the first
-    estimate of the squeeze stage's dimension, widened as D(alpha) would
-    widen it.
-
-    It exceeds the row stage's own truncation for row_max <= col_max, and
-    it is not a guarantee: both stages check their truncation at run time.
-    """
-    return _displacement_dimension(_squeeze_dimension(params.r, col_max), params.alpha)
 
 
 def _bessel_j(rho: float, count: int) -> np.ndarray:

@@ -191,9 +191,6 @@ class MultimodeWitness:
         object.__setattr__(self, "terms", tuple(terms))
         object.__setattr__(self, "identity_weight", identity)
 
-    def support_total(self) -> int:
-        return self.conjugation_plan[0][-1]
-
     @cached_property
     def conjugation_plan(self) -> tuple:
         """The term structure :func:`_compressions` reads, derived on first use
@@ -313,31 +310,6 @@ def _sector_matrices(V, count: int, max_total: int) -> list:
         below = out[-1][:, rows, cols]
         out.append((coef * V[:, None, :, first].swapaxes(-1, -2) * below).sum(axis=-1))
     return out
-
-
-def _passive_action(V: np.ndarray, amplitudes: dict) -> dict:
-    """Amplitude map of V̂ for one unitary `V` (N x N); photon-number exact."""
-    blocks = _sector_matrices(V[None], 1, max(sum(occ) for occ in amplitudes))
-    out = {}
-    for t in sorted({sum(occ) for occ in amplitudes}):
-        basis = sector_indices(V.shape[0], t)
-        vec = np.array([amplitudes.get(occ, 0.0) for occ in basis], dtype=complex)
-        out.update((occ, val) for occ, val in zip(basis, blocks[t][0] @ vec) if val != 0)
-    return out
-
-
-def apply_passive(X: np.ndarray, amplitudes: dict) -> dict:
-    """Amplitude map of the interferometer exp(dG(X)); photon-number exact."""
-    if not amplitudes:
-        return {}
-    return _passive_action(_interferometer(X), amplitudes)
-
-
-def conjugate_multimode_witness(witness: MultimodeWitness, X: np.ndarray) -> MultimodeWitness:
-    """V W V† for a passive interferometer V = exp(dG(X)); exact."""
-    V = _interferometer(X)
-    terms = tuple((weight, _passive_action(V, amplitudes)) for weight, amplitudes in witness.terms)
-    return MultimodeWitness(witness.modes, terms, witness.identity_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +519,8 @@ def multimode_threshold(
     seeded low-discrepancy starts, a tie-break on the full search vector, and
     the value re-evaluated from the winning parameters.  Initial points of
     another length than the search vector are skipped.  `threads` is
-    accepted for compatibility and ignored.
+    ignored, and kept only for the benchmark's calls until `bench/` stops
+    passing it.
     """
     if modes > 3:
         raise ValueError("multimode thresholds are desk-scale: modes <= 3")

@@ -177,9 +177,10 @@ def lossy_cat(beta: complex, t: float, cutoff: int | None = None) -> FockDensity
 
 
 def thermal(nbar: float, cutoff: int | None = None) -> FockDensity:
-    """Thermal state: diagonal weights nbar^m / (1+nbar)^{m+1}."""
-    if nbar < 0:
-        raise ValueError("mean photon number must be >= 0")
+    """Thermal state: diagonal weights nbar^m / (1+nbar)^{m+1}, which are
+    non-negative, so the density is built without its dense PSD check."""
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ValueError(f"mean photon number must be finite and >= 0, got {nbar}")
     ratio = nbar / (1.0 + nbar)
     if cutoff is None:
         cutoff = 16 if ratio == 0 else max(16, math.ceil(math.log(1e-10) / math.log(ratio)))
@@ -188,7 +189,7 @@ def thermal(nbar: float, cutoff: int | None = None) -> FockDensity:
         raise TailBoundError(f"cutoff {cutoff} too small for thermal nbar={nbar:.3g}", tail)
     ms = np.arange(cutoff + 1)
     weights = (1.0 / (1.0 + nbar)) * ratio**ms
-    return FockDensity(np.diag(weights.astype(complex)), tail_bound=float(tail))
+    return FockDensity(np.diag(weights.astype(complex)), tail_bound=float(tail), validate=False)
 
 
 def q0_after_loss(p, T: float) -> float:

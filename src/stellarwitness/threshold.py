@@ -34,7 +34,6 @@ from operator import add
 
 import numpy as np
 
-from ._util import parse_complex
 from .errors import OptimizerError
 from .fock_gaussian import GaussianUnitaryParams, gaussian_block, params_from_vector
 from .numerics import hermitian_spectrum
@@ -44,7 +43,6 @@ from .witness import (
     WitnessOperator,
     compress_conjugated,
     compress_conjugated_batch,
-    witness_from_json,
     witness_to_json,
 )
 
@@ -338,13 +336,11 @@ def compute_threshold(
     n: int,
     config: OptimizerConfig | None = None,
     fix_vartheta: bool | None = None,
-    threads: int | None = None,
 ) -> ThresholdResult:
     """Best threshold estimate over the multi-start search, with diagnostics.
 
     The returned value is re-evaluated from the winning parameters through the
     spectrum path, so `value` always reproduces from (params, core) exactly.
-    `threads` is accepted for compatibility and ignored: starts run serially.
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
@@ -387,7 +383,6 @@ def compute_thresholds(
     ranks,
     config: OptimizerConfig | None = None,
     fix_vartheta: bool | None = None,
-    threads: int | None = None,
 ) -> list:
     """Thresholds for several ranks in one batch.
 
@@ -395,7 +390,7 @@ def compute_thresholds(
     the compression for rank n+1 contains the rank-n compression as a
     principal submatrix, this makes the computed sequence nondecreasing.  A
     violation beyond the slack is still checked and flagged as optimizer
-    unreliability.  `threads` is accepted for compatibility and ignored.
+    unreliability.
     """
     config = config or OptimizerConfig()
     ranks = list(ranks)
@@ -439,17 +434,3 @@ def result_to_json(witness: WitnessOperator, result: ThresholdResult) -> dict:
         "diagnostics": result.diagnostics,
         "seed": result.seed,
     }
-
-
-def result_from_json(obj: dict):
-    witness = witness_from_json(obj["witness"])
-    core = CoreState(np.array([parse_complex(c) for c in obj["core"]], dtype=complex))
-    result = ThresholdResult(
-        value=float(obj["value"]),
-        params=GaussianUnitaryParams.from_json(obj["params"]),
-        core=core,
-        rank=int(obj["rank"]),
-        diagnostics=dict(obj.get("diagnostics", {})),
-        seed=int(obj.get("seed", 0)),
-    )
-    return witness, result

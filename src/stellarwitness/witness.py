@@ -22,7 +22,6 @@ import numpy as np
 from ._util import complex_pair, parse_complex, require_finite, require_integer
 from .errors import DegenerateWitnessError, HermiticityError
 from .fock_gaussian import GaussianUnitaryParams, block_columns_batch, coherent_columns
-from .numerics import hermitian_spectrum
 from .states import (
     FockDensity,
     FockVector,
@@ -71,10 +70,6 @@ class CoreState:
         if not math.isfinite(norm) or abs(norm - 1.0) > 1e-8:
             raise ValueError(f"core-state norm {norm} is not 1")
         object.__setattr__(self, "coefficients", coeffs / norm)
-
-    @property
-    def rank_bound(self) -> int:
-        return self.coefficients.size - 1
 
 
 @dataclass(frozen=True)
@@ -270,9 +265,10 @@ def _conjugated_terms(witness: WitnessOperator, points, n: int, theta=None) -> l
     return entries
 
 
-def _compress(witness: WitnessOperator, points, n: int, theta=None) -> np.ndarray:
-    """Stack (rows, n, n) of Π_{n-1} U W U† Π_{n-1}, one matrix per parameter
-    row; the rank-one terms are summed first, then the density terms."""
+def compress_conjugated_batch(witness: WitnessOperator, points, n: int, theta=None) -> np.ndarray:
+    """Stack (rows, n, n) of Π_{n-1} U W U† Π_{n-1}, one matrix per row (r,
+    Re alpha, Im alpha[, vartheta]) of `points`, output phases `theta` (None:
+    0); the rank-one terms are summed first, then the density terms."""
     entries = _conjugated_terms(witness, points, n, theta)
     out = np.zeros((len(points), n, n), dtype=complex)
     for weight, vec, sigma in entries:
@@ -313,13 +309,7 @@ def compress_conjugated(
     The one-row case of :func:`compress_conjugated_batch`, with any output
     phase theta; its bits equal that row's in any batch.
     """
-    return _compress(witness, [params.vector()], n, [params.theta])[0]
-
-
-def compress_conjugated_batch(witness: WitnessOperator, points, n: int) -> np.ndarray:
-    """:func:`compress_conjugated` at every row (r, Re alpha, Im alpha[,
-    vartheta]) of `points`, theta = 0, as a (rows, n, n) stack."""
-    return _compress(witness, points, n)
+    return compress_conjugated_batch(witness, [params.vector()], n, [params.theta])[0]
 
 
 def expectation(witness: WitnessOperator, state) -> float:
@@ -408,13 +398,6 @@ def conjugate_witness(
         identity_weight=witness.identity_weight,
         descriptor=None,
     )
-
-
-def witness_spectrum_top(witness: WitnessOperator) -> float:
-    """Largest eigenvalue of the witness on the full space."""
-    block = assemble_matrix(witness)
-    top = hermitian_spectrum(block).top
-    return max(top, witness.identity_weight)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,22 @@
 """Acceptance gate: one test per shipped criterion, each printing a pass line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Every tolerance is pinned
-here; the expensive boundary sweeps are computed once per worker count and
-shared across the criteria that consume them.
+here; the expensive boundary sweeps are computed once and shared across the
+criteria that consume them.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stellarwitness as sw
-from stellarwitness.boundary import (
-    certify_pairs,
-    curves_from_csv,
-    support_region_contains,
-    tangent_witness,
-)
+from stellarwitness.boundary import certify_pairs, curves_from_csv, separations, tangent_witness
 from stellarwitness.cli import _boundary_outputs
 from stellarwitness.fock_gaussian import oracle_columns
 from stellarwitness.states import lossy_cat_mixing_probability
@@ -43,23 +42,18 @@ def report(criterion: str, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def family_sweeps():
-    """Boundary sweep output files for every family at 1 and 8 workers."""
-    out = {}
-    timings = {}
-    for threads in (1, 8):
-        start = time.monotonic()
-        out[threads] = {
-            name: _boundary_outputs(family, RANKS, OMEGA_COUNT, SWEEP_CONFIG, threads)
-            for name, family in FAMILIES.items()
-        }
-        timings[threads] = time.monotonic() - start
-    out["timings"] = timings
-    return out
+    """Boundary sweep output files by family, and the sweeps' wall time."""
+    start = time.monotonic()
+    files = {
+        name: _boundary_outputs(family, RANKS, OMEGA_COUNT, SWEEP_CONFIG)
+        for name, family in FAMILIES.items()
+    }
+    return files, time.monotonic() - start
 
 
-def curves_for(family_sweeps, name, threads=1):
-    files = family_sweeps[threads][name]
-    return curves_from_csv(files["boundary.csv"], FAMILIES[name])
+def curves_for(family_sweeps, name):
+    files, _ = family_sweeps
+    return curves_from_csv(files[name]["boundary.csv"], FAMILIES[name])
 
 
 def test_criterion_01_oracle_equivalence():
@@ -150,9 +144,9 @@ def test_criterion_04_monotonicity_and_nesting(family_sweeps):
                 )
             # region nesting: every lower-rank hull vertex satisfies the
             # higher rank's support inequalities
-            for xy in by_rank[low].hull_vertices():
-                assert support_region_contains(by_rank[high], xy, slack=1e-6)
-    total = sum(family_sweeps["timings"].values())
+            sep, _, _ = separations([by_rank[high]], by_rank[low].hull_vertices())
+            assert (sep <= 1e-6).all()
+    _, total = family_sweeps
     assert total < 1200.0, f"sweeps took {total:.0f}s, over 20min"
     report(
         "criterion 4",
@@ -271,23 +265,42 @@ def test_criterion_09_states_identities():
     )
 
 
-def test_criterion_10_determinism_across_workers(family_sweeps):
-    """Criteria 2-4 workloads emit byte-identical files at 1 and 8 workers."""
-    variants = []
-    for threads in (1, 8):
-        chunks = []
-        for weights, rank in (([1.0], 1), ([0.0, 0.0, 1.0], 3), ([0.0, 1.0], 1)):
-            witness = sw.fock_diagonal_witness(weights)
-            result = sw.compute_threshold(
-                witness, rank, sw.OptimizerConfig(), threads=threads
-            )
-            chunks.append(dumps_stable(result_to_json(witness, result)))
-        for name in FAMILIES:
-            for fname, text in sorted(family_sweeps[threads][name].items()):
-                chunks.append(f"{name}/{fname}\n{text}")
-        variants.append("\n".join(chunks).encode())
-    assert variants[0] == variants[1]
+def run_cli(*args) -> None:
+    """`stellarwitness ARGS` in a fresh interpreter on this checkout's package."""
+    env = dict(os.environ)
+    source = str(Path(sw.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "stellarwitness.cli", *args], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_criterion_10_determinism_across_interpreters(family_sweeps, tmp_path):
+    """Criteria 2-4 workloads emit byte-identical files in a fresh interpreter."""
+    compared = 0
+    for weights, rank in (([1.0], 1), ([0.0, 0.0, 1.0], 3), ([0.0, 1.0], 1)):
+        witness = sw.fock_diagonal_witness(weights)
+        result = sw.compute_threshold(witness, rank, sw.OptimizerConfig())
+        text = dumps_stable(result_to_json(witness, result)) + "\n"
+        source, out = tmp_path / "witness.json", tmp_path / "threshold.json"
+        source.write_text(dumps_stable({"type": "fock_diagonal", "weights": weights}) + "\n")
+        run_cli("threshold", str(source), "--rank", str(rank), "--out", str(out))
+        assert out.read_text() == text, f"threshold of {weights} at rank {rank}"
+        compared += len(text)
+    fock02 = FAMILIES["fock02"]
+    run_cli(
+        "boundary", "--family", fock02["type"], "--j", str(fock02["j"]), "--k", str(fock02["k"]),
+        "--omegas", str(OMEGA_COUNT), "--starts", str(SWEEP_CONFIG.starts),
+        "--max-iterations", str(SWEEP_CONFIG.max_iterations), "--seed", str(SWEEP_SEED),
+        "--out", str(tmp_path / "fock02"),
+    )
+    files, _ = family_sweeps
+    assert sorted(p.name for p in (tmp_path / "fock02").iterdir()) == sorted(files["fock02"])
+    for fname, text in files["fock02"].items():
+        assert (tmp_path / "fock02" / fname).read_bytes() == text.encode(), f"fock02/{fname}"
+        compared += len(text)
     report(
         "criterion 10",
-        f"{len(variants[0])} output bytes identical across 1/8 workers",
+        f"{compared} output bytes identical across interpreters",
     )

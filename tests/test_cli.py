@@ -53,14 +53,11 @@ class TestThresholdCommand:
         assert payload["params"]["theta"] == 0.0
         assert payload["seed"] == 7
 
-    def test_byte_identical_reruns_across_threads(self, tmp_path, fock_pair_file):
+    def test_byte_identical_reruns(self, tmp_path, fock_pair_file):
         outputs = []
-        for threads in ("1", "4", "8"):
-            out = tmp_path / f"result_{threads}.json"
-            code = main([
-                "threshold", fock_pair_file, "--rank", "1", *FAST_FLAGS,
-                "--threads", threads, "--out", str(out),
-            ])
+        for run in range(3):
+            out = tmp_path / f"result_{run}.json"
+            code = main(["threshold", fock_pair_file, "--rank", "1", *FAST_FLAGS, "--out", str(out)])
             assert code == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
@@ -83,6 +80,29 @@ class TestThresholdCommand:
     def test_unknown_witness_type_exit_one(self, tmp_path):
         path = write_json(tmp_path / "w.json", {"type": "mystery"})
         assert main(["threshold", path, "--rank", "1"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--rank", "1", "--threads", "4"], "unrecognized arguments: --threads 4"),
+            (["--rank", "1", "--bogus", "3"], "unrecognized arguments: --bogus 3"),
+            (["--rank", "one"], "argument --rank: invalid int value"),
+            ([], "the following arguments are required: --rank"),
+        ],
+        ids=["threads", "unknown-flag", "bad-value", "missing-rank"],
+    )
+    def test_usage_error_exit_one(self, fock_pair_file, capsys, flags, message):
+        # 2 is the optimizer-failure code, so argparse's usage errors exit 1
+        with pytest.raises(SystemExit) as exit_info:
+            main(["threshold", fock_pair_file, *flags])
+        assert exit_info.value.code == 1
+        assert message in capsys.readouterr().err
+
+    def test_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["threshold", "--help"])
+        assert exit_info.value.code == 0
+        assert "--rank" in capsys.readouterr().out
 
     def test_optimizer_failure_exit_two(self, tmp_path, fock_pair_file):
         code = main(["threshold", fock_pair_file, "--rank", "1",

@@ -18,13 +18,19 @@ from stellarwitness.fock_gaussian import (
     gaussian_block,
     gaussian_matrix_element,
     oracle_columns,
-    oracle_dimension,
     oracle_gaussian_matrix,
     params_from_vector,
     transform_coherent,
 )
 
 IDENTITY = GaussianUnitaryParams()
+
+
+def oracle_dimension(params: GaussianUnitaryParams, col_max: int) -> int:
+    """A generous explicit `dim` for `oracle_columns`: the squeeze stage's
+    first estimate, widened as D(alpha) would widen it."""
+    squeezed = fock_gaussian._squeeze_dimension(params.r, col_max)
+    return fock_gaussian._displacement_dimension(squeezed, params.alpha)
 
 
 def _exp_action(generator, block: np.ndarray) -> np.ndarray:

@@ -140,6 +140,12 @@ class TestThermal:
         with pytest.raises(TailBoundError):
             thermal(5.0, cutoff=10)
 
+    @pytest.mark.parametrize("nbar", [math.inf, math.nan, -0.5])
+    @pytest.mark.parametrize("cutoff", [None, 80])
+    def test_non_finite_or_negative_mean_rejected(self, nbar, cutoff):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            thermal(nbar, cutoff)
+
 
 class TestQ0:
     def test_single_photon(self):

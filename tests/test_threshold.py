@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from stellarwitness import multimode
 from stellarwitness import threshold as threshold_module
 from stellarwitness import witness as witness_module
+from stellarwitness._util import dumps_stable
 from stellarwitness.errors import OptimizerError
 from stellarwitness.fock_gaussian import (
     GaussianUnitaryParams,
@@ -26,7 +28,6 @@ from stellarwitness.threshold import (
     multistart,
     objective,
     objectives,
-    result_from_json,
     result_to_json,
 )
 from stellarwitness.witness import (
@@ -36,6 +37,7 @@ from stellarwitness.witness import (
     PURE,
     WitnessOperator,
     WitnessTerm,
+    assemble_matrix,
     cat_pair_witness,
     conjugate_witness,
     expectation,
@@ -97,14 +99,14 @@ class TestComputeThreshold:
         assert abs(result.value - matrix[0, 0]) <= 1e-10
 
     def test_value_bounded_by_witness_spectrum(self):
-        from stellarwitness.witness import witness_spectrum_top
-
         for witness, n in (
             (fock_pair_witness(0, 2, 0.9), 2),
             (cat_pair_witness(1.5, 0.4), 1),
         ):
             result = compute_threshold(witness, n, FAST)
-            assert result.value <= witness_spectrum_top(witness) + 1e-9
+            # the full-space top: the assembled block's, or the identity part's
+            top = max(np.linalg.eigvalsh(assemble_matrix(witness))[-1], witness.identity_weight)
+            assert result.value <= top + 1e-9
 
     def test_deterministic_same_seed(self):
         a = compute_threshold(single_photon_witness(), 1, FAST)
@@ -112,15 +114,6 @@ class TestComputeThreshold:
         assert a.value == b.value
         assert a.params == b.params
         assert np.array_equal(a.core.coefficients, b.core.coefficients)
-
-    def test_thread_count_does_not_change_bits(self):
-        results = [
-            compute_threshold(single_photon_witness(), 1, FAST, threads=t)
-            for t in (1, 4, 8)
-        ]
-        for other in results[1:]:
-            assert other.value == results[0].value
-            assert other.params == results[0].params
 
     def test_all_starts_failing_raises(self):
         starving = OptimizerConfig(starts=3, max_iterations=3, seed=1)
@@ -254,14 +247,15 @@ class TestInvariantProperties:
 
 class TestResultFiles:
     def test_round_trip(self):
+        # the written file gives back the exact value, params, rank and core
         w = fock_pair_witness(0, 2, 0.4)
         result = compute_threshold(w, 2, FAST)
-        payload = result_to_json(w, result)
-        witness_again, result_again = result_from_json(payload)
-        assert result_again.value == result.value
-        assert result_again.params == result.params
-        assert result_again.rank == result.rank
-        assert np.array_equal(result_again.core.coefficients, result.core.coefficients)
+        payload = json.loads(dumps_stable(result_to_json(w, result)))
+        assert payload["value"] == result.value
+        assert GaussianUnitaryParams.from_json(payload["params"]) == result.params
+        assert payload["rank"] == result.rank
+        core = np.array([complex(re, im) for re, im in payload["core"]])
+        assert core.tobytes() == result.core.coefficients.tobytes()
 
 
 def mixed_terms_witness():
