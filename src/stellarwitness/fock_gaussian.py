@@ -44,6 +44,9 @@ from .states import FockVector
 #: largest squeezing of a parameter point: cosh r overflows near r = 710.
 MAX_SQUEEZING = 700.0
 
+#: largest |entry| of a parameter row (r, Re alpha, Im alpha, vartheta).
+_POINT_BOUNDS = np.array([MAX_SQUEEZING] + 3 * [np.finfo(float).max])
+
 #: lowest per-point scale exponent of :func:`block_columns_batch`: scaled
 #: entries stay below 2**_SCALE_FLOOR, and a start <0|U|0> down to
 #: 2**-(_SCALE_FLOOR + 1074) (|alpha| up to ~53 at r = 0) stays representable.
@@ -104,12 +107,19 @@ class GaussianUnitaryParams:
         )
 
 
-def _vacuum_terms(r, ar, ai) -> tuple:
-    """(mu, u, v, log |G_00|) of the ladder recurrence, with mu = cosh r and
+def _check_points(points: np.ndarray) -> None:
+    """Refuse rows (r, Re alpha, Im alpha[, vartheta]) with an entry that is
+    not finite or |r| above MAX_SQUEEZING, in one test before any arithmetic:
+    a NaN compares false, and only an infinity exceeds the largest double."""
+    if not (np.abs(points) <= _POINT_BOUNDS[: points.shape[1]]).all():
+        raise ValueError(f"Gaussian unitary parameters must be finite, with r <= {MAX_SQUEEZING}")
+
+
+def _vacuum_terms(r, mu, ar, ai) -> tuple:
+    """(u, v, log |G_00|) of the ladder recurrence at mu = cosh r, with
     u + iv = alpha - tanh(r) conj(alpha) = (e^-r Re alpha + i e^r Im alpha) / mu."""
-    mu = np.cosh(r)
     u, v = np.exp(-r) * ar / mu, np.exp(r) * ai / mu
-    return mu, u, v, -0.5 * (np.log(mu) + u * ar + v * ai)
+    return u, v, -0.5 * (np.log(mu) + u * ar + v * ai)
 
 
 def block_in_range(params: GaussianUnitaryParams) -> bool:
@@ -117,14 +127,16 @@ def block_in_range(params: GaussianUnitaryParams) -> bool:
     in range: below |<0|U|0>| = 2**-(_SCALE_FLOOR + 1074) every entry comes
     out zero."""
     alpha = complex(params.alpha)
+    r = np.array([params.r])
     with np.errstate(over="ignore"):  # an overflow makes log_size -inf: out of range
-        log_size = _vacuum_terms(np.array([params.r]), alpha.real, alpha.imag)[3][0]
+        log_size = _vacuum_terms(r, np.cosh(r), alpha.real, alpha.imag)[2][0]
     return bool(log_size >= -(_SCALE_FLOOR + 1074) * math.log(2.0))
 
 
-def _ladder(r, ar, ai, height: int, width: int) -> tuple:
+def _ladder(r, mu, sinh, ar, ai, height: int, width: int) -> tuple:
     """(G 2^-s, 2^s): the block G_km = <k|D(a)S(r)|m>, k < height,
-    m < width, at every (r, a = ar + i ai), scaled by 2^-s per point.
+    m < width, at every (r, a = ar + i ai), with mu = cosh r and sinh =
+    sinh r, scaled by 2^-s per point.
 
     The ladder recurrences of Miatto and Quesada (Quantum 4, 366 (2020)) for
     a* = conj(a), mu = cosh r, t = tanh r, from
@@ -136,34 +148,39 @@ def _ladder(r, ar, ai, height: int, width: int) -> tuple:
     Every coefficient is bounded, so r = 0 needs no branch.  Entries on and
     below the diagonal step in k, those above it in m, so the coupling
     sqrt(m / k) or sqrt(k / m) is at most 1 (stepping one way only ruins
-    blocks of ~100 x 100).  An entry depends only on entries above and left
-    of it, through elementwise operations: it has the same bits in any batch
-    and any block.  The scale s = max(ceil(log2 |G_00|), -_SCALE_FLOOR) keeps
-    the start representable where G_00 underflows (large |a|), and as
-    |G| <= 1 no scaled entry overflows.
+    blocks of ~100 x 100).  A line of one entry, as every line of a single
+    column is, steps as a (points,) array.  An entry depends only on entries
+    above and left of it, through elementwise operations: it has the same
+    bits in any batch and any block.  The scale s = max(ceil(log2 |G_00|),
+    -_SCALE_FLOOR) keeps the start representable where G_00 underflows
+    (large |a|), and as |G| <= 1 no scaled entry overflows.
     """
-    mu, u, v, log_size = _vacuum_terms(r, ar, ai)
-    t = np.sinh(r) / mu
+    u, v, log_size = _vacuum_terms(r, mu, ar, ai)
+    t = sinh / mu
     scale = np.maximum(np.ceil(log_size / math.log(2.0)), -_SCALE_FLOOR)
-    roots = np.sqrt(np.arange(max(height, width)))
+    roots = [math.sqrt(k) for k in range(max(height, width))]
     lead = u + 1j * v
     scaled = np.zeros((len(r), height, width), dtype=complex)
     scaled[:, 0, 0] = np.exp(log_size - scale * math.log(2.0) - 1j * t * ar * ai)
     if width > 1:  # one column has no steps in m and no sqrt(m) coupling
-        down = roots[1:] / mu[:, None]  # sqrt(k) / mu for k >= 1
+        down = np.array(roots[1:]) / mu[:, None]  # sqrt(k) / mu for k >= 1
         back = (1j * ai - ar) / mu
         across = scaled.transpose(0, 2, 1)  # line s of it is column s
 
     def step(lines, s, length, first, second):  # line s from lines s - 1 and s - 2
-        nxt = first[:, None] * lines[:, s - 1, :length]
+        if length > 1:  # the coefficients broadcast along the line
+            line, first, second = slice(length), first[:, None], second[:, None]
+        else:  # a one-entry line steps as a (points,) array
+            line = 0
+        nxt = first * lines[:, s - 1, line]
         if s > 1:
-            nxt += second * lines[:, s - 2, :length]
+            nxt += second * lines[:, s - 2, line]
         if length > 1:
             nxt[:, 1:] += down[:, : length - 1] * lines[:, s - 1, : length - 1]
-        lines[:, s, :length] = nxt / roots[s]
+        lines[:, s, line] = nxt / roots[s]
 
     for s in range(1, max(height, width)):
-        second = (t * roots[s - 1])[:, None]
+        second = t * roots[s - 1] if s > 1 else t  # step 1 reads no line s - 2
         if s < width:
             step(across, s, min(s, height), back, -second)
         if s < height:
@@ -174,7 +191,8 @@ def _ladder(r, ar, ai, height: int, width: int) -> tuple:
 def block_columns_batch(points, rows: int, cols, theta=None) -> np.ndarray:
     """<k|U|m>, k < rows, m in `cols`, at every row (r, Re alpha, Im alpha[,
     vartheta]) of `points`, shape (points, rows, len(cols)); `theta` holds
-    the rows' output phases, and None means theta = 0.
+    the rows' output phases, and None means theta = 0.  A row with an entry
+    that is not finite, or with r above MAX_SQUEEZING, raises ValueError.
 
     The block of D(alpha)S(r) from the ladder recurrence (:func:`_ladder`),
     then the phases e^{-ik theta} e^{im vartheta}.  A phase known to be 0
@@ -185,10 +203,10 @@ def block_columns_batch(points, rows: int, cols, theta=None) -> np.ndarray:
     cols = list(cols)
     if rows < 0 or min(cols, default=0) < 0:
         raise ValueError("Fock indices must be >= 0")
-    if not np.isfinite(points).all():
-        raise ValueError("Gaussian unitary parameters must be finite")
+    _check_points(points)
     height, width = max(rows, 1), max(cols, default=0) + 1
-    scaled, unscale = _ladder(points[:, 0], points[:, 1], points[:, 2], height, width)
+    r = points[:, 0]
+    scaled, unscale = _ladder(r, np.cosh(r), np.sinh(r), points[:, 1], points[:, 2], height, width)
     if theta is None:  # (1 + 0i) times the scale is the scale plus 0i
         turns = (unscale + 0j)[:, None, None]
     else:
@@ -237,7 +255,8 @@ def coherent_columns(points, betas, k_max: int, theta=None) -> np.ndarray:
     `points` holds rows (r, Re alpha, Im alpha[, vartheta]) as in
     :func:`params_from_vector`; `theta` holds the rows' output phases, and
     None means theta = 0.  Returns shape (points, betas, k_max + 1); each row
-    has the same bits alone as in any batch.
+    has the same bits alone as in any batch.  A row with an entry that is
+    not finite, or with r above MAX_SQUEEZING, raises ValueError.
 
     Uses the displaced-squeezed reduction: commuting the input phase and the
     squeezer through the coherent displacement leaves the vacuum column of
@@ -248,21 +267,23 @@ def coherent_columns(points, betas, k_max: int, theta=None) -> np.ndarray:
     if not np.isfinite(betas).all():
         raise ValueError("coherent input and displacement must be finite")
     points = np.asarray(points, dtype=float)
+    _check_points(points)
     count, size = len(points), len(betas)
     r = points[:, 0].repeat(size)
+    mu, sinh = np.cosh(r), np.sinh(r)
     vartheta = points[:, 3] if points.shape[1] > 3 else np.zeros(count)
     # repeated and tiled, not broadcast: a complex product against a broadcast
     # operand can round differently with the number of betas
     tiled = np.empty((count, size), dtype=complex)
     tiled[:] = betas
     rotated = np.exp(1j * vartheta.repeat(size)) * tiled.reshape(-1)
-    tilde = rotated * np.cosh(r) + rotated.conj() * np.sinh(r)  # S(r) D(b) = D(b~) S(r)
+    tilde = rotated * mu + rotated.conj() * sinh  # S(r) D(b) = D(b~) S(r)
     alpha = (points[:, 1] + 1j * points[:, 2]).repeat(size)
     shifted = alpha + tilde
-    # a non-finite displacement, or an overflow from finite inputs
+    # an overflow from finite inputs
     if not np.isfinite(shifted).all():
         raise ValueError("coherent input and displacement must be finite")
-    column, unscale = _ladder(r, shifted.real, shifted.imag, k_max + 1, 1)
+    column, unscale = _ladder(r, mu, sinh, shifted.real, shifted.imag, k_max + 1, 1)
     factor = np.exp(1j * (alpha * tilde.conj()).imag) * unscale
     if theta is None:  # e^{-ik theta} = 1 + 0i, and (1 + 0i) times the factor has its bits
         turns = factor.repeat(k_max + 1).reshape(-1, k_max + 1)

@@ -28,14 +28,15 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from itertools import chain, repeat
 from operator import add
 
 import numpy as np
 
 from .errors import OptimizerError
-from .fock_gaussian import GaussianUnitaryParams, gaussian_block, params_from_vector
+from .fock_gaussian import MAX_SQUEEZING, GaussianUnitaryParams, gaussian_block, params_from_vector
 from .numerics import hermitian_spectrum
 from .states import FockVector
 from .witness import (
@@ -51,6 +52,8 @@ _TIE_WINDOW = 1e-12
 _CLUSTER_WINDOW = 1e-6
 _BOUNDARY_TOL = 1e-6
 MONOTONICITY_SLACK = 1e-7
+#: the keys of an optimizer config file
+_CONFIG_KEYS = {"starts", "r_max", "alpha_max", "simplex_tolerance", "max_iterations", "seed"}
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,8 @@ class OptimizerConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if self.r_max > MAX_SQUEEZING:
+            raise ValueError(f"r_max must be <= {MAX_SQUEEZING}, got {self.r_max}")
 
     def to_json(self) -> dict:
         return {
@@ -101,13 +106,15 @@ class OptimizerConfig:
 
     @classmethod
     def from_json(cls, obj: dict, seed: int | None = None) -> "OptimizerConfig":
-        known = {k: obj[k] for k in
-                 ("starts", "r_max", "alpha_max", "simplex_tolerance", "max_iterations")
-                 if k in obj}
+        """The config of a JSON object with any of the keys of `to_json` and
+        "seed"; `seed`, if given, overrides the object's.  An unknown key
+        raises ValueError, so a misspelt key cannot fall back to a default."""
+        unknown = sorted(map(str, set(obj) - _CONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"unknown optimizer config keys: {', '.join(unknown)}")
+        known = dict(obj)
         if seed is not None:
             known["seed"] = seed
-        elif "seed" in obj:
-            known["seed"] = obj["seed"]
         return cls(**known)
 
 
@@ -185,10 +192,13 @@ def _nelder_mead(x0, lo, hi, tol, max_evals):
     one-point-at-a-time method reads; `evals` counts only those values.
     The simplex is kept in Python floats, whose operations round as numpy's
     elementwise ones do; the centroid sums from 0.0, vertex by vertex, as
-    ``np.add.reduce`` over the vertices does.
+    ``np.add.reduce`` over the vertices does.  The vertices stay in the order
+    a stable sort by value gives them: a new simplex, a shrink or a NaN value
+    is sorted in full, and a single replaced vertex goes where the stable
+    sort would put it, after the vertices whose values do not exceed its own.
     """
     dims = len(x0)
-    alpha, gamma = 1.0, 1.0 + 2.0 / dims
+    gamma = 1.0 + 2.0 / dims
     rho, sigma = 0.75 - 1.0 / (2.0 * dims), 1.0 - 1.0 / dims
     lo, hi = np.asarray(lo, dtype=float).tolist(), np.asarray(hi, dtype=float).tolist()
     span = [high - low for low, high in zip(lo, hi)]
@@ -214,18 +224,32 @@ def _nelder_mead(x0, lo, hi, tol, max_evals):
         fresh = simplex if attempt else simplex[1:]
         values = ([] if attempt else [best_f]) + (yield fresh)
         evals += len(fresh)
+        unsorted = True  # a new simplex, a shrink, or a NaN left among the values
         while evals < max_evals:
-            order = sorted(range(len(simplex)), key=values.__getitem__)
-            simplex = [simplex[i] for i in order]
-            values = [values[i] for i in order]
+            last = values[-1]
+            if unsorted or last != last:
+                order = sorted(range(len(simplex)), key=values.__getitem__)
+                simplex = [simplex[i] for i in order]
+                values = [values[i] for i in order]
+                unsorted = any(value != value for value in values)
+            else:  # values[:-1] is sorted and holds no NaN
+                place = bisect_right(values, last, 0, dims)
+                if place < dims:
+                    simplex.insert(place, simplex.pop())
+                    values.insert(place, values.pop())
             if values[-1] - values[0] <= tol * (1.0 + abs(values[0])):
                 converged = True
                 break
-            centroid = [reduce(add, column, 0.0) / dims for column in zip(*simplex[:-1])]
-            worst = simplex[-1]
-            reflected = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
-            expanded = [c + gamma * (x - c) for c, x in zip(centroid, reflected)]
-            contracted = [c + rho * (w - c) for c, w in zip(centroid, worst)]
+            sums = repeat(0.0)
+            for vertex in simplex[:-1]:
+                sums = map(add, sums, vertex)
+            reflected, expanded, contracted = [], [], []
+            for total, w in zip(sums, simplex[-1]):
+                c = total / dims  # the centroid's coordinate
+                x = c + (c - w)
+                reflected.append(x)
+                expanded.append(c + gamma * (x - c))
+                contracted.append(c + rho * (w - c))
             f_reflected, f_expanded, f_contracted = yield [reflected, expanded, contracted]
             evals += 1
             if f_reflected < values[0]:
@@ -246,6 +270,7 @@ def _nelder_mead(x0, lo, hi, tol, max_evals):
                         simplex[i] = [a + sigma * (b - a) for a, b in zip(first, simplex[i])]
                     values[1:] = yield simplex[1:]
                     evals += len(simplex) - 1
+                    unsorted = True
         lowest = int(np.argmin(values))
         if values[lowest] < best_f:
             best_f = values[lowest]
@@ -286,20 +311,24 @@ def multistart(batch_fun, lo, hi, config, extra_starts=(), key=tuple):
         _nelder_mead(x0, lo, hi, config.simplex_tolerance, config.max_iterations)
         for x0 in _start_points(lo, hi, config, extra_starts)
     ]
-    pending = {i: next(search) for i, search in enumerate(searches)}
     outcomes = [None] * len(searches)
-    while pending:
-        batch = np.array([x for points in pending.values() for x in points]).clip(lo, hi)
-        negated = (-np.asarray(batch_fun(batch))).tolist()
+    running = [(i, search, next(search)) for i, search in enumerate(searches)]
+    dims = lo.size
+    while running:
+        rows = [x for _, _, points in running for x in points]
+        flat = np.fromiter(chain.from_iterable(rows), float, len(rows) * dims)
+        negated = (-np.asarray(batch_fun(flat.reshape(-1, dims).clip(lo, hi)))).tolist()
         offset = 0
-        for i, points in list(pending.items()):
-            values, offset = negated[offset : offset + len(points)], offset + len(points)
+        still = []
+        for i, search, points in running:
+            end = offset + len(points)
             try:
-                pending[i] = searches[i].send(values)
+                still.append((i, search, search.send(negated[offset:end])))
             except StopIteration as done:
                 x, f, evals, converged = done.value
                 outcomes[i] = (x, -f, evals, converged)
-                del pending[i]
+            offset = end
+        running = still
     if not any(conv for *_, conv in outcomes):
         raise OptimizerError(
             "no optimizer start converged",

@@ -188,6 +188,23 @@ class TestThresholdCommand:
         assert code == 1
         assert "alpha_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"r_max": 800.0, "starts": 8, "max_iterations": 300}, "r_max"),
+            ({"starts": 8, "max_iteration": 300}, "max_iteration"),
+        ],
+        ids=["squeezing-past-the-kernels", "misspelt-key"],
+    )
+    def test_bad_config_exit_one(self, tmp_path, capsys, fock_pair_file, config, field):
+        path = write_json(tmp_path / "config.json", config)
+        out = tmp_path / "result.json"
+        code = main(["threshold", fock_pair_file, "--rank", "1", "--config", path,
+                     "--out", str(out)])
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", [7.5, True, -3])
     def test_bad_config_seed_exit_one(self, tmp_path, capsys, fock_pair_file, seed):
         config = write_json(tmp_path / "config.json", {"starts": 8, "seed": seed})

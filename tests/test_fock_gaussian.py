@@ -263,10 +263,23 @@ class TestBlockColumns:
         # the one-column ladder skips the steps in m; column 0 keeps its bits
         points, _ = self.points(600, np.random.default_rng(height))
         r, ar, ai = points[:, 0], points[:, 1], points[:, 2]
-        one, one_unscale = _ladder(r, ar, ai, height, 1)
-        wide, wide_unscale = _ladder(r, ar, ai, height, 3)
+        mu, sinh = np.cosh(r), np.sinh(r)
+        one, one_unscale = _ladder(r, mu, sinh, ar, ai, height, 1)
+        wide, wide_unscale = _ladder(r, mu, sinh, ar, ai, height, 3)
         assert one[:, :, 0].tobytes() == wide[:, :, 0].tobytes()
         assert one_unscale.tobytes() == wide_unscale.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad", [[[800.0, 0.1, 0.0]], [[700.5, 0.0, 0.0, 0.2]], [[0.2, 0.0, 0.0, math.inf]]]
+    )
+    def test_points_checked_before_any_arithmetic(self, bad):
+        # r above MAX_SQUEEZING overflows cosh r: all-NaN columns, no error
+        with pytest.raises(ValueError, match="r <= 700"):
+            block_columns_batch(bad, 3, [0, 1, 2])
+
+    def test_largest_squeezing_allowed(self):
+        block = block_columns_batch([[fock_gaussian.MAX_SQUEEZING, 0.1, 0.0]], 3, [0, 1, 2])
+        assert np.isfinite(block).all()
 
 
 class TestTransformCoherent:
@@ -406,6 +419,15 @@ class TestCoherentColumns:
         with pytest.raises(ValueError, match="finite"):
             coherent_columns([[0.2, math.inf, 0.0]], self.BETAS, 2)
 
+    @pytest.mark.parametrize(
+        "bad", [[[math.inf, 0.0, 0.0]], [[0.2, 0.0, 0.0, math.inf]], [[800.0, 0.0, 0.0]],
+                [[0.2, 0.0, math.nan]]],
+    )
+    def test_points_checked_before_any_arithmetic(self, bad):
+        # with RuntimeWarning an error, a warning from a product fails this too
+        with pytest.raises(ValueError, match="r <= 700"):
+            coherent_columns(bad, [2.0, -2.0], 2)
+
     @pytest.mark.parametrize("beta", [math.inf, complex(0.0, math.nan)])
     def test_non_finite_beta_rejected(self, beta):
         with pytest.raises(ValueError, match="finite"):
@@ -417,6 +439,142 @@ class TestCoherentColumns:
         points = self.points(600)
         zero = coherent_columns(points, self.BETAS, k_max, np.zeros(len(points)))
         assert coherent_columns(points, self.BETAS, k_max).tobytes() == zero.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The kernels' bits against the step-by-step recurrence they replaced.
+# ---------------------------------------------------------------------------
+
+
+def reference_ladder(r, ar, ai, height, width):
+    """The ladder recurrence stepped on (points, height, width) slices, with
+    cosh r and sinh r of its own: the reference whose every bit the kernel
+    must reproduce."""
+    mu = np.cosh(r)
+    u, v = np.exp(-r) * ar / mu, np.exp(r) * ai / mu
+    log_size = -0.5 * (np.log(mu) + u * ar + v * ai)
+    t = np.sinh(r) / mu
+    scale = np.maximum(np.ceil(log_size / math.log(2.0)), -fock_gaussian._SCALE_FLOOR)
+    roots = np.sqrt(np.arange(max(height, width)))
+    lead = u + 1j * v
+    scaled = np.zeros((len(r), height, width), dtype=complex)
+    scaled[:, 0, 0] = np.exp(log_size - scale * math.log(2.0) - 1j * t * ar * ai)
+    if width > 1:
+        down = roots[1:] / mu[:, None]
+        back = (1j * ai - ar) / mu
+        across = scaled.transpose(0, 2, 1)
+
+    def step(lines, s, length, first, second):
+        nxt = first[:, None] * lines[:, s - 1, :length]
+        if s > 1:
+            nxt += second * lines[:, s - 2, :length]
+        if length > 1:
+            nxt[:, 1:] += down[:, : length - 1] * lines[:, s - 1, : length - 1]
+        lines[:, s, :length] = nxt / roots[s]
+
+    for s in range(1, max(height, width)):
+        second = (t * roots[s - 1])[:, None]
+        if s < width:
+            step(across, s, min(s, height), back, -second)
+        if s < height:
+            step(scaled, s, min(s + 1, width), lead, second)
+    return scaled, np.ldexp(1.0, scale.astype(int))
+
+
+def reference_block_columns(points, rows, cols, theta=None):
+    points = np.asarray(points, dtype=float)
+    scaled, unscale = reference_ladder(
+        points[:, 0], points[:, 1], points[:, 2], max(rows, 1), max(cols) + 1
+    )
+    if theta is None:
+        turns = (unscale + 0j)[:, None, None]
+    else:
+        turns = np.exp(np.outer(-1j * np.asarray(theta, dtype=float), np.arange(rows)))
+        turns *= unscale[:, None]
+        turns = turns[:, :, None]
+    out = scaled[:, :rows, cols] * turns
+    if points.shape[1] > 3:
+        return out * np.exp(np.outer(1j * points[:, 3], cols))[:, None]
+    return out * (1 + 0j)
+
+
+def reference_coherent_columns(points, betas, k_max, theta=None):
+    betas = np.asarray(betas, dtype=complex)
+    points = np.asarray(points, dtype=float)
+    count, size = len(points), len(betas)
+    r = points[:, 0].repeat(size)
+    vartheta = points[:, 3] if points.shape[1] > 3 else np.zeros(count)
+    tiled = np.empty((count, size), dtype=complex)
+    tiled[:] = betas
+    rotated = np.exp(1j * vartheta.repeat(size)) * tiled.reshape(-1)
+    tilde = rotated * np.cosh(r) + rotated.conj() * np.sinh(r)
+    alpha = (points[:, 1] + 1j * points[:, 2]).repeat(size)
+    column, unscale = reference_ladder(r, (alpha + tilde).real, (alpha + tilde).imag, k_max + 1, 1)
+    factor = np.exp(1j * (alpha * tilde.conj()).imag) * unscale
+    if theta is None:
+        turns = factor.repeat(k_max + 1).reshape(-1, k_max + 1)
+    else:
+        theta = np.asarray(theta, dtype=float).repeat(size)
+        turns = np.exp(np.outer(-1j * theta, np.arange(k_max + 1)))
+        turns *= factor[:, None]
+    return (turns * column[:, :, 0]).reshape(count, size, k_max + 1)
+
+
+class TestKernelsAgainstReference:
+    """Every output bit of the kernels, against the reference recurrence, at
+    the edges of r (zero, subnormal, tiny, generic, the largest allowed) and
+    of |alpha| (zero, subnormal, up to the scale floor), in batches of 1, 7
+    and 64 rows."""
+
+    R_EDGES = (0.0, 5e-324, 1e-300, 0.3, 3.0, 699.9)
+    ALPHA_EDGES = (0.0, 1e-320, 0.7, 6.0, 27.0, 50.0)
+
+    @classmethod
+    def points(cls, dims):
+        rng = np.random.default_rng(1731 + dims)
+        grid = [(r, a) for r in cls.R_EDGES for a in cls.ALPHA_EDGES]
+        grid += [(rng.uniform(0.0, 3.0), rng.uniform(0.0, 50.0)) for _ in range(64 - len(grid))]
+        r, radius = np.array(grid).T
+        angle = rng.uniform(0.0, 2.0 * math.pi, len(grid))
+        vartheta = rng.uniform(0.0, 2.0 * math.pi, len(grid))
+        points = np.column_stack([r, radius * np.cos(angle), radius * np.sin(angle), vartheta])
+        points[::5, 1] = -0.0  # signed zeros in the displacement
+        return points[rng.permutation(len(points)), :dims], rng.uniform(0.0, 7.0, len(points))
+
+    @staticmethod
+    def batches(size):
+        return [slice(start, start + size) for start in range(0, 64, size)]
+
+    @pytest.mark.parametrize("dims", [3, 4])
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    @pytest.mark.parametrize("turned", [False, True], ids=["no-theta", "theta"])
+    def test_block_columns(self, dims, size, turned):
+        points, theta = self.points(dims)
+        with np.errstate(all="ignore"):  # the largest r overflows some entries
+            for rows in range(1, 10):
+                for width in range(1, 5):
+                    cols = list(range(width))[::-1] if width % 2 else list(range(width))
+                    for batch in self.batches(size):
+                        th = theta[batch] if turned else None
+                        got = block_columns_batch(points[batch], rows, cols, th)
+                        expected = reference_block_columns(points[batch], rows, cols, th)
+                        assert got.tobytes() == expected.tobytes(), (rows, cols, batch)
+                        assert got.strides == expected.strides  # products read the layout
+
+    @pytest.mark.parametrize("dims", [3, 4])
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    @pytest.mark.parametrize("turned", [False, True], ids=["no-theta", "theta"])
+    def test_coherent_columns(self, dims, size, turned):
+        points, theta = self.points(dims)
+        with np.errstate(all="ignore"):
+            for betas in ([2.0], [2.0, -2.0], [-1.3 + 0.4j, 0.0, 2.0]):
+                for height in range(1, 10):
+                    for batch in self.batches(size):
+                        th = theta[batch] if turned else None
+                        got = coherent_columns(points[batch], betas, height - 1, th)
+                        expected = reference_coherent_columns(points[batch], betas, height - 1, th)
+                        assert got.tobytes() == expected.tobytes(), (betas, height, batch)
+                        assert got.strides == expected.strides
 
 
 class TestOracle:

@@ -169,6 +169,20 @@ class TestConfigValidation:
         assert type(config.starts) is int and type(config.max_iterations) is int
         assert config.to_json()["starts"] == 3
 
+    def test_squeezing_above_the_kernels_limit_rejected(self):
+        # the kernels refuse r > MAX_SQUEEZING: a search box past it would
+        # only overflow
+        with pytest.raises(ValueError, match="r_max must be <= 700"):
+            OptimizerConfig(r_max=800.0)
+        assert OptimizerConfig(r_max=700.0).r_max == 700.0
+
+    def test_unknown_json_keys_rejected(self):
+        config = {"starts": 8, "max_iteration": 300, "initial_points": [[0.1, 0, 0, 0]]}
+        with pytest.raises(ValueError, match="initial_points, max_iteration"):
+            OptimizerConfig.from_json(config)
+        written = OptimizerConfig(starts=8, max_iterations=300, seed=4)
+        assert OptimizerConfig.from_json({**written.to_json(), "seed": 4}) == written
+
     def test_zero_box_allowed(self):
         config = OptimizerConfig(r_max=0.0, alpha_max=0.0)
         assert (config.r_max, config.alpha_max) == (0.0, 0.0)
@@ -469,6 +483,24 @@ class TestSimplexReference:
             check_against_reference(
                 (x0, lo, hi, config.simplex_tolerance, config.max_iterations), fun
             )
+
+    def test_nan_values(self):
+        # NaN on a checkerboard of the box: a new simplex or a shrink puts NaN
+        # values among the vertices, where only a full sort knows their order
+        lo, hi = np.array([0.0, -6.0, -6.0]), np.array([3.0, 6.0, 6.0])
+        center = np.array([1.1, 0.7, -2.3])
+        asked_nan = []
+
+        def fun(x):
+            nan = math.sin(3.0 * x[0]) * math.sin(2.0 * x[1]) > 0.3
+            asked_nan.append(nan)
+            return math.nan if nan else -math.exp(-float(np.sum((x - center) ** 2)))
+
+        for seed in range(8):
+            config = OptimizerConfig(starts=12, max_iterations=400, seed=seed)
+            for x0 in _start_points(lo, hi, config):
+                check_against_reference((x0, lo, hi, 1e-9, config.max_iterations), fun)
+        assert any(asked_nan)
 
     def test_clip_has_ndarray_clip_bits(self):
         # signed zeros, NaN and infinities against every ordered pair of bounds
