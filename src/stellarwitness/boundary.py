@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import compress, repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -55,6 +58,19 @@ class Repair(NamedTuple):
     after: float
 
 
+class CurveColumns(NamedTuple):
+    """The arrays that certification reads from a curve's points."""
+
+    omega: np.ndarray          # usable directions (unflagged, finite omega) after a leading NaN
+    threshold: np.ndarray      # their thresholds, NaN first
+    cos: np.ndarray            # cos and sin of omega
+    sin: np.ndarray
+    keys: np.ndarray           # every point's omega, stably sorted, after a -inf sentinel
+    key_threshold: np.ndarray  # their thresholds, NaN for the sentinel that an omega below all lands on
+    point_omega: np.ndarray    # every point's omega, in order
+    floor: np.ndarray          # its threshold less MONOTONICITY_SLACK, NaN where flagged
+
+
 @dataclass(frozen=True)
 class BoundaryCurve:
     rank: int
@@ -66,6 +82,36 @@ class BoundaryCurve:
 
     def hull_vertices(self) -> list:
         return [(self.points[i].p_first, self.points[i].p_second) for i in self.hull]
+
+    @cached_property
+    def columns(self) -> CurveColumns:
+        """The points' columns, derived on first use and kept with the curve
+        (:func:`curves_from_csv` sets them from the columns it parsed)."""
+        omega, _, _, threshold, flagged = tuple(zip(*self.points)) or ((),) * 5
+        return _curve_columns(
+            np.array(omega, dtype=float), np.array(threshold, dtype=float), np.array(flagged, dtype=bool)
+        )
+
+
+def _curve_columns(omega: np.ndarray, threshold: np.ndarray, flagged: np.ndarray) -> CurveColumns:
+    """The CurveColumns of a curve whose points have these omegas,
+    thresholds and flags."""
+    # usable: unflagged, with a finite omega (an infinite one would score NaN,
+    # counted as -inf, and never beat the leading NaN direction, which wins
+    # where nothing scores more)
+    usable = ~flagged & np.isfinite(omega)
+    swept = np.concatenate(([np.nan], omega[usable]))
+    order = omega.argsort(kind="stable")
+    return CurveColumns(
+        swept,
+        np.concatenate(([np.nan], threshold[usable])),
+        np.cos(swept),
+        np.sin(swept),
+        np.concatenate(([-np.inf], omega[order])),
+        np.concatenate(([np.nan], threshold[order])),
+        omega,
+        np.where(flagged, np.nan, threshold - MONOTONICITY_SLACK),
+    )
 
 
 def family_witness(family: dict, omega: float) -> WitnessOperator:
@@ -361,18 +407,15 @@ def separations(curves: Sequence[BoundaryCurve], pairs) -> tuple:
     """
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
     best, best_omega, best_threshold = (np.empty((len(pairs), len(curves))) for _ in range(3))
-    for j, curve in enumerate(curves):
-        omega, _, _, threshold, flagged = tuple(zip(*curve.points)) or ((),) * 5
-        usable = ~np.array(flagged, dtype=bool) & ~np.isnan(omega)
-        # a leading NaN direction scores -inf: it wins where nothing scores more
-        omega = np.append(np.nan, np.array(omega)[usable])
-        threshold = np.append(np.nan, np.array(threshold)[usable])
-        cos, sin = np.cos(omega), np.sin(omega)
-        for start in range(0, len(pairs), _PAIR_BLOCK):
-            rows = slice(start, start + _PAIR_BLOCK)
-            sep = np.fmax(cos * pairs[rows, :1] + sin * pairs[rows, 1:] - threshold, -np.inf)
+    columns = [curve.columns[:4] for curve in curves]
+    for start in range(0, len(pairs), _PAIR_BLOCK):
+        rows = slice(start, start + _PAIR_BLOCK)
+        x, y = pairs[rows, :1], pairs[rows, 1:]
+        block = np.arange(len(x))
+        for j, (omega, threshold, cos, sin) in enumerate(columns):
+            sep = np.fmax(cos * x + sin * y - threshold, -np.inf)
             first = sep.argmax(axis=1)
-            best[rows, j] = sep[np.arange(len(sep)), first]
+            best[rows, j] = sep[block, first]
             best_omega[rows, j] = omega[first]
             best_threshold[rows, j] = threshold[first]
     return best, best_omega, best_threshold
@@ -383,14 +426,17 @@ def _check_consistency(curves: Sequence[BoundaryCurve]) -> None:
     if ranks != sorted(ranks) or any(b - a != 1 for a, b in zip(ranks, ranks[1:])):
         raise ValueError(f"curves must cover consecutive ranks, got {ranks}")
     for low, high in zip(curves, curves[1:]):
-        # NaN thresholds and omegas (flagged points, corners) compare false
-        upper = {p.omega: p.threshold for p in high.points}
-        for omega, _, _, threshold, flagged in low.points:
-            if not flagged and upper.get(omega, math.nan) < threshold - MONOTONICITY_SLACK:
-                raise ValueError(
-                    "inconsistent hull nesting: threshold at rank "
-                    f"{high.rank} below rank {low.rank} at omega={omega}"
-                )
+        below, above = low.columns, high.columns
+        # the last point of `high` whose omega equals each omega of `low`;
+        # the sentinel, a NaN omega and a NaN threshold or floor compare false
+        at = above.keys.searchsorted(below.point_omega, side="right") - 1
+        short = (above.keys[at] == below.point_omega) & (above.key_threshold[at] < below.floor)
+        if short.any():
+            omega = low.points[short.argmax()].omega
+            raise ValueError(
+                "inconsistent hull nesting: threshold at rank "
+                f"{high.rank} below rank {low.rank} at omega={omega}"
+            )
 
 
 def certify_pairs(pairs, curves: Sequence[BoundaryCurve], margin: float = 1e-4) -> tuple:
@@ -406,11 +452,11 @@ def certify_pairs(pairs, curves: Sequence[BoundaryCurve], margin: float = 1e-4) 
     _check_consistency(curves)
     sep, omega, threshold = separations(curves, pairs)
     ranks = np.array([c.rank for c in curves], dtype=int)
-    certified = np.max(np.where(sep > margin, ranks, 0), axis=1, initial=0)
+    certified = np.where(sep > margin, ranks, 0).max(axis=1, initial=0)
     # rank 0 picks a leading NaN column, rank n the column of the rank-n curve
-    column = np.searchsorted(ranks, certified, side="right")
+    column = ranks.searchsorted(certified, side="right")
     rows, nan = np.arange(len(sep)), np.full((len(sep), 1), np.nan)
-    omega, threshold = (np.hstack([nan, a])[rows, column] for a in (omega, threshold))
+    omega, threshold = (np.concatenate((nan, a), axis=1)[rows, column] for a in (omega, threshold))
     return certified, omega, threshold
 
 
@@ -473,25 +519,88 @@ def hull_to_json(curve: BoundaryCurve) -> dict:
     }
 
 
+_FLAGS = {"0": False, "1": True}
+
+
 def curves_from_csv(text: str, family: dict) -> list:
-    rows = text.strip().split("\n")
-    if not rows or rows[0] != CSV_HEADER:
+    """The curves of a boundary CSV, in ascending rank, each with its rows in
+    file order.  A malformed row raises the ValueError that a row-by-row read
+    meets first: a row without 7 fields, a rank that is not an integer, a
+    float field that does not parse, or an on_hull or flagged field other
+    than 0 or 1.
+
+    The fields are read column by column from one split of the whole text."""
+    text = text.strip()
+    if text.partition("\n")[0] != CSV_HEADER:
         raise ValueError("boundary CSV must start with the standard header")
-    by_rank: dict = {}
-    for line in rows[1:]:
+    fields = text.replace("\n", ",\n,").split(",")  # each newline a field of its own
+    rows = len(fields) // 8
+    if not rows:
+        return []
+    try:
+        # every line has 7 fields when the newlines are every 8th field; a
+        # newline anywhere else fails in the parse of its column
+        if len(fields) % 8 != 7 or fields[7::8].count("\n") != rows:
+            raise ValueError
+        # omega, rank, p_first, p_second, threshold, on_hull, flagged
+        columns = [fields[k::8] for k in range(8, 15)]
+        del fields  # a garbage collection during the parse need not walk it
+        # (rank, first row, end row) of each curve, while each rank's rows are one run
+        rank_text, spans, row = columns[1], [], 0
+        for value in dict.fromkeys(rank_text):
+            if rank_text.index(value) != row:
+                break
+            spans.append((int(value), row, row + rank_text.count(value)))
+            row = spans[-1][2]
+        if row != rows or any(a[0] >= b[0] for a, b in zip(spans, spans[1:])):
+            # rows of a rank apart, or ranks out of order: gather them, in file order
+            ranks = list(map(int, rank_text))
+            order = sorted(range(rows), key=ranks.__getitem__)
+            ranks, columns = sorted(ranks), [[column[i] for i in order] for column in columns]
+            spans = [(n, bisect_left(ranks, n), bisect_right(ranks, n)) for n in dict.fromkeys(ranks)]
+        omega, grid = [], None
+        for _, lo, hi in spans:  # the curves share one omega grid: parse it once
+            if columns[0][lo:hi] != grid:
+                grid = columns[0][lo:hi]
+                values = list(map(float, grid))
+            omega += values
+        columns = [omega] + [list(map(float, columns[k])) for k in (2, 3, 4)] + [
+            list(map(_FLAGS.__getitem__, columns[k])) for k in (6, 5)
+        ]
+    except (ValueError, KeyError):
+        raise _row_error(text.split("\n")[1:]) from None
+    *point_columns, on_hull = columns
+    points = list(map(tuple.__new__, repeat(BoundaryPoint), zip(*point_columns)))
+    omega, _, _, threshold, flagged = point_columns
+    omega, threshold = np.array(omega, dtype=float), np.array(threshold, dtype=float)
+    flagged = np.array(flagged, dtype=bool)
+    curves = []
+    for rank, lo, hi in spans:
+        curve = BoundaryCurve(
+            rank=rank,
+            family=dict(family),
+            points=tuple(points[lo:hi]),
+            hull=tuple(compress(range(hi - lo), on_hull[lo:hi])),
+        )
+        # the columns as parsed, where the cached property keeps them
+        curve.__dict__["columns"] = _curve_columns(omega[lo:hi], threshold[lo:hi], flagged[lo:hi])
+        curves.append(curve)
+    return curves
+
+
+def _row_error(lines: list) -> ValueError:
+    """The error of the first malformed row, as a row-by-row read meets it."""
+    for line in lines:
         fields = line.split(",")
         if len(fields) != 7:
-            raise ValueError(f"malformed boundary CSV row: {line!r}")
-        rank = int(fields[1])
-        point = BoundaryPoint(
-            float(fields[0]), float(fields[2]), float(fields[3]),
-            float(fields[4]), fields[6] == "1",
-        )
-        by_rank.setdefault(rank, ([], []))
-        by_rank[rank][0].append(point)
-        if fields[5] == "1":
-            by_rank[rank][1].append(len(by_rank[rank][0]) - 1)
-    return [
-        BoundaryCurve(rank=rank, family=dict(family), points=tuple(points), hull=tuple(hull))
-        for rank, (points, hull) in sorted(by_rank.items())
-    ]
+            return ValueError(f"malformed boundary CSV row: {line!r}")
+        try:
+            int(fields[1])
+            for value in (fields[0], *fields[2:5]):
+                float(value)
+        except ValueError as error:
+            return error
+        for name, value in zip(("on_hull", "flagged"), fields[5:]):
+            if value not in _FLAGS:
+                return ValueError(f"{name} must be 0 or 1, got {value!r}, in boundary CSV row: {line!r}")
+    raise AssertionError("no malformed row")

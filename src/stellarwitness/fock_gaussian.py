@@ -133,10 +133,11 @@ def block_in_range(params: GaussianUnitaryParams) -> bool:
     return bool(log_size >= -(_SCALE_FLOOR + 1074) * math.log(2.0))
 
 
-def _ladder(r, mu, sinh, ar, ai, height: int, width: int) -> tuple:
+def _ladder(vacuum, mu, sinh, ar, ai, height: int, width: int) -> tuple:
     """(G 2^-s, 2^s): the block G_km = <k|D(a)S(r)|m>, k < height,
-    m < width, at every (r, a = ar + i ai), with mu = cosh r and sinh =
-    sinh r, scaled by 2^-s per point.
+    m < width, at every (r, a = ar + i ai), with mu = cosh r, sinh =
+    sinh r and `vacuum` the point's :func:`_vacuum_terms`, scaled by 2^-s
+    per point.
 
     The ladder recurrences of Miatto and Quesada (Quantum 4, 366 (2020)) for
     a* = conj(a), mu = cosh r, t = tanh r, from
@@ -155,12 +156,12 @@ def _ladder(r, mu, sinh, ar, ai, height: int, width: int) -> tuple:
     -_SCALE_FLOOR) keeps the start representable where G_00 underflows
     (large |a|), and as |G| <= 1 no scaled entry overflows.
     """
-    u, v, log_size = _vacuum_terms(r, mu, ar, ai)
+    u, v, log_size = vacuum
     t = sinh / mu
     scale = np.maximum(np.ceil(log_size / math.log(2.0)), -_SCALE_FLOOR)
     roots = [math.sqrt(k) for k in range(max(height, width))]
     lead = u + 1j * v
-    scaled = np.zeros((len(r), height, width), dtype=complex)
+    scaled = np.zeros((len(mu), height, width), dtype=complex)
     scaled[:, 0, 0] = np.exp(log_size - scale * math.log(2.0) - 1j * t * ar * ai)
     if width > 1:  # one column has no steps in m and no sqrt(m) coupling
         down = np.array(roots[1:]) / mu[:, None]  # sqrt(k) / mu for k >= 1
@@ -205,8 +206,9 @@ def block_columns_batch(points, rows: int, cols, theta=None) -> np.ndarray:
         raise ValueError("Fock indices must be >= 0")
     _check_points(points)
     height, width = max(rows, 1), max(cols, default=0) + 1
-    r = points[:, 0]
-    scaled, unscale = _ladder(r, np.cosh(r), np.sinh(r), points[:, 1], points[:, 2], height, width)
+    r, ar, ai = points[:, 0], points[:, 1], points[:, 2]
+    mu = np.cosh(r)
+    scaled, unscale = _ladder(_vacuum_terms(r, mu, ar, ai), mu, np.sinh(r), ar, ai, height, width)
     if theta is None:  # (1 + 0i) times the scale is the scale plus 0i
         turns = (unscale + 0j)[:, None, None]
     else:
@@ -277,14 +279,17 @@ def coherent_columns(points, betas, k_max: int, theta=None) -> np.ndarray:
     tiled = np.empty((count, size), dtype=complex)
     tiled[:] = betas
     rotated = np.exp(1j * vartheta.repeat(size)) * tiled.reshape(-1)
-    tilde = rotated * mu + rotated.conj() * sinh  # S(r) D(b) = D(b~) S(r)
     alpha = (points[:, 1] + 1j * points[:, 2]).repeat(size)
-    shifted = alpha + tilde
-    # an overflow from finite inputs
-    if not np.isfinite(shifted).all():
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        tilde = rotated * mu + rotated.conj() * sinh  # S(r) D(b) = D(b~) S(r)
+        shifted = alpha + tilde
+        turn = (alpha * tilde.conj()).imag
+        vacuum = _vacuum_terms(r, mu, shifted.real, shifted.imag)
+    # an overflow from finite inputs; a non-finite shift makes log |G_00| so
+    if not (np.isfinite(vacuum[2]).all() and np.isfinite(turn).all()):
         raise ValueError("coherent input and displacement must be finite")
-    column, unscale = _ladder(r, mu, sinh, shifted.real, shifted.imag, k_max + 1, 1)
-    factor = np.exp(1j * (alpha * tilde.conj()).imag) * unscale
+    column, unscale = _ladder(vacuum, mu, sinh, shifted.real, shifted.imag, k_max + 1, 1)
+    factor = np.exp(1j * turn) * unscale
     if theta is None:  # e^{-ik theta} = 1 + 0i, and (1 + 0i) times the factor has its bits
         turns = factor.repeat(k_max + 1).reshape(-1, k_max + 1)
     else:

@@ -1,4 +1,7 @@
 import math
+import struct
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from stellarwitness.boundary import (
     BoundaryCurve,
     BoundaryPoint,
+    _check_consistency,
     certify_pair,
     certify_pairs,
     curves_from_csv,
@@ -22,7 +26,7 @@ from stellarwitness.boundary import (
     tangent_witness,
 )
 from stellarwitness.errors import DegenerateWitnessError
-from stellarwitness.threshold import OptimizerConfig
+from stellarwitness.threshold import MONOTONICITY_SLACK, OptimizerConfig
 from stellarwitness.validation import brute_force_hull
 
 FAST = OptimizerConfig(starts=10, max_iterations=350, seed=3)
@@ -459,3 +463,313 @@ class TestFiles:
     def test_malformed_csv_rejected(self):
         with pytest.raises(ValueError):
             curves_from_csv("not,a,header\n", FOCK02)
+
+
+# ---------------------------------------------------------------------------
+# Certification against the point-walking code that the curve columns and
+# the column-wise reader replaced: equal bits, equal errors.
+# ---------------------------------------------------------------------------
+
+CERTIFY_DIR = Path(__file__).resolve().parents[1] / "bench" / "data" / "certify"
+
+
+def reference_separations(curves, pairs):
+    """Separations with each curve's arrays rebuilt from its points."""
+    pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    best, best_omega, best_threshold = (np.empty((len(pairs), len(curves))) for _ in range(3))
+    for j, curve in enumerate(curves):
+        omega, _, _, threshold, flagged = tuple(zip(*curve.points)) or ((),) * 5
+        usable = ~np.array(flagged, dtype=bool) & ~np.isnan(omega)
+        omega = np.append(np.nan, np.array(omega)[usable])
+        threshold = np.append(np.nan, np.array(threshold)[usable])
+        cos, sin = np.cos(omega), np.sin(omega)
+        for start in range(0, len(pairs), 32):
+            rows = slice(start, start + 32)
+            sep = np.fmax(cos * pairs[rows, :1] + sin * pairs[rows, 1:] - threshold, -np.inf)
+            first = sep.argmax(axis=1)
+            best[rows, j] = sep[np.arange(len(sep)), first]
+            best_omega[rows, j] = omega[first]
+            best_threshold[rows, j] = threshold[first]
+    return best, best_omega, best_threshold
+
+
+def reference_check_consistency(curves):
+    """The nesting check by a dict of each higher curve's points."""
+    ranks = [c.rank for c in curves]
+    if ranks != sorted(ranks) or any(b - a != 1 for a, b in zip(ranks, ranks[1:])):
+        raise ValueError(f"curves must cover consecutive ranks, got {ranks}")
+    for low, high in zip(curves, curves[1:]):
+        upper = {p.omega: p.threshold for p in high.points}
+        for omega, _, _, threshold, flagged in low.points:
+            if not flagged and upper.get(omega, math.nan) < threshold - MONOTONICITY_SLACK:
+                raise ValueError(
+                    "inconsistent hull nesting: threshold at rank "
+                    f"{high.rank} below rank {low.rank} at omega={omega}"
+                )
+
+
+def reference_curves_from_csv(text, family):
+    """The row-by-row reader, which takes any flag other than "1" as 0."""
+    rows = text.strip().split("\n")
+    if not rows or rows[0] != "omega,rank,p_first,p_second,threshold,on_hull,flagged":
+        raise ValueError("boundary CSV must start with the standard header")
+    by_rank = {}
+    for line in rows[1:]:
+        fields = line.split(",")
+        if len(fields) != 7:
+            raise ValueError(f"malformed boundary CSV row: {line!r}")
+        rank = int(fields[1])
+        point = BoundaryPoint(
+            float(fields[0]), float(fields[2]), float(fields[3]), float(fields[4]), fields[6] == "1"
+        )
+        by_rank.setdefault(rank, ([], []))
+        by_rank[rank][0].append(point)
+        if fields[5] == "1":
+            by_rank[rank][1].append(len(by_rank[rank][0]) - 1)
+    return [
+        BoundaryCurve(rank=rank, family=dict(family), points=tuple(points), hull=tuple(hull))
+        for rank, (points, hull) in sorted(by_rank.items())
+    ]
+
+
+def reference_certify(pair, curves, margin):
+    """(certified rank, best omega and threshold on the rank's curve) from
+    the reference separations."""
+    reference_check_consistency(curves)
+    sep, omega, threshold = reference_separations(curves, [pair])
+    rank = max((c.rank for j, c in enumerate(curves) if sep[0, j] > margin), default=0)
+    j = [c.rank for c in curves].index(rank) if rank else None
+    return rank, (omega[0, j], threshold[0, j]) if rank else None
+
+
+def outcome(function, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return ("returned", function(*args))
+    except Exception as error:  # noqa: BLE001 - the error is the outcome
+        return (type(error), str(error))
+
+
+def point_record(curves):
+    """Every field of every point with its type, floats as their bits."""
+    return [
+        (curve.rank, curve.family, curve.hull, type(point))
+        + tuple((type(v), struct.pack("<d", v) if isinstance(v, float) else v) for v in point)
+        for curve in curves
+        for point in curve.points
+    ]
+
+
+def same_bits(got, expected):
+    return all(
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in zip(got, expected, strict=True)
+    )
+
+
+def certify_text():
+    return (CERTIFY_DIR / "boundary.csv").read_text()
+
+
+def fixture_pairs(count, seed):
+    """Seeded pairs as the benchmark draws them, with NaN pairs, the corners
+    of the simplex and the points of each curve among them."""
+    u = np.random.default_rng(seed).random((count, 2))
+    folded = u.sum(axis=1) > 1.0
+    u[folded] = 1.0 - u[folded]
+    special = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)]
+    return np.vstack([u, special])
+
+
+def hand_points(rows, corner=True):
+    """Points from (omega, threshold, flagged) rows, then the closure corner."""
+    points = [BoundaryPoint(w, 0.25, 0.5, t, f) for w, t, f in rows]
+    return tuple(points + [BoundaryPoint(math.nan, 0.0, 0.0, math.nan, False)] * corner)
+
+
+class TestAgainstPointReference:
+    def test_fixture_reads_as_the_row_reader_does(self):
+        text = certify_text()
+        assert point_record(curves_from_csv(text, FOCK02)) == point_record(
+            reference_curves_from_csv(text, FOCK02)
+        )
+
+    def test_reader_columns_are_the_columns_of_the_points(self):
+        for curve in curves_from_csv(certify_text(), FOCK02):
+            derived = BoundaryCurve.columns.func(curve)
+            assert same_bits(curve.columns, derived)
+
+    def test_columns_derived_once(self, fock02_curves):
+        curve = replace(fock02_curves[0])
+        assert "columns" not in curve.__dict__  # a sweep derives none
+        assert curve.columns is curve.columns
+
+    def test_fixture_separations(self):
+        text = certify_text()
+        pairs = fixture_pairs(10_000, 5)
+        expected = reference_separations(reference_curves_from_csv(text, FOCK02), pairs)
+        assert same_bits(separations(curves_from_csv(text, FOCK02), pairs), expected)
+        # curves without reader columns derive them from their points
+        assert same_bits(separations(reference_curves_from_csv(text, FOCK02), pairs), expected)
+
+    def test_sweep_separations(self, fock02_curves):
+        pairs = fixture_pairs(2000, 6)
+        expected = reference_separations(fock02_curves, pairs)
+        assert same_bits(separations(fock02_curves, pairs), expected)
+        parsed = curves_from_csv(curves_to_csv(fock02_curves), FOCK02)
+        assert same_bits(separations(parsed, pairs), expected)
+
+    def test_flagged_points_corners_and_nan_thresholds(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            size = int(rng.integers(0, 12))
+            rows = [
+                (float(w), float(t), bool(f))
+                for w, t, f in zip(rng.uniform(0, 2 * math.pi, size), rng.uniform(0.2, 1.0, size),
+                                   rng.random(size) < 0.3)
+            ]
+            rows = [(w, math.nan, True) if f and rng.random() < 0.5 else (w, t, f) for w, t, f in rows]
+            curve = BoundaryCurve(rank=1, family=FOCK02, points=hand_points(rows, rng.random() < 0.7))
+            pairs = fixture_pairs(50, int(rng.integers(1000)))
+            assert same_bits(separations([curve], pairs), reference_separations([curve], pairs))
+
+    def test_infinite_omegas_never_separate(self):
+        rows = [(0.5, 0.4, False), (math.inf, 0.1, False), (-math.inf, -5.0, False), (2.0, 0.3, False)]
+        for curve in (
+            BoundaryCurve(rank=1, family=FOCK02, points=hand_points(rows)),
+            BoundaryCurve(rank=1, family=FOCK02, points=hand_points(rows[1:3])),
+        ):
+            pairs = fixture_pairs(200, 8)
+            with np.errstate(invalid="ignore"):  # the reference takes cos(inf)
+                expected = reference_separations([curve], pairs)
+            assert same_bits(separations([curve], pairs), expected)
+
+    def test_certify_pair_and_tangent_on_parsed_curves(self):
+        text = certify_text()
+        reference = reference_curves_from_csv(text, FOCK02)
+        for pair in fixture_pairs(300, 7):
+            curves = curves_from_csv(text, FOCK02)
+            rank, tangent = reference_certify(tuple(pair), reference, 1e-4)
+            assert certify_pair(tuple(pair), curves, 1e-4) == rank
+            if rank:
+                got = tangent_witness(curves[rank - 1], tuple(pair), margin=1e-4)
+                assert struct.pack("<2d", *got) == struct.pack("<2d", *tangent)
+
+    # name: (rank-1 rows, rank-2 rows, whether the check raises)
+    NESTINGS = {
+        "consistent": ([(0.0, 0.5), (1.0, 0.5)], [(0.0, 0.6), (1.0, 0.6)], False),
+        "first of two offending points": (
+            [(0.0, 0.5), (1.0, 0.5), (2.0, 0.9)], [(0.0, 0.6), (1.0, 0.1), (2.0, 0.2)], True),
+        "within slack": ([(1.0, 0.5)], [(1.0, 0.5 - 0.5 * MONOTONICITY_SLACK)], False),
+        "last duplicate wins": ([(1.0, 0.5)], [(1.0, 0.1), (1.0, 0.7)], False),
+        "last duplicate loses": ([(1.0, 0.5)], [(1.0, 0.7), (1.0, 0.1)], True),
+        "second duplicate below": ([(1.0, 0.5), (1.0, 0.9)], [(1.0, 0.7)], True),
+        "signed zero matches": ([(-0.0, 0.5)], [(0.0, 0.1)], True),
+        "mismatched grids": ([(0.5, 0.9), (1.0, 0.5)], [(0.25, 0.1), (1.0, 0.7), (3.0, 0.0)], False),
+        "infinite omegas": ([(math.inf, 0.5), (-math.inf, 0.5)], [(-math.inf, 0.1), (math.inf, 0.9)], True),
+        "nan threshold above": ([(1.0, 0.5)], [(1.0, math.nan)], False),
+        "nan omegas": ([(float("nan"), 0.5)], [(float("nan"), 0.1)], False),
+        "empty above": ([(1.0, 0.5)], [], False),
+    }
+
+    @pytest.mark.parametrize("name", NESTINGS)
+    def test_nesting_check(self, name):
+        low, high, raises = self.NESTINGS[name]
+        curves = [
+            BoundaryCurve(rank=1, family=FOCK02, points=hand_points([(w, t, False) for w, t in low])),
+            BoundaryCurve(rank=2, family=FOCK02, points=hand_points([(w, t, False) for w, t in high])),
+        ]
+        expected = outcome(reference_check_consistency, curves)
+        assert outcome(_check_consistency, curves) == expected
+        assert (expected[0] is ValueError) == raises
+
+    def test_nesting_check_on_random_grids(self):
+        # omegas from a small set, so grids repeat and mismatch; the first
+        # offending point must be the one reported.  Grids of up to 63 points
+        # have runs of equal omegas that an unstable sort would reorder.
+        rng = np.random.default_rng(23)
+        grid = [0.0, -0.0, 0.5, 1.0, math.inf, 2.0]
+        for trial in range(400):
+            curves = []
+            for rank in (1, 2, 3):
+                size = int(rng.integers(0, 8 if trial % 4 else 64))
+                rows = [
+                    (grid[int(rng.integers(len(grid)))], float(rng.choice([0.2, 0.5, 0.5, 0.8, math.nan])),
+                     bool(rng.random() < 0.2))
+                    for _ in range(size)
+                ]
+                curves.append(BoundaryCurve(rank=rank, family=FOCK02, points=hand_points(rows)))
+            assert outcome(_check_consistency, curves) == outcome(reference_check_consistency, curves)
+
+    def test_nesting_check_on_flagged_points(self):
+        low = BoundaryCurve(rank=1, family=FOCK02, points=hand_points([(1.0, 0.9, True), (2.0, 0.5, False)]))
+        high = BoundaryCurve(rank=2, family=FOCK02, points=hand_points([(1.0, 0.1, False), (2.0, 0.4, True)]))
+        assert outcome(_check_consistency, [low, high]) == outcome(reference_check_consistency, [low, high])
+        assert outcome(_check_consistency, [low, high])[0] is ValueError  # a flagged point above still counts
+
+    def test_non_consecutive_ranks(self, fock02_curves):
+        curves = [fock02_curves[0], fock02_curves[2]]
+        assert outcome(_check_consistency, curves) == outcome(reference_check_consistency, curves)
+
+    def test_interleaved_ranks_read_in_file_order(self):
+        header, *rows = certify_text().strip().split("\n")
+        shuffled = [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
+        text = "\n".join([header, *shuffled]) + "\n"
+        assert point_record(curves_from_csv(text, FOCK02)) == point_record(
+            reference_curves_from_csv(text, FOCK02)
+        )
+
+    ROW = "0.5,1,0.25,0.5,0.75,1,0"
+    MALFORMED = {
+        "header": "omega,rank\n" + ROW,
+        "empty": "",
+        "six fields": f"{ROW}\n0.5,1,0.25,0.5,0.75,1",
+        "eight fields": f"{ROW}\n{ROW},0",
+        "blank line": f"{ROW}\n\n{ROW}",
+        "rank not an integer": "0.5,1.0,0.25,0.5,0.75,1,0",
+        "rank missing": "0.5,,0.25,0.5,0.75,1,0",
+        "omega": "x,1,0.25,0.5,0.75,1,0",
+        "p_first": "0.5,1,0.2.5,0.5,0.75,1,0",
+        "p_second": "0.5,1,0.25,,0.75,1,0",
+        "threshold": "0.5,1,0.25,0.5,inff,1,0",
+        "rank before float": "x,y,0.25,0.5,0.75,1,0",
+        "float before later field count": f"{ROW}\n0.5,1,x,0.5,0.75,1,0\n{ROW},0",
+        "field count before later float": f"{ROW}\n{ROW},0\n0.5,1,x,0.5,0.75,1,0",
+        "later float before field count": f"{ROW}\n0.5,1,0.25,0.5,x,1,0\n0.5,1,y,0.5,0.75,1,0",
+        "header only": "",
+        "padded and odd floats": "  0.5 ,01,1e-1,-0,nan,1,0\n-inf,1,+0.5,inf,1_0.5,0,1",
+        "two ranks apart": f"{ROW}\n0.5,2,0.25,0.5,0.75,0,0\n0.75,01,0.25,0.5,0.75,0,1",
+        "ranks descending": f"0.5,2,0.25,0.5,0.8,1,0\n0.75,2,0.25,0.5,0.8,0,0\n{ROW}\n0.75,1,0.2,0.5,0.75,0,1",
+        "equal grids": f"{ROW}\n0.75,1,0.25,0.5,0.75,0,0\n0.5,2,0.25,0.5,0.8,0,0\n0.75,2,0.25,0.5,0.8,1,0",
+        "grids differ in one omega": f"{ROW}\n0.75,1,0.25,0.5,0.75,0,0\n0.5,2,0.25,0.5,0.8,0,0\n0.7500,2,0.2,0.5,0.8,1,1",
+        "later grid fails": f"{ROW}\n0.75,1,0.25,0.5,0.75,0,0\n0.5,2,0.25,0.5,0.8,0,0\n0.7.5,2,0.2,0.5,0.8,1,1",
+        # a row broken in two lines of 7 fields in all: the stray newline
+        # sits where the row's p_second or on_hull field would
+        "newline in a float field": f"{ROW}\n0.5,1,0.25\n0.5,0.75,1\n{ROW}",
+        "newline in a flag field": f"{ROW}\n0.5,1,0.25,0.5,0.75\n1\n{ROW}",
+    }
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_reader_errors_and_values(self, name):
+        text = self.MALFORMED[name]
+        if name != "header":
+            text = "omega,rank,p_first,p_second,threshold,on_hull,flagged\n" + text
+        got, expected = outcome(curves_from_csv, text, FOCK02), outcome(reference_curves_from_csv, text, FOCK02)
+        if expected[0] == "returned":
+            assert got[0] == "returned" and point_record(got[1]) == point_record(expected[1])
+        else:
+            assert got == expected
+
+    @pytest.mark.parametrize(
+        "field, value", [("on_hull", "maybe"), ("flagged", "yes"), ("on_hull", "2"), ("flagged", " 1"),
+                         ("on_hull", "1.0"), ("flagged", "")],
+    )
+    def test_flags_must_be_zero_or_one(self, field, value):
+        header, first, *rows = certify_text().strip().split("\n")
+        fields = first.split(",")
+        fields[5 if field == "on_hull" else 6] = value
+        bad = ",".join(fields)
+        text = "\n".join([header, *rows[:40], bad, *rows[40:]])
+        with pytest.raises(ValueError, match=f"{field} must be 0 or 1") as error:
+            curves_from_csv(text, FOCK02)
+        assert repr(bad) in str(error.value)

@@ -458,6 +458,20 @@ class TestCertifyCommand:
         assert "manifest.json lists ranks [1, 2]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_flag_other_than_zero_or_one_exit_one(self, boundary_dir, tmp_path, capsys):
+        directory = tmp_path / "curves"
+        shutil.copytree(boundary_dir, directory)
+        header, first, *rows = (directory / "boundary.csv").read_text().splitlines()
+        first = ",".join(first.split(",")[:5] + ["maybe", "yes"])
+        (directory / "boundary.csv").write_text("\n".join([header, first, *rows]) + "\n")
+        out = tmp_path / "report.json"
+        code = main(["certify", "--pair", "0.9", "0.05", "--curves", str(directory),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "on_hull must be 0 or 1, got 'maybe'" in err and repr(first) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags", [["--pair", "0", "1", "--margin", "nan"], ["--pair", "nan", "1"],
                   ["--pair", "0", "inf"], ["--pair", "0", "1", "--margin=-inf"]]

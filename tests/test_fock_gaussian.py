@@ -12,6 +12,7 @@ from stellarwitness.fock_gaussian import (
     _displaced_basis,
     _ladder,
     _squeeze_chains,
+    _vacuum_terms,
     block_columns,
     block_columns_batch,
     coherent_columns,
@@ -264,8 +265,9 @@ class TestBlockColumns:
         points, _ = self.points(600, np.random.default_rng(height))
         r, ar, ai = points[:, 0], points[:, 1], points[:, 2]
         mu, sinh = np.cosh(r), np.sinh(r)
-        one, one_unscale = _ladder(r, mu, sinh, ar, ai, height, 1)
-        wide, wide_unscale = _ladder(r, mu, sinh, ar, ai, height, 3)
+        vacuum = _vacuum_terms(r, mu, ar, ai)
+        one, one_unscale = _ladder(vacuum, mu, sinh, ar, ai, height, 1)
+        wide, wide_unscale = _ladder(vacuum, mu, sinh, ar, ai, height, 3)
         assert one[:, :, 0].tobytes() == wide[:, :, 0].tobytes()
         assert one_unscale.tobytes() == wide_unscale.tobytes()
 
@@ -427,6 +429,19 @@ class TestCoherentColumns:
         # with RuntimeWarning an error, a warning from a product fails this too
         with pytest.raises(ValueError, match="r <= 700"):
             coherent_columns(bad, [2.0, -2.0], 2)
+
+    @pytest.mark.parametrize(
+        "point, beta",
+        [([700.0, 0.0, 0.0], 1e5),  # beta_tilde overflows
+         ([0.1, 1e308, 1e308], 2.0),  # |alpha + beta_tilde|^2 overflows
+         ([700.0, 0.0, 2e4], 0.0),  # e^r Im(alpha + beta_tilde) overflows
+         # Im(alpha conj(beta_tilde)) overflows, |alpha + beta_tilde|^2 does not
+         ([0.1, 2e154, 0.0], complex(-1.8e154 * math.exp(-0.1), 1e154 * math.exp(0.1)))],
+    )
+    def test_overflow_from_finite_inputs_rejected(self, point, beta):
+        # with RuntimeWarning an error, a warning from a product fails this too
+        with pytest.raises(ValueError, match="finite"):
+            coherent_columns([point], [beta], 2)
 
     @pytest.mark.parametrize("beta", [math.inf, complex(0.0, math.nan)])
     def test_non_finite_beta_rejected(self, beta):

@@ -1,9 +1,12 @@
+import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import stellarwitness
+from stellarwitness.boundary import BoundaryCurve, BoundaryPoint, curves_to_csv
 
 # Modules that importing the package must not pull in: scipy's submodules are
 # imported on first use, and the package runs no thread pool.
@@ -63,3 +66,32 @@ def test_validate_loads_no_sparse_module():
         "print(report['pass'], 'scipy.sparse' in sys.modules, scipy)"
     )
     assert run_fresh(code) == "True False []"
+
+
+def test_certify_from_curves_loads_no_scipy(tmp_path):
+    """`stellarwitness certify --curves DIR --pair ...` reads the curves and
+    runs the support test and the trace-distance bound of the certifying
+    witness: it loads no scipy module."""
+    family = {"type": "fock_pair", "j": 0, "k": 2}
+    omegas = [2.0 * math.pi * i / 8 for i in range(8)]
+    curves = [
+        BoundaryCurve(
+            rank=rank,
+            family=family,
+            points=tuple(BoundaryPoint(w, 0.5, 0.5, level, False) for w in omegas)
+            + (BoundaryPoint(math.nan, 0.0, 0.0, math.nan, False),),
+        )
+        for rank, level in ((1, 0.5), (2, 0.95))
+    ]
+    (tmp_path / "boundary.csv").write_text(curves_to_csv(curves))
+    (tmp_path / "manifest.json").write_text(json.dumps({"family": family, "ranks": [1, 2]}))
+    report = tmp_path / "report.json"
+    code = (
+        "import sys\n"
+        "from stellarwitness.cli import main\n"
+        f"code = main(['certify', '--curves', {str(tmp_path)!r}, '--pair', '0.05', '0.9', "
+        f"'--out', {str(report)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert run_fresh(code) == "0 []"
+    assert json.loads(report.read_text())["certified_rank"] == 1
