@@ -85,33 +85,26 @@ class BoundaryCurve:
 
     @cached_property
     def columns(self) -> CurveColumns:
-        """The points' columns, derived on first use and kept with the curve
-        (:func:`curves_from_csv` sets them from the columns it parsed)."""
+        """The points' columns, derived on first use and kept with the curve."""
         omega, _, _, threshold, flagged = tuple(zip(*self.points)) or ((),) * 5
-        return _curve_columns(
-            np.array(omega, dtype=float), np.array(threshold, dtype=float), np.array(flagged, dtype=bool)
+        omega, threshold = np.array(omega, dtype=float), np.array(threshold, dtype=float)
+        flagged = np.array(flagged, dtype=bool)
+        # usable: unflagged, with a finite omega (an infinite one would score NaN,
+        # counted as -inf, and never beat the leading NaN direction, which wins
+        # where nothing scores more)
+        usable = ~flagged & np.isfinite(omega)
+        swept = np.concatenate(([np.nan], omega[usable]))
+        order = omega.argsort(kind="stable")
+        return CurveColumns(
+            swept,
+            np.concatenate(([np.nan], threshold[usable])),
+            np.cos(swept),
+            np.sin(swept),
+            np.concatenate(([-np.inf], omega[order])),
+            np.concatenate(([np.nan], threshold[order])),
+            omega,
+            np.where(flagged, np.nan, threshold - MONOTONICITY_SLACK),
         )
-
-
-def _curve_columns(omega: np.ndarray, threshold: np.ndarray, flagged: np.ndarray) -> CurveColumns:
-    """The CurveColumns of a curve whose points have these omegas,
-    thresholds and flags."""
-    # usable: unflagged, with a finite omega (an infinite one would score NaN,
-    # counted as -inf, and never beat the leading NaN direction, which wins
-    # where nothing scores more)
-    usable = ~flagged & np.isfinite(omega)
-    swept = np.concatenate(([np.nan], omega[usable]))
-    order = omega.argsort(kind="stable")
-    return CurveColumns(
-        swept,
-        np.concatenate(([np.nan], threshold[usable])),
-        np.cos(swept),
-        np.sin(swept),
-        np.concatenate(([-np.inf], omega[order])),
-        np.concatenate(([np.nan], threshold[order])),
-        omega,
-        np.where(flagged, np.nan, threshold - MONOTONICITY_SLACK),
-    )
 
 
 def family_witness(family: dict, omega: float) -> WitnessOperator:
@@ -452,11 +445,11 @@ def certify_pairs(pairs, curves: Sequence[BoundaryCurve], margin: float = 1e-4) 
     _check_consistency(curves)
     sep, omega, threshold = separations(curves, pairs)
     ranks = np.array([c.rank for c in curves], dtype=int)
-    certified = np.where(sep > margin, ranks, 0).max(axis=1, initial=0)
+    certified = np.max(np.where(sep > margin, ranks, 0), axis=1, initial=0)
     # rank 0 picks a leading NaN column, rank n the column of the rank-n curve
-    column = ranks.searchsorted(certified, side="right")
+    column = np.searchsorted(ranks, certified, side="right")
     rows, nan = np.arange(len(sep)), np.full((len(sep), 1), np.nan)
-    omega, threshold = (np.concatenate((nan, a), axis=1)[rows, column] for a in (omega, threshold))
+    omega, threshold = (np.hstack([nan, a])[rows, column] for a in (omega, threshold))
     return certified, omega, threshold
 
 
@@ -545,19 +538,13 @@ def curves_from_csv(text: str, family: dict) -> list:
         # omega, rank, p_first, p_second, threshold, on_hull, flagged
         columns = [fields[k::8] for k in range(8, 15)]
         del fields  # a garbage collection during the parse need not walk it
-        # (rank, first row, end row) of each curve, while each rank's rows are one run
-        rank_text, spans, row = columns[1], [], 0
-        for value in dict.fromkeys(rank_text):
-            if rank_text.index(value) != row:
-                break
-            spans.append((int(value), row, row + rank_text.count(value)))
-            row = spans[-1][2]
-        if row != rows or any(a[0] >= b[0] for a, b in zip(spans, spans[1:])):
+        ranks = list(map(int, columns[1]))
+        if ranks != sorted(ranks):
             # rows of a rank apart, or ranks out of order: gather them, in file order
-            ranks = list(map(int, rank_text))
             order = sorted(range(rows), key=ranks.__getitem__)
             ranks, columns = sorted(ranks), [[column[i] for i in order] for column in columns]
-            spans = [(n, bisect_left(ranks, n), bisect_right(ranks, n)) for n in dict.fromkeys(ranks)]
+        # (rank, first row, end row) of each curve
+        spans = [(n, bisect_left(ranks, n), bisect_right(ranks, n)) for n in dict.fromkeys(ranks)]
         omega, grid = [], None
         for _, lo, hi in spans:  # the curves share one omega grid: parse it once
             if columns[0][lo:hi] != grid:
@@ -571,21 +558,15 @@ def curves_from_csv(text: str, family: dict) -> list:
         raise _row_error(text.split("\n")[1:]) from None
     *point_columns, on_hull = columns
     points = list(map(tuple.__new__, repeat(BoundaryPoint), zip(*point_columns)))
-    omega, _, _, threshold, flagged = point_columns
-    omega, threshold = np.array(omega, dtype=float), np.array(threshold, dtype=float)
-    flagged = np.array(flagged, dtype=bool)
-    curves = []
-    for rank, lo, hi in spans:
-        curve = BoundaryCurve(
+    return [
+        BoundaryCurve(
             rank=rank,
             family=dict(family),
             points=tuple(points[lo:hi]),
             hull=tuple(compress(range(hi - lo), on_hull[lo:hi])),
         )
-        # the columns as parsed, where the cached property keeps them
-        curve.__dict__["columns"] = _curve_columns(omega[lo:hi], threshold[lo:hi], flagged[lo:hi])
-        curves.append(curve)
-    return curves
+        for rank, lo, hi in spans
+    ]
 
 
 def _row_error(lines: list) -> ValueError:

@@ -1,6 +1,5 @@
 import math
 import struct
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -594,15 +593,15 @@ class TestAgainstPointReference:
             reference_curves_from_csv(text, FOCK02)
         )
 
-    def test_reader_columns_are_the_columns_of_the_points(self):
-        for curve in curves_from_csv(certify_text(), FOCK02):
-            derived = BoundaryCurve.columns.func(curve)
-            assert same_bits(curve.columns, derived)
-
-    def test_columns_derived_once(self, fock02_curves):
-        curve = replace(fock02_curves[0])
-        assert "columns" not in curve.__dict__  # a sweep derives none
-        assert curve.columns is curve.columns
+    def test_columns_derived_once_asked(self):
+        swept = sweep_family_ranks(FOCK02, [1], grid(2), OptimizerConfig(starts=2, max_iterations=20, seed=3))
+        parsed = curves_from_csv(certify_text(), FOCK02)
+        for curves in (swept, parsed):
+            # neither a sweep nor the reader derives them
+            assert not any("columns" in c.__dict__ for c in curves)
+            certify_pair((0.05, 0.9), curves)
+            kept = [c.__dict__["columns"] for c in curves]
+            assert all(c.columns is columns for c, columns in zip(curves, kept, strict=True))
 
     def test_fixture_separations(self):
         text = certify_text()
