@@ -28,12 +28,12 @@ from .boundary import (
     repair_log,
     sweep_family_ranks,
 )
-from .errors import OptimizerError
+from .errors import OptimizerError, TailBoundError
 from .fock_gaussian import GaussianUnitaryParams, block_in_range, gaussian_block
 from .multimode import MultimodeWitness, multimode_result_to_json, multimode_threshold
 from .states import FockDensity, FockVector, state_from_json
 from .threshold import OptimizerConfig, compute_threshold, result_to_json
-from .validation import run_suites
+from .validation import CHECKED_BLOCK_SIDE, ELEMENTS_TOL, block_deviation, run_suites
 from .witness import (
     expectation,
     rescale_to_unit,
@@ -69,6 +69,8 @@ def _build_config(args) -> OptimizerConfig:
     base = {}
     if getattr(args, "config", None):
         base = _load_json(args.config)
+        if not isinstance(base, dict):
+            raise ValueError(f"optimizer config {args.config} must hold a JSON object")
     config = OptimizerConfig.from_json(base) if base else OptimizerConfig()
     overrides = {}
     if getattr(args, "seed", None) is not None:
@@ -320,6 +322,18 @@ def cmd_gaussian_elements(args) -> int:
             "cannot be trusted (try a smaller block)\n"
         )
         return EXIT_VALIDATION
+    if block.shape[1] > 1 and max(block.shape) > CHECKED_BLOCK_SIDE:
+        try:
+            deviation = block_deviation(params, block)
+        except TailBoundError as err:
+            sys.stderr.write(f"block rejected: the oracle cannot check a block this large here: {err}\n")
+            return EXIT_VALIDATION
+        if not deviation <= ELEMENTS_TOL:
+            sys.stderr.write(
+                f"block rejected: it is {deviation:.3g} away from the oracle, above "
+                f"{ELEMENTS_TOL:g} (try a smaller block)\n"
+            )
+            return EXIT_VALIDATION
     payload = {
         "params": params.to_json(),
         "rows": args.rows,

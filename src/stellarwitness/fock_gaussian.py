@@ -47,6 +47,14 @@ MAX_SQUEEZING = 700.0
 #: largest |entry| of a parameter row (r, Re alpha, Im alpha, vartheta).
 _POINT_BOUNDS = np.array([MAX_SQUEEZING] + 3 * [np.finfo(float).max])
 
+#: the refusal of a row with an entry that is not finite or r above MAX_SQUEEZING
+_NOT_FINITE = f"Gaussian unitary parameters must be finite, with r <= {MAX_SQUEEZING}"
+
+#: largest intermediate :func:`_in_range` lets the kernels form: a margin
+#: below the largest double for the factors of at most 2, and the roundings,
+#: that its bound leaves out.
+_LARGEST_INTERMEDIATE = np.finfo(float).max / 16
+
 #: lowest per-point scale exponent of :func:`block_columns_batch`: scaled
 #: entries stay below 2**_SCALE_FLOOR, and a start <0|U|0> down to
 #: 2**-(_SCALE_FLOOR + 1074) (|alpha| up to ~53 at r = 0) stays representable.
@@ -107,12 +115,64 @@ class GaussianUnitaryParams:
         )
 
 
-def _check_points(points: np.ndarray) -> None:
-    """Refuse rows (r, Re alpha, Im alpha[, vartheta]) with an entry that is
-    not finite or |r| above MAX_SQUEEZING, in one test before any arithmetic:
-    a NaN compares false, and only an infinity exceeds the largest double."""
+def _in_range(r, a, b):
+    """Whether no intermediate of the kernels can overflow at squeezing r,
+    displacement components |Re alpha|, |Im alpha| <= a and coherent inputs
+    |beta| <= b (0 for block columns); elementwise over arrays, and growing
+    with each argument, so a box's far corner bounds all of its points.
+
+    The shifted input beta~ = cosh(r) beta' + sinh(r) conj(beta'), beta' =
+    e^{i vartheta} beta, has |Re beta~| <= b e^r and |Im beta~| <= b, so the
+    largest intermediates are e^r (a + b) (:func:`_vacuum_terms`), a b e^r
+    (the phase Im(alpha conj(beta~))) and (a + b e^r)(a + b) (the ladder's
+    start, and |alpha + beta~|^2).
+    """
+    with np.errstate(over="ignore"):  # an overflow makes a bound inf: out of range
+        grow = np.exp(r)
+        worst = np.maximum(np.maximum(grow * (a + b), a * b * grow), (a + b * grow) * (a + b))
+    return worst <= _LARGEST_INTERMEDIATE
+
+
+def _coherent_bound(betas) -> float:
+    """max |beta| over coherent inputs that must all be finite."""
+    betas = np.asarray(betas, dtype=complex)
+    if not np.isfinite(betas).all():
+        raise ValueError("coherent input and displacement must be finite")
+    with np.errstate(over="ignore"):  # |beta| of finite parts may overflow: out of range
+        return float(np.abs(betas).max(initial=0.0))
+
+
+def checked_points(points, betas=()) -> np.ndarray:
+    """`points`, rows (r, Re alpha, Im alpha[, vartheta]), as a float array
+    after the checks of every public kernel: the coherent inputs `betas` are
+    finite, every entry is finite with r <= MAX_SQUEEZING, and no
+    intermediate can overflow at any row (:func:`_in_range`).  The searches
+    check their box once instead (:func:`check_box`) and run the cores."""
+    b = _coherent_bound(betas)
+    points = np.asarray(points, dtype=float)
+    # one test before any arithmetic: a NaN compares false, and only an
+    # infinity exceeds the largest double
     if not (np.abs(points) <= _POINT_BOUNDS[: points.shape[1]]).all():
-        raise ValueError(f"Gaussian unitary parameters must be finite, with r <= {MAX_SQUEEZING}")
+        raise ValueError(_NOT_FINITE)
+    if not _in_range(points[:, 0], np.abs(points[:, 1:3]).max(axis=1, initial=0.0), b).all():
+        if len(betas):
+            raise ValueError("coherent input and displacement must be finite")
+        raise ValueError("displacement out of the kernels' range: e^r |alpha| would overflow")
+    return points
+
+
+def check_box(r_max: float, alpha_max: float, betas=()) -> None:
+    """Refuse a search box [0, r_max] x [-alpha_max, alpha_max]^2 (any
+    vartheta) on which a kernel with coherent inputs `betas` could overflow,
+    before the search's first round; its rounds then run the unchecked
+    cores on points clipped into the box."""
+    b = _coherent_bound(betas)
+    if not _in_range(r_max, alpha_max, b):
+        beta = f" and coherent inputs up to |beta| = {b:g}" if b else ""
+        raise ValueError(
+            f"search box out of the kernels' range: r_max = {r_max:g} with alpha_max = "
+            f"{alpha_max:g}{beta} would overflow; lower r_max or alpha_max"
+        )
 
 
 def _vacuum_terms(r, mu, ar, ai) -> tuple:
@@ -193,18 +253,24 @@ def block_columns_batch(points, rows: int, cols, theta=None) -> np.ndarray:
     """<k|U|m>, k < rows, m in `cols`, at every row (r, Re alpha, Im alpha[,
     vartheta]) of `points`, shape (points, rows, len(cols)); `theta` holds
     the rows' output phases, and None means theta = 0.  A row with an entry
-    that is not finite, or with r above MAX_SQUEEZING, raises ValueError.
+    that is not finite, with r above MAX_SQUEEZING, or at which the kernel
+    could overflow, raises ValueError (:func:`checked_points`).
 
     The block of D(alpha)S(r) from the ladder recurrence (:func:`_ladder`),
     then the phases e^{-ik theta} e^{im vartheta}.  A phase known to be 0
     is not exponentiated: e^{i0} is 1 + 0i, and the product keeps the bits
     it has through the exponential.
     """
-    points = np.asarray(points, dtype=float)
     cols = list(cols)
     if rows < 0 or min(cols, default=0) < 0:
         raise ValueError("Fock indices must be >= 0")
-    _check_points(points)
+    return _block_columns(checked_points(points), rows, cols, theta)
+
+
+def _block_columns(points: np.ndarray, rows: int, cols: list, theta) -> np.ndarray:
+    """:func:`block_columns_batch` without its checks, for a float array of
+    rows that passed :func:`checked_points` or lie in a box that passed
+    :func:`check_box`, and a list of column indices >= 0."""
     height, width = max(rows, 1), max(cols, default=0) + 1
     r, ar, ai = points[:, 0], points[:, 1], points[:, 2]
     mu = np.cosh(r)
@@ -258,18 +324,22 @@ def coherent_columns(points, betas, k_max: int, theta=None) -> np.ndarray:
     :func:`params_from_vector`; `theta` holds the rows' output phases, and
     None means theta = 0.  Returns shape (points, betas, k_max + 1); each row
     has the same bits alone as in any batch.  A row with an entry that is
-    not finite, or with r above MAX_SQUEEZING, raises ValueError.
+    not finite, with r above MAX_SQUEEZING, or at which the kernel could
+    overflow, raises ValueError (:func:`checked_points`).
 
     Uses the displaced-squeezed reduction: commuting the input phase and the
     squeezer through the coherent displacement leaves the vacuum column of
     the ladder kernel (:func:`_ladder`) at the composite displacement
     ``alpha + beta_tilde``, times the phase exp(i Im(alpha conj(beta_tilde))).
     """
-    betas = np.asarray(betas, dtype=complex)
-    if not np.isfinite(betas).all():
-        raise ValueError("coherent input and displacement must be finite")
-    points = np.asarray(points, dtype=float)
-    _check_points(points)
+    points = checked_points(points, betas)
+    return _coherent_columns(points, np.asarray(betas, dtype=complex), k_max, theta)
+
+
+def _coherent_columns(points: np.ndarray, betas: np.ndarray, k_max: int, theta) -> np.ndarray:
+    """:func:`coherent_columns` without its checks, for float rows as
+    :func:`_block_columns` takes them and a complex array of coherent inputs
+    within their bound."""
     count, size = len(points), len(betas)
     r = points[:, 0].repeat(size)
     mu, sinh = np.cosh(r), np.sinh(r)
@@ -280,14 +350,10 @@ def coherent_columns(points, betas, k_max: int, theta=None) -> np.ndarray:
     tiled[:] = betas
     rotated = np.exp(1j * vartheta.repeat(size)) * tiled.reshape(-1)
     alpha = (points[:, 1] + 1j * points[:, 2]).repeat(size)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
-        tilde = rotated * mu + rotated.conj() * sinh  # S(r) D(b) = D(b~) S(r)
-        shifted = alpha + tilde
-        turn = (alpha * tilde.conj()).imag
-        vacuum = _vacuum_terms(r, mu, shifted.real, shifted.imag)
-    # an overflow from finite inputs; a non-finite shift makes log |G_00| so
-    if not (np.isfinite(vacuum[2]).all() and np.isfinite(turn).all()):
-        raise ValueError("coherent input and displacement must be finite")
+    tilde = rotated * mu + rotated.conj() * sinh  # S(r) D(b) = D(b~) S(r)
+    shifted = alpha + tilde
+    turn = (alpha * tilde.conj()).imag
+    vacuum = _vacuum_terms(r, mu, shifted.real, shifted.imag)
     column, unscale = _ladder(vacuum, mu, sinh, shifted.real, shifted.imag, k_max + 1, 1)
     factor = np.exp(1j * turn) * unscale
     if theta is None:  # e^{-ik theta} = 1 + 0i, and (1 + 0i) times the factor has its bits

@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from ._util import complex_pair, parse_complex, require_finite, require_integer
-from .fock_gaussian import GaussianUnitaryParams, block_columns_batch
+from .fock_gaussian import GaussianUnitaryParams, _block_columns, check_box, checked_points
 from .numerics import hermitian_spectrum
 from .threshold import (
     OptimizerConfig,
@@ -334,8 +334,9 @@ def _conjugated_columns(V, mode_points: np.ndarray, row_total: int, sectors: tup
     """<k|U|m> for every k with |k| <= row_total (graded) and every m in the
     photon-number `sectors` (ascending, each in graded order), shape (B,
     rows, columns), with U = (⊗_k D_k S_k) V̂, from the (B, N, N) unitaries
-    and their (B, N, 3) per-mode rows (r, Re alpha, Im alpha), whose
-    single-mode columns come from one :func:`block_columns_batch` call.
+    and their (B, N, 3) per-mode rows (r, Re alpha, Im alpha), already
+    checked, whose single-mode columns come from one call of the block-column
+    core.
 
     Only the asked sectors are mixed; V̂ is built on every sector up to the
     top one, as its recursion needs them.  V̂ is 1 on sector 0, so V may be
@@ -344,7 +345,7 @@ def _conjugated_columns(V, mode_points: np.ndarray, row_total: int, sectors: tup
     """
     count, modes = mode_points.shape[:2]
     top = sectors[-1]
-    blocks = block_columns_batch(mode_points.reshape(-1, 3), row_total + 1, range(top + 1))
+    blocks = _block_columns(mode_points.reshape(-1, 3), row_total + 1, list(range(top + 1)), None)
     gathered = blocks.reshape(count, -1)[:, _mixing_table(modes, row_total, sectors)]
     mixed = gathered[..., 0]
     for k in range(1, modes):
@@ -388,7 +389,8 @@ def compress_conjugated_multimode(
     witness: MultimodeWitness, params: MultimodeGaussianParams, n: int
 ) -> np.ndarray:
     """Π_{n-1,N} U W U† Π_{n-1,N} on the graded multi-index basis."""
-    return _compressions(witness, n, params.interferometer[None], params.mode_points()[None])[0]
+    mode_points = checked_points(params.mode_points())
+    return _compressions(witness, n, params.interferometer[None], mode_points[None])[0]
 
 
 def multimode_gaussian_block(
@@ -400,7 +402,8 @@ def multimode_gaussian_block(
     max_total = modes * cutoff
     V = params.interferometer[None]
     sectors = tuple(range(max_total + 1))
-    columns = _conjugated_columns(V, params.mode_points()[None], n_rows, sectors)[0]
+    mode_points = checked_points(params.mode_points())
+    columns = _conjugated_columns(V, mode_points[None], n_rows, sectors)[0]
     position = {occ: i for i, occ in enumerate(enumerate_subspace(modes, max_total))}
     return columns[:, [position[c] for c in itertools.product(range(cutoff + 1), repeat=modes)]]
 
@@ -491,15 +494,21 @@ def multimode_objectives(witness: MultimodeWitness, n: int, points, modes: int) 
     one stacked ``eigh`` for the interferometers, one ladder recurrence for
     the mode columns, gathers for the sector blocks and one stacked eigen
     step.  A witness that reads sector 0 alone, where V̂ is 1, gets no
-    interferometers; a non-finite generator entry is rejected all the same.
+    interferometers; a non-finite generator entry is rejected all the same,
+    before the mode rows get the kernels' checks.
     """
     points = np.asarray(points, dtype=float).reshape(-1, modes * modes + 3 * modes)
-    if witness.conjugation_plan[0][-1]:
-        V = _interferometers(_generators(points, modes))
-    elif np.isfinite(points[:, : modes * modes]).all():
-        V = None
-    else:
+    if not np.isfinite(points[:, : modes * modes]).all():
         raise ValueError("interferometer unitarity defect nan above 1e-10")
+    checked_points(_search_mode_points(points, modes).reshape(-1, 3))
+    return _objectives(witness, n, points, modes)
+
+
+def _objectives(witness: MultimodeWitness, n: int, points: np.ndarray, modes: int) -> np.ndarray:
+    """:func:`multimode_objectives` without the checks of the search vectors,
+    for the rounds of one search, whose points lie in a box that passed
+    `check_box`; each interferometer is still checked to be unitary."""
+    V = _interferometers(_generators(points, modes)) if witness.conjugation_plan[0][-1] else None
     return _top_eigenvalues(_compressions(witness, n, V, _search_mode_points(points, modes)))
 
 
@@ -514,13 +523,14 @@ def multimode_threshold(
 
     Runs the same lockstep search as single-mode thresholds,
     `threshold.multistart`, on this box (each round through
-    :func:`multimode_objectives`), so it has the same determinism and
+    :func:`_objectives`, unchecked), so it has the same determinism and
     diagnostics contract:
     seeded low-discrepancy starts, a tie-break on the full search vector, and
-    the value re-evaluated from the winning parameters.  Initial points of
-    another length than the search vector are skipped.  `threads` is
-    ignored, and kept only for the benchmark's calls until `bench/` stops
-    passing it.
+    the value re-evaluated from the winning parameters.  A box on which the
+    kernels could overflow raises ValueError before the first round.
+    Initial points of another length than the search vector are skipped.
+    `threads` is ignored, and kept only for the benchmark's calls until
+    `bench/` stops passing it.
     """
     if modes > 3:
         raise ValueError("multimode thresholds are desk-scale: modes <= 3")
@@ -530,9 +540,10 @@ def multimode_threshold(
         raise ValueError("rank must be >= 1")
     config = config or OptimizerConfig()
     lo, hi = _multimode_box(config, modes)
+    check_box(config.r_max, config.alpha_max)
 
     def fun(points):
-        return multimode_objectives(witness, n, points, modes)
+        return _objectives(witness, n, points, modes)
 
     extra = [vec for vec in config.initial_points if np.asarray(vec).size == lo.size]
     x, outcomes = multistart(fun, lo, hi, config, extra)

@@ -18,10 +18,13 @@ and the multimode search in `multimode`.
 A round's fixed costs outweigh its points, so rounds are few and full: each
 Nelder-Mead iteration asks for its reflected, expanded and contracted points
 in one round, though it reads at most two of their values, and the driver
-clips each round's points into the box at once.  The objective reads the
+clips each round's points into the box at once.  The box is checked once,
+before the first round (`fock_gaussian.check_box`), so the rounds skip the
+public kernels' per-call checks: they run the unchecked cores with the
 witness's conjugation plan, derived once per witness
-(`WitnessOperator.conjugation_plan`), and each start keeps its simplex in
-Python floats, with the bits of the numpy operations they replace.
+(`WitnessOperator.conjugation_plan`) and bound once per search.  Each start
+keeps its simplex in Python floats, with the bits of the numpy operations
+they replace.
 """
 
 from __future__ import annotations
@@ -36,12 +39,20 @@ from operator import add
 import numpy as np
 
 from .errors import OptimizerError
-from .fock_gaussian import MAX_SQUEEZING, GaussianUnitaryParams, gaussian_block, params_from_vector
+from .fock_gaussian import (
+    _NOT_FINITE,
+    MAX_SQUEEZING,
+    GaussianUnitaryParams,
+    check_box,
+    gaussian_block,
+    params_from_vector,
+)
 from .numerics import hermitian_spectrum
 from .states import FockVector
 from .witness import (
     CoreState,
     WitnessOperator,
+    _compressions,
     compress_conjugated,
     compress_conjugated_batch,
     witness_to_json,
@@ -169,6 +180,18 @@ def objectives(witness: WitnessOperator, n: int, points) -> np.ndarray:
     """:func:`objective` at every row (r, Re alpha, Im alpha[, vartheta]) of
     `points`, theta = 0, from one batched compression and eigen step."""
     return _top_eigenvalues(compress_conjugated_batch(witness, points, n))
+
+
+def _round_objectives(witness: WitnessOperator, n: int):
+    """:func:`objectives` for the rounds of one search: the witness's plan
+    bound once and the kernels' unchecked cores, for points clipped into a
+    box that passed :func:`check_box`; the same bits as :func:`objectives`."""
+    plan, identity_weight = witness.conjugation_plan, witness.identity_weight
+
+    def fun(points):
+        return _top_eigenvalues(_compressions(plan, identity_weight, points, n))
+
+    return fun
 
 
 def _clip(x, lo, hi) -> list:
@@ -303,7 +326,9 @@ def multistart(batch_fun, lo, hi, config, extra_starts=(), key=tuple):
     points every running start asks for, clips them into the box at once,
     makes one `batch_fun` call and sends each start its values, so a start's
     trajectory is the one it follows alone as long as a point's value does
-    not depend on its batch.  Among starts within the tie window of the best
+    not depend on its batch.  The clip maps every point but a NaN one into
+    the box, which the caller has checked once; a NaN point raises
+    ValueError.  Among starts within the tie window of the best
     value, the smallest `key(x)` wins.  Returns the winning vector and the per-start outcomes
     `(x, value, evals, converged)`.
     """
@@ -317,7 +342,10 @@ def multistart(batch_fun, lo, hi, config, extra_starts=(), key=tuple):
     while running:
         rows = [x for _, _, points in running for x in points]
         flat = np.fromiter(chain.from_iterable(rows), float, len(rows) * dims)
-        negated = (-np.asarray(batch_fun(flat.reshape(-1, dims).clip(lo, hi)))).tolist()
+        batch = flat.reshape(-1, dims).clip(lo, hi)
+        if math.isnan(batch.sum()):
+            raise ValueError(_NOT_FINITE)
+        negated = (-np.asarray(batch_fun(batch))).tolist()
         offset = 0
         still = []
         for i, search, points in running:
@@ -370,6 +398,8 @@ def compute_threshold(
 
     The returned value is re-evaluated from the winning parameters through the
     spectrum path, so `value` always reproduces from (params, core) exactly.
+    A box on which the kernels could overflow with the witness's coherent
+    inputs raises ValueError before the first round (:func:`check_box`).
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
@@ -378,15 +408,13 @@ def compute_threshold(
         fix_vartheta = witness.phase_invariant
     dims = 3 if fix_vartheta else 4
     lo, hi = _box(config, dims)
-
-    def fun(points):
-        return objectives(witness, n, points)
+    check_box(config.r_max, config.alpha_max, witness.conjugation_plan[0])
 
     def key(x):
         return (float(x[0]), abs(complex(x[1], x[2])), float(x[3]) if dims > 3 else 0.0)
 
     extra = [np.asarray(vec, dtype=float)[:dims] for vec in config.initial_points]
-    x, outcomes = multistart(fun, lo, hi, config, extra, key)
+    x, outcomes = multistart(_round_objectives(witness, n), lo, hi, config, extra, key)
     params = params_from_vector(x)
     spectrum = hermitian_spectrum(compress_conjugated(witness, params, n))
     value = spectrum.top

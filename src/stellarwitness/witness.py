@@ -21,7 +21,7 @@ import numpy as np
 
 from ._util import complex_pair, parse_complex, require_finite, require_integer
 from .errors import DegenerateWitnessError, HermiticityError
-from .fock_gaussian import GaussianUnitaryParams, block_columns_batch, coherent_columns
+from .fock_gaussian import GaussianUnitaryParams, _block_columns, _coherent_columns, checked_points
 from .states import (
     FockDensity,
     FockVector,
@@ -222,28 +222,35 @@ def _conjugation_plan(terms) -> tuple:
     return np.array(betas, dtype=complex), cols, tuple(steps)
 
 
-def _conjugated_terms(witness: WitnessOperator, points, n: int, theta=None) -> list:
-    """Each term conjugated by U at every row (r, Re alpha, Im alpha[,
-    vartheta]) of `points`, output phases `theta` (None: 0), rows k < n: one
-    (weight, columns, density) entry per term, in term order.  Rank-one terms
-    give vectors (rows, n) and density None, density terms blocks (rows, n,
-    dim) and their matrix.
+def _checked(witness: WitnessOperator, points, n: int) -> np.ndarray:
+    """`points` as a float array after the checks of the public entry
+    points: the rank, then the kernels' checks of the rows with the
+    witness's coherent inputs (:func:`checked_points`)."""
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    return checked_points(points, witness.conjugation_plan[0])
+
+
+def _conjugated_terms(plan: tuple, points: np.ndarray, n: int, theta=None) -> list:
+    """Each term of a witness with conjugation plan `plan` conjugated by U at
+    every row (r, Re alpha, Im alpha[, vartheta]) of the checked float array
+    `points` (see :func:`_checked`), output phases `theta` (None: 0), rows k
+    < n: one (weight, columns, density) entry per term, in term order.
+    Rank-one terms give vectors (rows, n) and density None, density terms
+    blocks (rows, n, dim) and their matrix.
 
     The witness's `conjugation_plan` (derived once per witness) names the
     distinct coherent inputs, the union of the other terms' columns and
-    what each term reads of them.  One :func:`coherent_columns` call serves
-    every coherent input and one `block_columns_batch` call the column
-    union (an element has the same bits whatever is computed beside it);
-    pure and density terms take leading columns, copied contiguous as blocks
-    of their own would be.
+    what each term reads of them.  One call of the coherent-column core
+    serves every coherent input and one call of the block-column core the
+    column union (an element has the same bits whatever is computed beside
+    it); pure and density terms take leading columns, copied contiguous as
+    blocks of their own would be.
     """
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    points = np.asarray(points, dtype=float)
-    betas, cols, steps = witness.conjugation_plan
+    betas, cols, steps = plan
     if betas.size:
-        coherent = coherent_columns(points, betas, n - 1, theta)
-    block = block_columns_batch(points, n, cols, theta) if cols else None
+        coherent = _coherent_columns(points, betas, n - 1, theta)
+    block = _block_columns(points, n, cols, theta) if cols else None
 
     def leading(width):  # columns 0..width-1 are the first `width` of the union
         return np.ascontiguousarray(block[:, :, :width])
@@ -269,7 +276,14 @@ def compress_conjugated_batch(witness: WitnessOperator, points, n: int, theta=No
     """Stack (rows, n, n) of Π_{n-1} U W U† Π_{n-1}, one matrix per row (r,
     Re alpha, Im alpha[, vartheta]) of `points`, output phases `theta` (None:
     0); the rank-one terms are summed first, then the density terms."""
-    entries = _conjugated_terms(witness, points, n, theta)
+    points = _checked(witness, points, n)
+    return _compressions(witness.conjugation_plan, witness.identity_weight, points, n, theta)
+
+
+def _compressions(plan: tuple, identity_weight: float, points: np.ndarray, n: int, theta=None):
+    """:func:`compress_conjugated_batch` of a witness with this conjugation
+    plan and identity weight, without its checks: the search rounds' path."""
+    entries = _conjugated_terms(plan, points, n, theta)
     out = np.zeros((len(points), n, n), dtype=complex)
     for weight, vec, sigma in entries:
         if sigma is None:
@@ -278,9 +292,9 @@ def compress_conjugated_batch(witness: WitnessOperator, points, n: int, theta=No
         if sigma is not None:
             for i, block in enumerate(blocks):
                 out[i] += weight * (block @ sigma @ block.conj().T)
-    if witness.identity_weight:
+    if identity_weight:
         diag = np.arange(n)
-        out[:, diag, diag] += witness.identity_weight
+        out[:, diag, diag] += identity_weight
     return out
 
 
@@ -294,7 +308,8 @@ def conjugated_term_vectors(
     terms go through the exact coherent transform, so the only truncation
     error is the witness's own declared tail bound.
     """
-    entries = _conjugated_terms(witness, [params.vector()], n, [params.theta])
+    points = _checked(witness, [params.vector()], n)
+    entries = _conjugated_terms(witness.conjugation_plan, points, n, [params.theta])
     return (
         [(weight, vec[0]) for weight, vec, sigma in entries if sigma is None],
         [(weight, blocks[0], sigma) for weight, blocks, sigma in entries if sigma is not None],
@@ -377,7 +392,8 @@ def conjugate_witness(
     its conjugated vector, the trace of a density term less that of its
     conjugated block.  The symbolic identity component is untouched.
     """
-    entries = _conjugated_terms(witness, [params.vector()], cutoff + 1, [params.theta])
+    points = _checked(witness, [params.vector()], cutoff + 1)
+    entries = _conjugated_terms(witness.conjugation_plan, points, cutoff + 1, [params.theta])
     terms = []
     for term, (weight, columns, sigma) in zip(witness.terms, entries):
         if sigma is None:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stellarwitness import cli
+from stellarwitness import cli, validation
 from stellarwitness.cli import main
 from stellarwitness.states import state_to_json, coherent
 from stellarwitness._util import dumps_stable
@@ -193,8 +193,14 @@ class TestThresholdCommand:
         [
             ({"r_max": 800.0, "starts": 8, "max_iterations": 300}, "r_max"),
             ({"starts": 8, "max_iteration": 300}, "max_iteration"),
+            (5, "config.json must hold a JSON object"),
+            ([["starts", 3]], "config.json must hold a JSON object"),
+            ("starts", "config.json must hold a JSON object"),
+            (None, "config.json must hold a JSON object"),
+            ({"r_max": 700.0, "alpha_max": 2e4}, "r_max = 700 with alpha_max = 20000"),
         ],
-        ids=["squeezing-past-the-kernels", "misspelt-key"],
+        ids=["squeezing-past-the-kernels", "misspelt-key", "number", "list", "string", "null",
+             "box-past-the-kernels"],
     )
     def test_bad_config_exit_one(self, tmp_path, capsys, fock_pair_file, config, field):
         path = write_json(tmp_path / "config.json", config)
@@ -204,6 +210,17 @@ class TestThresholdCommand:
         assert code == 1
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    def test_box_past_the_kernels_for_the_witness_exit_one(self, tmp_path, capsys):
+        # fine for a cat of beta = 2, but e^700 |beta| overflows at beta = 1e5
+        config = write_json(tmp_path / "config.json", {"r_max": 700.0, "alpha_max": 6.0})
+        for beta, code in ((1e5, 1), (2.0, 0)):
+            witness = write_json(tmp_path / "w.json", {"type": "cat_pair", "beta": [beta, 0.0],
+                                                       "omega": 0.7})
+            assert main(["threshold", witness, "--rank", "1", "--config", config, *FAST_FLAGS,
+                         "--out", str(tmp_path / "result.json")]) == code
+        err = capsys.readouterr().err
+        assert "r_max = 700 with alpha_max = 6 and coherent inputs up to |beta| = 100000" in err
 
     @pytest.mark.parametrize("seed", [7.5, True, -3])
     def test_bad_config_seed_exit_one(self, tmp_path, capsys, fock_pair_file, seed):
@@ -611,6 +628,37 @@ class TestGaussianElementsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "norm" in captured.err
+
+    @pytest.mark.parametrize("side", [60, 80])
+    def test_large_block_off_the_oracle_exit_three(self, capsys, side):
+        # 1.4e-8 and 5.5e-6 away from the oracle: every norm stays below 1
+        last = str(side - 1)
+        code = main(["gaussian-elements", "--r", "0.5", "--alpha", "6", "--rows", last,
+                     "--cols", last])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "away from the oracle" in captured.err
+
+    def test_large_block_beyond_the_oracle_exit_three(self, capsys):
+        code = main(["gaussian-elements", "--r", "4", "--rows", "39", "--cols", "39"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "oracle cannot check" in captured.err
+
+    def test_checked_large_block_passes(self, capsys):
+        code = main(["gaussian-elements", "--r", "0.3", "--alpha", "4.8", "3.6", "--rows", "32",
+                     "--cols", "32"])
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["block"]) == 33
+
+    def test_small_block_needs_no_oracle(self, capsys, monkeypatch):
+        # beyond the oracle's reach at r = 5, and accurate without it
+        monkeypatch.setattr(validation, "oracle_columns", None)
+        code = main(["gaussian-elements", "--r", "5", "--alpha", "1", "--rows", "31", "--cols", "9"])
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["block"]) == 32
 
     def test_ordinary_block_passes_the_norm_check(self, capsys):
         code = main(["gaussian-elements", "--theta", "0.4", "--r", "0.8", "--alpha", "1.5",

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from stellarwitness import fock_gaussian
+from stellarwitness import fock_gaussian, multimode
 from stellarwitness.errors import TailBoundError
 from stellarwitness.fock_gaussian import (
     GaussianUnitaryParams,
@@ -23,8 +24,27 @@ from stellarwitness.fock_gaussian import (
     params_from_vector,
     transform_coherent,
 )
+from stellarwitness.multimode import multimode_fock_projector, multimode_objectives
+from stellarwitness.states import FockDensity, FockVector
+from stellarwitness.threshold import _round_objectives, objectives
+from stellarwitness.witness import (
+    DENSITY,
+    PURE,
+    WitnessOperator,
+    WitnessTerm,
+    cat_pair_witness,
+    fock_pair_witness,
+)
 
 IDENTITY = GaussianUnitaryParams()
+
+
+def mixed_witness() -> WitnessOperator:
+    """Pure, density and coherent terms with an identity part."""
+    cat = cat_pair_witness(1.3 + 0.4j, 0.9)
+    pure = WitnessTerm(0.4, PURE, FockVector(np.array([0.6, 0.0, 0.8j])))
+    density = WitnessTerm(0.3, DENSITY, FockDensity(np.diag([0.5, 0.25, 0.25, 0.0])))
+    return WitnessOperator(cat.terms + (pure, density), 3, False, identity_weight=0.1)
 
 
 def oracle_dimension(params: GaussianUnitaryParams, col_max: int) -> int:
@@ -282,6 +302,41 @@ class TestBlockColumns:
     def test_largest_squeezing_allowed(self):
         block = block_columns_batch([[fock_gaussian.MAX_SQUEEZING, 0.1, 0.0]], 3, [0, 1, 2])
         assert np.isfinite(block).all()
+
+    @pytest.mark.parametrize(
+        "bad", [[[700.0, 0.0, 2e4]],  # e^r Im alpha overflows
+                [[0.1, 1e308, 1e308]]],  # |alpha|^2 overflows
+    )
+    def test_overflow_from_finite_points_rejected(self, bad):
+        # with RuntimeWarning an error, a warning from a product fails this too
+        with pytest.raises(ValueError, match="out of the kernels' range"):
+            block_columns_batch(bad, 3, [0])
+
+
+class TestSearchBoxCheck:
+    """`check_box` bounds every point of a search box by its far corner."""
+
+    @pytest.mark.parametrize(
+        "r_max, alpha_max, betas",
+        [(3.0, 6.0, ()), (700.0, 6.0, ()), (700.0, 6.0, [2.0, -2.0]), (700.0, 50.0, [2.0]),
+         (0.0, 1e150, [1e150])],
+    )
+    def test_accepted(self, r_max, alpha_max, betas):
+        fock_gaussian.check_box(r_max, alpha_max, betas)
+        corner = [[r_max, alpha_max, -alpha_max, 2.0 * math.pi]]
+        fock_gaussian.checked_points(corner, betas)
+
+    @pytest.mark.parametrize(
+        "r_max, alpha_max, betas",
+        [(700.0, 6.0, [1e5]), (700.0, 2e4, ()), (0.0, 1e155, ()), (0.0, 1.0, [1e308j])],
+    )
+    def test_refused(self, r_max, alpha_max, betas):
+        with pytest.raises(ValueError, match=re.escape(f"r_max = {r_max:g} with alpha_max = {alpha_max:g}")):
+            fock_gaussian.check_box(r_max, alpha_max, betas)
+
+    def test_non_finite_beta_refused_as_by_the_kernels(self):
+        with pytest.raises(ValueError, match="coherent input and displacement must be finite"):
+            fock_gaussian.check_box(3.0, 6.0, [complex(0.0, math.nan)])
 
 
 class TestTransformCoherent:
@@ -590,6 +645,28 @@ class TestKernelsAgainstReference:
                         expected = reference_coherent_columns(points[batch], betas, height - 1, th)
                         assert got.tobytes() == expected.tobytes(), (betas, height, batch)
                         assert got.strides == expected.strides
+
+    @pytest.mark.parametrize("dims", [3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_round_path_is_the_public_objective(self, dims, n):
+        # a search round runs the unchecked cores: the same bits as the checked entry
+        points, _ = self.points(dims)
+        for witness in (cat_pair_witness(2.0, 0.7), fock_pair_witness(0, 2, 0.4), mixed_witness()):
+            public = objectives(witness, n, points)
+            assert _round_objectives(witness, n)(points).tobytes() == public.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_multimode_round_path_is_the_public_objective(self, n):
+        mode_rows, _ = self.points(3)
+        rng = np.random.default_rng(n)
+        generators = rng.uniform(-math.pi, math.pi, (32, 4))
+        vectors = np.column_stack([generators, mode_rows[0::2, 0], mode_rows[1::2, 0],
+                                   mode_rows[0::2, 1:3], mode_rows[1::2, 1:3]])
+        for occupations in ((1, 1), (0, 0), (0, 2)):
+            witness = multimode_fock_projector(occupations)
+            public = multimode_objectives(witness, n, vectors, 2)
+            rounds = multimode._objectives(witness, n, vectors, 2)
+            assert rounds.tobytes() == public.tobytes()
 
 
 class TestOracle:

@@ -1,11 +1,13 @@
 import inspect
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stellarwitness import multimode
+from stellarwitness import fock_gaussian, multimode
 from stellarwitness import threshold as threshold_module
 from stellarwitness import witness as witness_module
 from stellarwitness._util import dumps_stable
@@ -598,11 +600,17 @@ class TestLockstep:
         lo, hi = _box(config, 4)
         calls = []
 
-        def spy(witness_op, n, points):
-            calls.append(np.array(points))
-            return objectives(witness_op, n, points)
+        def spy(witness_op, n):
+            fun = round_objectives(witness_op, n)
 
-        monkeypatch.setattr(threshold_module, "objectives", spy)
+            def counted(points):
+                calls.append(np.array(points))
+                return fun(points)
+
+            return counted
+
+        round_objectives = threshold_module._round_objectives
+        monkeypatch.setattr(threshold_module, "_round_objectives", spy)
         result = compute_threshold(witness, 2, config)
 
         def one(x):
@@ -617,3 +625,101 @@ class TestLockstep:
         assert all(len(X) > 0 and (X >= lo).all() and (X <= hi).all() for X in calls)
         assert len(calls) == max(rounds)
         assert result.diagnostics["function_evaluations"] == sum(evals)
+
+
+class TestSearchBox:
+    """Each search checks its box once, before the first round, and its
+    rounds run the kernels' unchecked cores."""
+
+    EDGE = dict(r_max=700.0, alpha_max=6.0)
+    TINY = OptimizerConfig(starts=2, max_iterations=300, seed=3)
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda cfg: compute_threshold(single_photon_witness(), 2, cfg),
+            lambda cfg: compute_threshold(witness_module.fock_pair_witness(0, 2, 0.7), 2, cfg),
+            lambda cfg: compute_threshold(cat_pair_witness(2.0, 0.7), 2, cfg),
+            lambda cfg: multimode.multimode_threshold(
+                multimode.multimode_fock_projector((1, 1)), 2, 2, cfg
+            ),
+        ],
+        ids=["fock-1", "fock-0-2", "cat", "two-mode"],
+    )
+    @pytest.mark.parametrize("edge", [False, True], ids=["default-box", "r-700"])
+    def test_accepted_boxes_search_without_warnings(self, search, edge):
+        config = replace(self.TINY, **self.EDGE) if edge else self.TINY
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = search(config)
+        assert math.isfinite(result.value)
+
+    @pytest.mark.parametrize(
+        "witness, alpha_max",
+        [(lambda: cat_pair_witness(1e5, 0.7), 6.0),
+         (lambda: witness_module.fock_pair_witness(0, 2, 0.7), 2e4)],
+        ids=["cat-beta-1e5", "fock-alpha-2e4"],
+    )
+    def test_refused_boxes_before_any_objective_call(self, monkeypatch, witness, alpha_max):
+        calls = []
+
+        def spy(witness_op, n):
+            fun = round_objectives(witness_op, n)
+            return lambda points: calls.append(len(points)) or fun(points)
+
+        round_objectives = threshold_module._round_objectives
+        monkeypatch.setattr(threshold_module, "_round_objectives", spy)
+        config = OptimizerConfig(starts=4, max_iterations=100, r_max=700.0, alpha_max=alpha_max)
+        with pytest.raises(ValueError, match="r_max = 700 with alpha_max"):
+            compute_threshold(witness(), 2, config)
+        assert calls == []
+
+    def test_refused_multimode_box_before_any_objective_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(multimode, "_objectives", lambda *args: calls.append(args))
+        config = OptimizerConfig(starts=4, max_iterations=100, r_max=700.0, alpha_max=2e4)
+        with pytest.raises(ValueError, match="alpha_max = 20000 would overflow"):
+            multimode.multimode_threshold(multimode.multimode_fock_projector((1, 1)), 2, 2, config)
+        assert calls == []
+
+    def test_one_box_check_per_search(self, monkeypatch):
+        # the kernels' range test runs for the box and for the winner's
+        # recompute, however many rounds the search takes
+        checks, ranges, rounds = [], [], []
+        in_range = fock_gaussian._in_range
+        monkeypatch.setattr(fock_gaussian, "_in_range", lambda *a: ranges.append(a) or in_range(*a))
+        for module in (threshold_module, multimode):
+            check = module.check_box
+            monkeypatch.setattr(module, "check_box", lambda *a, c=check: checks.append(a) or c(*a))
+        driver = threshold_module.multistart
+
+        def counted(fun, *args, **kwargs):
+            return driver(lambda points: rounds.append(1) or fun(points), *args, **kwargs)
+
+        monkeypatch.setattr(threshold_module, "multistart", counted)
+        monkeypatch.setattr(multimode, "multistart", counted)
+        for search in (
+            lambda: compute_threshold(cat_pair_witness(2.0, 0.7), 3, FAST),
+            lambda: compute_threshold(witness_module.fock_pair_witness(0, 2, 0.7), 2, FAST),
+            lambda: multimode.multimode_threshold(
+                multimode.multimode_fock_projector((1, 1)), 2, 2, self.TINY
+            ),
+        ):
+            for record in (checks, ranges, rounds):
+                record.clear()
+            search()
+            assert len(rounds) > 50
+            assert len(checks) == 1
+            assert len(ranges) == 2
+
+    def test_nan_initial_point_refused(self):
+        config = replace(FAST, initial_points=((math.nan, 0.1, 0.2, 0.0),))
+        with pytest.raises(ValueError, match="must be finite, with r <= 700"):
+            compute_threshold(cat_pair_witness(2.0, 0.7), 2, config)
+        config = replace(FAST, initial_points=((0.0,) * 7 + (math.nan, 0.0, 0.0),))
+        with pytest.raises(ValueError, match="must be finite"):
+            multimode.multimode_threshold(multimode.multimode_fock_projector((1, 1)), 2, 2, config)
+
+    def test_infinite_initial_point_clipped_into_the_box(self):
+        config = replace(FAST, starts=4, initial_points=((math.inf, -math.inf, 0.2, 0.0),))
+        assert math.isfinite(compute_threshold(single_photon_witness(), 2, config).value)

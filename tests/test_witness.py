@@ -7,7 +7,6 @@ from stellarwitness import witness as witness_module
 from stellarwitness.errors import DegenerateWitnessError, HermiticityError
 from stellarwitness.fock_gaussian import (
     GaussianUnitaryParams,
-    coherent_columns,
     oracle_gaussian_matrix,
     transform_coherent,
 )
@@ -210,9 +209,10 @@ class TestCoherentTransforms:
 
         def counted(points, betas, k_max, theta=None):
             calls.append(list(betas))
-            return coherent_columns(points, betas, k_max, theta)
+            return core(points, betas, k_max, theta)
 
-        monkeypatch.setattr(witness_module, "coherent_columns", counted)
+        core = witness_module._coherent_columns
+        monkeypatch.setattr(witness_module, "_coherent_columns", counted)
         w = cat_pair_witness(2.0, 0.7)
         for run in (
             lambda: objective(w, 3, self.PARAMS),
