@@ -73,22 +73,48 @@ class CurveColumns(NamedTuple):
 
 @dataclass(frozen=True)
 class BoundaryCurve:
+    """The swept points of one rank, stored column by column: one tuple per
+    BoundaryPoint field, all of one length.  `points` and `columns` are
+    derived from these on first use and kept with the curve."""
+
     rank: int
     family: dict
-    points: tuple
+    omega: tuple
+    p_first: tuple
+    p_second: tuple
+    threshold: tuple
+    flagged: tuple
     hull: tuple = field(default=())
     # the sweep's re-runs at this rank, in order; the CSV does not carry them
     repairs: tuple = field(default=(), compare=False)
 
+    def __post_init__(self):
+        columns = [tuple(getattr(self, name)) for name in BoundaryPoint._fields]
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"curve columns differ in length: {[len(c) for c in columns]}")
+        for name, column in zip(BoundaryPoint._fields, columns):
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_points(cls, rank: int, family: dict, points, hull=(), repairs=()) -> "BoundaryCurve":
+        """The curve of a sequence of BoundaryPoints."""
+        return cls(rank, family, *(tuple(zip(*points)) or ((),) * 5), hull, repairs)
+
+    @cached_property
+    def points(self) -> tuple:
+        """The rows of the columns, as BoundaryPoints."""
+        rows = zip(self.omega, self.p_first, self.p_second, self.threshold, self.flagged)
+        return tuple(map(tuple.__new__, repeat(BoundaryPoint), rows))
+
     def hull_vertices(self) -> list:
-        return [(self.points[i].p_first, self.points[i].p_second) for i in self.hull]
+        return [(self.p_first[i], self.p_second[i]) for i in self.hull]
 
     @cached_property
     def columns(self) -> CurveColumns:
-        """The points' columns, derived on first use and kept with the curve."""
-        omega, _, _, threshold, flagged = tuple(zip(*self.points)) or ((),) * 5
-        omega, threshold = np.array(omega, dtype=float), np.array(threshold, dtype=float)
-        flagged = np.array(flagged, dtype=bool)
+        """The arrays that certification reads, derived on first use and kept
+        with the curve."""
+        omega, threshold = np.array(self.omega, dtype=float), np.array(self.threshold, dtype=float)
+        flagged = np.array(self.flagged, dtype=bool)
         # usable: unflagged, with a finite omega (an infinite one would score NaN,
         # counted as -inf, and never beat the leading NaN direction, which wins
         # where nothing scores more)
@@ -219,9 +245,7 @@ def sweep_family_ranks(
         ]
         hull_local = gift_wrap([xy for _, xy in usable])
         hull = tuple(usable[i][0] for i in hull_local)
-        curves.append(BoundaryCurve(
-            rank=rank, family=dict(family), points=tuple(points), hull=hull, repairs=tuple(repairs[j])
-        ))
+        curves.append(BoundaryCurve.from_points(rank, dict(family), points, hull, tuple(repairs[j])))
     return curves
 
 
@@ -288,10 +312,10 @@ def repair_log(curves: Sequence[BoundaryCurve]) -> dict:
             for fix in curve.repairs
         ],
         "unresolved": [
-            {"omega": p.omega, "rank": curve.rank, "threshold": p.threshold}
+            {"omega": omega, "rank": curve.rank, "threshold": threshold}
             for curve in curves
-            for p in curve.points
-            if p.flagged and not math.isnan(p.threshold)
+            for omega, threshold, flagged in zip(curve.omega, curve.threshold, curve.flagged)
+            if flagged and not math.isnan(threshold)
         ],
     }
 
@@ -425,7 +449,7 @@ def _check_consistency(curves: Sequence[BoundaryCurve]) -> None:
         at = above.keys.searchsorted(below.point_omega, side="right") - 1
         short = (above.keys[at] == below.point_omega) & (above.key_threshold[at] < below.floor)
         if short.any():
-            omega = low.points[short.argmax()].omega
+            omega = low.omega[short.argmax()]
             raise ValueError(
                 "inconsistent hull nesting: threshold at rank "
                 f"{high.rank} below rank {low.rank} at omega={omega}"
@@ -488,17 +512,18 @@ def curves_to_csv(curves: Sequence[BoundaryCurve]) -> str:
     lines = [CSV_HEADER]
     for curve in curves:
         on_hull = set(curve.hull)
-        for idx, point in enumerate(curve.points):
+        rows = zip(curve.omega, curve.p_first, curve.p_second, curve.threshold, curve.flagged)
+        for idx, (omega, p_first, p_second, threshold, flagged) in enumerate(rows):
             lines.append(
                 ",".join(
                     (
-                        fmt17(point.omega),
+                        fmt17(omega),
                         str(curve.rank),
-                        fmt17(point.p_first),
-                        fmt17(point.p_second),
-                        fmt17(point.threshold),
+                        fmt17(p_first),
+                        fmt17(p_second),
+                        fmt17(threshold),
                         "1" if idx in on_hull else "0",
-                        "1" if point.flagged else "0",
+                        "1" if flagged else "0",
                     )
                 )
             )
@@ -538,7 +563,9 @@ def curves_from_csv(text: str, family: dict) -> list:
         # omega, rank, p_first, p_second, threshold, on_hull, flagged
         columns = [fields[k::8] for k in range(8, 15)]
         del fields  # a garbage collection during the parse need not walk it
-        ranks = list(map(int, columns[1]))
+        # each distinct rank field parsed once
+        rank_of = {value: int(value) for value in dict.fromkeys(columns[1])}
+        ranks = list(map(rank_of.__getitem__, columns[1]))
         if ranks != sorted(ranks):
             # rows of a rank apart, or ranks out of order: gather them, in file order
             order = sorted(range(rows), key=ranks.__getitem__)
@@ -551,18 +578,18 @@ def curves_from_csv(text: str, family: dict) -> list:
                 grid = columns[0][lo:hi]
                 values = list(map(float, grid))
             omega += values
-        columns = [omega] + [list(map(float, columns[k])) for k in (2, 3, 4)] + [
-            list(map(_FLAGS.__getitem__, columns[k])) for k in (6, 5)
+        # the BoundaryPoint columns, then on_hull
+        columns = [tuple(omega)] + [tuple(map(float, columns[k])) for k in (2, 3, 4)] + [
+            tuple(map(_FLAGS.__getitem__, columns[k])) for k in (6, 5)
         ]
     except (ValueError, KeyError):
         raise _row_error(text.split("\n")[1:]) from None
     *point_columns, on_hull = columns
-    points = list(map(tuple.__new__, repeat(BoundaryPoint), zip(*point_columns)))
     return [
         BoundaryCurve(
-            rank=rank,
-            family=dict(family),
-            points=tuple(points[lo:hi]),
+            rank,
+            dict(family),
+            *(column[lo:hi] for column in point_columns),
             hull=tuple(compress(range(hi - lo), on_hull[lo:hi])),
         )
         for rank, lo, hi in spans

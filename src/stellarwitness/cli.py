@@ -29,6 +29,7 @@ from .boundary import (
     sweep_family_ranks,
 )
 from .errors import OptimizerError, TailBoundError
+from .estimator import check_pair_array
 from .fock_gaussian import GaussianUnitaryParams, block_in_range, gaussian_block
 from .multimode import MultimodeWitness, multimode_result_to_json, multimode_threshold
 from .states import FockDensity, FockVector, state_from_json
@@ -220,6 +221,16 @@ def _pair_from_state(state, family: dict):
     return first, second
 
 
+def _checked_pair(pair, source: str) -> tuple:
+    """A measured pair as floats, refused unless :func:`check_pair_array`
+    accepts it (finite, in [0, 1])."""
+    try:
+        ((first, second),) = check_pair_array(pair)
+    except ValueError as err:
+        raise ValueError(f"{source}: {err}, got {[float(p) for p in pair]}") from None
+    return float(first), float(second)
+
+
 def _bound_from_separation(witness, value, threshold):
     a, b, _ = rescale_to_unit(witness)
     return trace_distance_lower_bound(a * value + b, a * threshold + b)
@@ -231,16 +242,14 @@ def cmd_certify(args) -> int:
     # compares against threshold + margin directly.
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"--margin must be finite and >= 0, got {margin}")
-    if args.pair is not None and not all(math.isfinite(p) for p in args.pair):
-        raise ValueError(f"--pair values must be finite, got {args.pair}")
+    pair = None if args.pair is None else _checked_pair(args.pair, "--pair")
     report = {"margin": margin}
     if args.curves:
         family, curves = _load_curves(args.curves)
-        if args.pair is not None:
-            pair = (args.pair[0], args.pair[1])
-        elif args.state:
-            pair = _pair_from_state(state_from_json(_load_json(args.state)), family)
-        else:
+        if pair is None and args.state:
+            state_pair = _pair_from_state(state_from_json(_load_json(args.state)), family)
+            pair = _checked_pair(state_pair, f"the pair of {args.state}")
+        elif pair is None:
             raise ValueError("certify needs --pair or --state")
         ranks, omegas, thresholds = certify_pairs([pair], curves, margin)
         rank = int(ranks[0])
@@ -267,12 +276,12 @@ def cmd_certify(args) -> int:
             if isinstance(state, np.ndarray):
                 raise ValueError("witness certification needs amplitudes or a density matrix")
             value = expectation(witness, state)
-        elif args.pair is not None:
+        elif pair is not None:
             descriptor = witness_to_json(witness)
             if descriptor.get("type") not in ("fock_pair", "cat_pair"):
                 raise ValueError("--pair certification needs a pair-family witness")
             omega = descriptor["omega"]
-            value = math.cos(omega) * args.pair[0] + math.sin(omega) * args.pair[1]
+            value = math.cos(omega) * pair[0] + math.sin(omega) * pair[1]
         else:
             raise ValueError("certify needs --pair or --state")
         if args.threshold_file:

@@ -191,8 +191,9 @@ def _conjugation_plan(terms) -> tuple:
     `betas` holds the distinct coherent inputs in order of first use, `cols`
     the sorted union of the Fock columns of the Fock, pure and density
     terms, and `steps` one (kind, weight, data) per term, in term order,
-    with data the term's position in `cols` (Fock), amplitudes (pure),
-    (coef, index into `betas`) pairs (coherent sums) or matrix (density).
+    with data the term's position in `cols` (Fock), a contiguous copy of its
+    amplitudes (pure), (coef, index into `betas`) pairs (coherent sums) or
+    matrix (density).
     """
     betas = list(dict.fromkeys(beta for t in terms if t.kind == COHERENT_SUM for _, beta in t.data))
     cols = set()
@@ -211,7 +212,8 @@ def _conjugation_plan(terms) -> tuple:
         if term.kind == FOCK:
             data = position[term.data]
         elif term.kind == PURE:
-            data = term.data.amplitudes
+            # a contiguous copy: matmul rounds a strided operand otherwise
+            data = term.data.amplitudes.copy()
         elif term.kind == COHERENT_SUM:
             data = tuple((coef, index[beta]) for coef, beta in term.data)
         elif term.kind == DENSITY:

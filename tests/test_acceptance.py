@@ -5,6 +5,7 @@ here; the expensive boundary sweeps are computed once and shared across the
 criteria that consume them.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -16,7 +17,14 @@ import numpy as np
 import pytest
 
 import stellarwitness as sw
-from stellarwitness.boundary import certify_pairs, curves_from_csv, separations, tangent_witness
+from stellarwitness.boundary import (
+    certify_pairs,
+    curves_from_csv,
+    curves_to_csv,
+    hull_to_json,
+    separations,
+    tangent_witness,
+)
 from stellarwitness.cli import _boundary_outputs
 from stellarwitness.fock_gaussian import oracle_columns
 from stellarwitness.states import lossy_cat_mixing_probability
@@ -190,6 +198,22 @@ def test_attained_pairs_never_certify_their_own_rank(family_sweeps):
     assert rank_one[30].threshold >= 0.11465
     assert rank_one[29].threshold >= 0.076283
     report("soundness", "no attained pair certifies at or above its own rank")
+
+
+def test_boundary_files_round_trip(family_sweeps):
+    """Each family's boundary.csv is written back byte for byte from the
+    curves read from it, and their hulls hold the hull files' vertices (the
+    CSV marks hull membership, not the counterclockwise order)."""
+    files, _ = family_sweeps
+    for name in FAMILIES:
+        curves = curves_for(family_sweeps, name)
+        assert curves_to_csv(curves) == files[name]["boundary.csv"], name
+        for curve in curves:
+            stored = json.loads(files[name][f"hull_rank_{curve.rank}.json"])
+            assert sorted(map(tuple, hull_to_json(curve)["vertices"])) == sorted(
+                map(tuple, stored["vertices"])
+            ), f"{name} rank {curve.rank}"
+    report("round trip", f"{len(FAMILIES)} boundary CSVs written back byte-identical")
 
 
 def test_criterion_06_small_beta_reduction():

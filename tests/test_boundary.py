@@ -24,7 +24,9 @@ from stellarwitness.boundary import (
     sweep_family_ranks,
     tangent_witness,
 )
+from stellarwitness._util import dumps_stable, fmt17
 from stellarwitness.errors import DegenerateWitnessError
+from stellarwitness.estimator import StellarRankCertifier
 from stellarwitness.threshold import MONOTONICITY_SLACK, OptimizerConfig
 from stellarwitness.validation import brute_force_hull
 
@@ -54,7 +56,7 @@ def hand_curve(rank, rows, flagged=False):
     """A curve from (omega, threshold) rows plus the closure corner."""
     points = tuple(BoundaryPoint(w, 0.5, 0.5, t, flagged) for w, t in rows)
     corner = BoundaryPoint(math.nan, 0.0, 0.0, math.nan, False)
-    return BoundaryCurve(rank=rank, family=FOCK02, points=points + (corner,))
+    return BoundaryCurve.from_points(rank, FOCK02, points + (corner,))
 
 
 class TestGiftWrap:
@@ -258,10 +260,6 @@ class TestRepair:
     OMEGAS = [2.0 * math.pi * i / 64 for i in (29, 30, 31)]
     CONFIG = OptimizerConfig(starts=12, max_iterations=350, seed=202)
 
-    @pytest.fixture(scope="class")
-    def cat_curves(self):
-        return sweep_family_ranks(self.CAT, [1, 2], self.OMEGAS, self.CONFIG)
-
     def test_repairs_only_raise_thresholds(self, cat_curves):
         repairs = cat_curves[0].repairs
         assert repairs
@@ -289,6 +287,11 @@ class TestRepair:
 
     def test_fock_sweep_needs_no_repair(self, fock02_curves):
         assert repair_log(fock02_curves) == {"rerun": [], "unresolved": []}
+
+
+@pytest.fixture(scope="module")
+def cat_curves():
+    return sweep_family_ranks(TestRepair.CAT, [1, 2], TestRepair.OMEGAS, TestRepair.CONFIG)
 
 
 class TestCertify:
@@ -375,7 +378,7 @@ class TestCertify:
                 BoundaryPoint(w, 0.5, 0.5, t, False)
                 for w, t in zip((0.0, 1.0), thresholds)
             )
-            return BoundaryCurve(rank=rank, family=FOCK02, points=points, hull=(0, 1))
+            return BoundaryCurve.from_points(rank, FOCK02, points, hull=(0, 1))
 
         bad = [curve(1, (0.9, 0.9)), curve(2, (0.5, 0.9))]
         with pytest.raises(ValueError):
@@ -526,7 +529,7 @@ def reference_curves_from_csv(text, family):
         if fields[5] == "1":
             by_rank[rank][1].append(len(by_rank[rank][0]) - 1)
     return [
-        BoundaryCurve(rank=rank, family=dict(family), points=tuple(points), hull=tuple(hull))
+        BoundaryCurve.from_points(rank, dict(family), tuple(points), hull=tuple(hull))
         for rank, (points, hull) in sorted(by_rank.items())
     ]
 
@@ -628,15 +631,15 @@ class TestAgainstPointReference:
                                    rng.random(size) < 0.3)
             ]
             rows = [(w, math.nan, True) if f and rng.random() < 0.5 else (w, t, f) for w, t, f in rows]
-            curve = BoundaryCurve(rank=1, family=FOCK02, points=hand_points(rows, rng.random() < 0.7))
+            curve = BoundaryCurve.from_points(1, FOCK02, hand_points(rows, rng.random() < 0.7))
             pairs = fixture_pairs(50, int(rng.integers(1000)))
             assert same_bits(separations([curve], pairs), reference_separations([curve], pairs))
 
     def test_infinite_omegas_never_separate(self):
         rows = [(0.5, 0.4, False), (math.inf, 0.1, False), (-math.inf, -5.0, False), (2.0, 0.3, False)]
         for curve in (
-            BoundaryCurve(rank=1, family=FOCK02, points=hand_points(rows)),
-            BoundaryCurve(rank=1, family=FOCK02, points=hand_points(rows[1:3])),
+            BoundaryCurve.from_points(1, FOCK02, hand_points(rows)),
+            BoundaryCurve.from_points(1, FOCK02, hand_points(rows[1:3])),
         ):
             pairs = fixture_pairs(200, 8)
             with np.errstate(invalid="ignore"):  # the reference takes cos(inf)
@@ -675,8 +678,8 @@ class TestAgainstPointReference:
     def test_nesting_check(self, name):
         low, high, raises = self.NESTINGS[name]
         curves = [
-            BoundaryCurve(rank=1, family=FOCK02, points=hand_points([(w, t, False) for w, t in low])),
-            BoundaryCurve(rank=2, family=FOCK02, points=hand_points([(w, t, False) for w, t in high])),
+            BoundaryCurve.from_points(1, FOCK02, hand_points([(w, t, False) for w, t in low])),
+            BoundaryCurve.from_points(2, FOCK02, hand_points([(w, t, False) for w, t in high])),
         ]
         expected = outcome(reference_check_consistency, curves)
         assert outcome(_check_consistency, curves) == expected
@@ -697,12 +700,12 @@ class TestAgainstPointReference:
                      bool(rng.random() < 0.2))
                     for _ in range(size)
                 ]
-                curves.append(BoundaryCurve(rank=rank, family=FOCK02, points=hand_points(rows)))
+                curves.append(BoundaryCurve.from_points(rank, FOCK02, hand_points(rows)))
             assert outcome(_check_consistency, curves) == outcome(reference_check_consistency, curves)
 
     def test_nesting_check_on_flagged_points(self):
-        low = BoundaryCurve(rank=1, family=FOCK02, points=hand_points([(1.0, 0.9, True), (2.0, 0.5, False)]))
-        high = BoundaryCurve(rank=2, family=FOCK02, points=hand_points([(1.0, 0.1, False), (2.0, 0.4, True)]))
+        low = BoundaryCurve.from_points(1, FOCK02, hand_points([(1.0, 0.9, True), (2.0, 0.5, False)]))
+        high = BoundaryCurve.from_points(2, FOCK02, hand_points([(1.0, 0.1, False), (2.0, 0.4, True)]))
         assert outcome(_check_consistency, [low, high]) == outcome(reference_check_consistency, [low, high])
         assert outcome(_check_consistency, [low, high])[0] is ValueError  # a flagged point above still counts
 
@@ -772,3 +775,102 @@ class TestAgainstPointReference:
         with pytest.raises(ValueError, match=f"{field} must be 0 or 1") as error:
             curves_from_csv(text, FOCK02)
         assert repr(bad) in str(error.value)
+
+
+# ---------------------------------------------------------------------------
+# Curves stored column-wise: rows are a view built only when asked for, and
+# the writers give what the row-walking writers gave.
+# ---------------------------------------------------------------------------
+
+
+def reference_curves_to_csv(curves):
+    """The writer that walked each curve's points."""
+    lines = ["omega,rank,p_first,p_second,threshold,on_hull,flagged"]
+    for curve in curves:
+        on_hull = set(curve.hull)
+        for idx, point in enumerate(curve.points):
+            lines.append(",".join((
+                fmt17(point.omega), str(curve.rank), fmt17(point.p_first), fmt17(point.p_second),
+                fmt17(point.threshold), "1" if idx in on_hull else "0", "1" if point.flagged else "0",
+            )))
+    return "\n".join(lines) + "\n"
+
+
+def reference_hull_to_json(curve):
+    """The hull file from each hull vertex's point."""
+    vertices = [[float(curve.points[i].p_first), float(curve.points[i].p_second)] for i in curve.hull]
+    return {"rank": curve.rank, "vertices": vertices}
+
+
+def same_rows(got, expected):
+    """Equal point sequences, NaN equal to NaN."""
+    return len(got) == len(expected) and all(
+        type(a) is type(b) and all(x == y or (x != x and y != y) for x, y in zip(a, b))
+        for a, b in zip(got, expected)
+    )
+
+
+class TestColumnStore:
+    def test_certification_builds_no_rows(self):
+        curves = curves_from_csv(certify_text(), FOCK02)
+        pairs = fixture_pairs(500, 11)[:-3]  # no NaN pair: the certifier refuses them
+        certify_pairs(pairs, curves)
+        rank = certify_pair((0.05, 0.9), curves)
+        tangent_witness(curves[rank - 1], (0.05, 0.9), margin=1e-4)
+        certifier = StellarRankCertifier(max_rank=len(curves))
+        certifier.family_, certifier.curves_ = FOCK02, curves
+        certifier.predict(pairs)
+        certifier.decision_function(pairs)
+        certifier.separating_witness((0.05, 0.9))
+        assert all("columns" in c.__dict__ and "points" not in c.__dict__ for c in curves)
+
+    def test_cli_certification_builds_no_rows(self, monkeypatch, capsys):
+        from stellarwitness.cli import main
+
+        def no_rows(curve):
+            raise AssertionError("built the rows of a curve")
+
+        monkeypatch.setattr(BoundaryCurve, "points", property(no_rows))
+        assert main(["certify", "--curves", str(CERTIFY_DIR), "--pair", "0.05", "0.9"]) == 0
+        assert '"certified_rank": 2' in capsys.readouterr().out
+
+    def test_parsed_rows_are_the_row_readers(self, cat_curves):
+        for text, family in ((certify_text(), FOCK02), (curves_to_csv(cat_curves), TestRepair.CAT)):
+            parsed, reference = curves_from_csv(text, family), reference_curves_from_csv(text, family)
+            assert [c.hull for c in parsed] == [c.hull for c in reference]
+            assert all(same_rows(a.points, b.points) for a, b in zip(parsed, reference, strict=True))
+            assert all(a.points is a.points for a in parsed)  # built once, then kept
+
+    def test_csv_round_trips(self, cat_curves):
+        for text, family in ((certify_text(), FOCK02), (curves_to_csv(cat_curves), TestRepair.CAT)):
+            assert curves_to_csv(curves_from_csv(text, family)) == text
+
+    def test_writers_match_the_row_walkers(self, fock02_curves, cat_curves):
+        for curves in (fock02_curves, cat_curves, curves_from_csv(certify_text(), FOCK02)):
+            assert curves_to_csv(curves) == reference_curves_to_csv(curves)
+            for curve in curves:
+                assert dumps_stable(hull_to_json(curve)) == dumps_stable(reference_hull_to_json(curve))
+
+    def test_from_points_keeps_the_points(self, fock02_curves, cat_curves):
+        for curve in (*fock02_curves, *cat_curves):
+            rebuilt = BoundaryCurve.from_points(curve.rank, curve.family, curve.points, curve.hull)
+            assert rebuilt == curve and same_rows(rebuilt.points, curve.points)
+            columns = (rebuilt.omega, rebuilt.p_first, rebuilt.p_second, rebuilt.threshold, rebuilt.flagged)
+            assert all(type(column) is tuple for column in columns)
+        empty = BoundaryCurve.from_points(1, FOCK02, ())
+        assert empty.points == () and empty.omega == () and empty.hull_vertices() == []
+
+    def test_equality_compares_the_columns(self):
+        # as tuples of points compared: equal fields, NaN only where it is the same object
+        (curve, *_) = curves_from_csv(certify_text(), FOCK02)
+        assert curve == BoundaryCurve.from_points(curve.rank, curve.family, curve.points, curve.hull)
+        (again, *_) = curves_from_csv(certify_text(), FOCK02)
+        assert (curve == again) == (curve.points == again.points)
+        changed = (curve.points[0]._replace(threshold=0.5),) + curve.points[1:]
+        assert BoundaryCurve.from_points(curve.rank, curve.family, changed, curve.hull) != curve
+
+    def test_columns_of_one_length(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            BoundaryCurve(1, FOCK02, (0.0, 1.0), (0.5,), (0.5,), (0.2,), (False,))
+        curve = BoundaryCurve(1, FOCK02, [0.0], [0.5], [0.5], [0.2], [False])
+        assert curve.omega == (0.0,) and curve == BoundaryCurve(1, FOCK02, (0.0,), (0.5,), (0.5,), (0.2,), (False,))

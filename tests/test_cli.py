@@ -499,6 +499,40 @@ class TestCertifyCommand:
         assert captured.out == ""
         assert "must be finite" in captured.err
 
+    @pytest.mark.parametrize("pair", [["2", "2"], ["-0.5", "0.2"]])
+    def test_pair_outside_unit_interval_exit_one(self, boundary_dir, tmp_path, capsys, pair):
+        out = tmp_path / "report.json"
+        assert main(["certify", "--curves", str(boundary_dir), "--pair", *pair, "--out", str(out)]) == 1
+        assert "--pair: probability pairs must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pair", [["2", "2"], ["-0.5", "0.2"]])
+    def test_pair_outside_unit_interval_exit_one_in_witness_mode(self, tmp_path, capsys, pair):
+        witness = write_json(tmp_path / "w.json",
+                             {"type": "fock_pair", "j": 0, "k": 2, "omega": math.pi / 2})
+        tfile = write_json(tmp_path / "t.json", {"rank": 2, "value": 0.9})
+        out = tmp_path / "report.json"
+        code = main(["certify", "--pair", *pair, "--witness", witness, "--rank", "2",
+                     "--threshold-file", tfile, "--out", str(out)])
+        assert code == 1
+        assert "--pair: probability pairs must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "probabilities, message",
+        [([0.1, 0.0, 1.5], "must lie in [0, 1]"), ([math.nan, 0.0, 0.2], "must be finite")],
+        ids=["above-one", "nan"],
+    )
+    def test_state_pair_outside_unit_interval_exit_one(
+        self, boundary_dir, tmp_path, capsys, probabilities, message
+    ):
+        state = write_json(tmp_path / "p.json", state_to_json(np.array(probabilities)))
+        out = tmp_path / "report.json"
+        code = main(["certify", "--state", state, "--curves", str(boundary_dir), "--out", str(out)])
+        assert code == 1
+        assert f"the pair of {state}: probability pairs {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_margin_rejected_in_witness_mode(self, tmp_path, capsys):
         witness = write_json(tmp_path / "w.json",
                              {"type": "fock_pair", "j": 0, "k": 2, "omega": math.pi / 2})

@@ -152,7 +152,7 @@ class TestSeparationKernel:
         est = StellarRankCertifier(max_rank=2)
         est.curves_ = [
             fitted.curves_[0],
-            BoundaryCurve(rank=2, family=fitted.family_, points=flagged),
+            BoundaryCurve.from_points(2, fitted.family_, flagged),
         ]
         values = est.decision_function([[0.0, 1.0], [0.2, 0.2]])
         assert np.all(values[:, 1] == -np.inf)

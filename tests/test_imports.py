@@ -75,10 +75,10 @@ def test_certify_from_curves_loads_no_scipy(tmp_path):
     family = {"type": "fock_pair", "j": 0, "k": 2}
     omegas = [2.0 * math.pi * i / 8 for i in range(8)]
     curves = [
-        BoundaryCurve(
-            rank=rank,
-            family=family,
-            points=tuple(BoundaryPoint(w, 0.5, 0.5, level, False) for w in omegas)
+        BoundaryCurve.from_points(
+            rank,
+            family,
+            tuple(BoundaryPoint(w, 0.5, 0.5, level, False) for w in omegas)
             + (BoundaryPoint(math.nan, 0.0, 0.0, math.nan, False),),
         )
         for rank, level in ((1, 0.5), (2, 0.95))

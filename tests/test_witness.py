@@ -12,7 +12,7 @@ from stellarwitness.fock_gaussian import (
 )
 from stellarwitness.numerics import hermitian_spectrum
 from stellarwitness.states import FockDensity, FockVector, cat, coherent, thermal
-from stellarwitness.threshold import objective
+from stellarwitness.threshold import objective, objectives
 from stellarwitness.witness import (
     CoreState,
     WitnessOperator,
@@ -361,6 +361,24 @@ class TestConjugation:
         for w, own in ((pure, 0.1), (density, 0.1), (fock, 0.0)):
             (term,) = conjugate_witness(w, shift, 3).terms
             assert abs(term.tail_bound() - (1.0 - kept + own)) < 1e-14, term.kind
+
+
+class TestPureTermLayout:
+    def test_strided_amplitudes_give_the_contiguous_bits(self):
+        # column 1 of a complex array is a strided view; matmul would round it
+        # otherwise than its contiguous copy
+        rng = np.random.default_rng(12)
+        block = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+        points = np.column_stack([rng.uniform(0, 1.5, 300), rng.uniform(-3, 3, (300, 2))])
+
+        def pure(amplitudes):
+            return WitnessOperator(terms=(WitnessTerm(1.0, witness_module.PURE, FockVector(amplitudes)),),
+                                   support_cutoff=39, phase_invariant=False)
+
+        strided, contiguous = pure(block[:, 1]), pure(block[:, 1].copy())
+        assert not strided.terms[0].data.amplitudes.flags.c_contiguous
+        for n in (1, 2, 3):
+            assert objectives(strided, n, points).tobytes() == objectives(contiguous, n, points).tobytes()
 
 
 class TestWitnessFiles:
