@@ -89,11 +89,9 @@ class BoundaryCurve:
     repairs: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
-        columns = [tuple(getattr(self, name)) for name in BoundaryPoint._fields]
-        if len(set(map(len, columns))) > 1:
-            raise ValueError(f"curve columns differ in length: {[len(c) for c in columns]}")
-        for name, column in zip(BoundaryPoint._fields, columns):
-            object.__setattr__(self, name, column)
+        lengths = [len(getattr(self, name)) for name in BoundaryPoint._fields]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"curve columns differ in length: {lengths}")
 
     @classmethod
     def from_points(cls, rank: int, family: dict, points, hull=(), repairs=()) -> "BoundaryCurve":

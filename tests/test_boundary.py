@@ -872,5 +872,5 @@ class TestColumnStore:
     def test_columns_of_one_length(self):
         with pytest.raises(ValueError, match="differ in length"):
             BoundaryCurve(1, FOCK02, (0.0, 1.0), (0.5,), (0.5,), (0.2,), (False,))
-        curve = BoundaryCurve(1, FOCK02, [0.0], [0.5], [0.5], [0.2], [False])
-        assert curve.omega == (0.0,) and curve == BoundaryCurve(1, FOCK02, (0.0,), (0.5,), (0.5,), (0.2,), (False,))
+        with pytest.raises(ValueError, match="differ in length"):
+            BoundaryCurve(1, FOCK02, (0.0,), (0.5,), (0.5,), (0.2,), ())
