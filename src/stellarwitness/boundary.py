@@ -59,7 +59,7 @@ class Repair(NamedTuple):
 
 
 class CurveColumns(NamedTuple):
-    """The arrays that certification reads from a curve's points."""
+    """The arrays that certification reads from a curve's columns."""
 
     omega: np.ndarray          # usable directions (unflagged, finite omega) after a leading NaN
     threshold: np.ndarray      # their thresholds, NaN first

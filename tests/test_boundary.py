@@ -25,6 +25,7 @@ from stellarwitness.boundary import (
     tangent_witness,
 )
 from stellarwitness._util import dumps_stable, fmt17
+from stellarwitness.cli import main
 from stellarwitness.errors import DegenerateWitnessError
 from stellarwitness.estimator import StellarRankCertifier
 from stellarwitness.threshold import MONOTONICITY_SLACK, OptimizerConfig
@@ -590,11 +591,11 @@ def hand_points(rows, corner=True):
 
 
 class TestAgainstPointReference:
-    def test_fixture_reads_as_the_row_reader_does(self):
-        text = certify_text()
-        assert point_record(curves_from_csv(text, FOCK02)) == point_record(
-            reference_curves_from_csv(text, FOCK02)
-        )
+    def test_fixture_reads_as_the_row_reader_does(self, cat_curves):
+        for text, family in ((certify_text(), FOCK02), (curves_to_csv(cat_curves), TestRepair.CAT)):
+            assert point_record(curves_from_csv(text, family)) == point_record(
+                reference_curves_from_csv(text, family)
+            )
 
     def test_columns_derived_once_asked(self):
         swept = sweep_family_ranks(FOCK02, [1], grid(2), OptimizerConfig(starts=2, max_iterations=20, seed=3))
@@ -802,14 +803,6 @@ def reference_hull_to_json(curve):
     return {"rank": curve.rank, "vertices": vertices}
 
 
-def same_rows(got, expected):
-    """Equal point sequences, NaN equal to NaN."""
-    return len(got) == len(expected) and all(
-        type(a) is type(b) and all(x == y or (x != x and y != y) for x, y in zip(a, b))
-        for a, b in zip(got, expected)
-    )
-
-
 class TestColumnStore:
     def test_certification_builds_no_rows(self):
         curves = curves_from_csv(certify_text(), FOCK02)
@@ -825,21 +818,12 @@ class TestColumnStore:
         assert all("columns" in c.__dict__ and "points" not in c.__dict__ for c in curves)
 
     def test_cli_certification_builds_no_rows(self, monkeypatch, capsys):
-        from stellarwitness.cli import main
-
         def no_rows(curve):
             raise AssertionError("built the rows of a curve")
 
         monkeypatch.setattr(BoundaryCurve, "points", property(no_rows))
         assert main(["certify", "--curves", str(CERTIFY_DIR), "--pair", "0.05", "0.9"]) == 0
         assert '"certified_rank": 2' in capsys.readouterr().out
-
-    def test_parsed_rows_are_the_row_readers(self, cat_curves):
-        for text, family in ((certify_text(), FOCK02), (curves_to_csv(cat_curves), TestRepair.CAT)):
-            parsed, reference = curves_from_csv(text, family), reference_curves_from_csv(text, family)
-            assert [c.hull for c in parsed] == [c.hull for c in reference]
-            assert all(same_rows(a.points, b.points) for a, b in zip(parsed, reference, strict=True))
-            assert all(a.points is a.points for a in parsed)  # built once, then kept
 
     def test_csv_round_trips(self, cat_curves):
         for text, family in ((certify_text(), FOCK02), (curves_to_csv(cat_curves), TestRepair.CAT)):
@@ -854,7 +838,8 @@ class TestColumnStore:
     def test_from_points_keeps_the_points(self, fock02_curves, cat_curves):
         for curve in (*fock02_curves, *cat_curves):
             rebuilt = BoundaryCurve.from_points(curve.rank, curve.family, curve.points, curve.hull)
-            assert rebuilt == curve and same_rows(rebuilt.points, curve.points)
+            assert rebuilt == curve and point_record([rebuilt]) == point_record([curve])
+            assert rebuilt.points is rebuilt.points  # built once, then kept
             columns = (rebuilt.omega, rebuilt.p_first, rebuilt.p_second, rebuilt.threshold, rebuilt.flagged)
             assert all(type(column) is tuple for column in columns)
         empty = BoundaryCurve.from_points(1, FOCK02, ())
@@ -863,7 +848,6 @@ class TestColumnStore:
     def test_equality_compares_the_columns(self):
         # as tuples of points compared: equal fields, NaN only where it is the same object
         (curve, *_) = curves_from_csv(certify_text(), FOCK02)
-        assert curve == BoundaryCurve.from_points(curve.rank, curve.family, curve.points, curve.hull)
         (again, *_) = curves_from_csv(certify_text(), FOCK02)
         assert (curve == again) == (curve.points == again.points)
         changed = (curve.points[0]._replace(threshold=0.5),) + curve.points[1:]
