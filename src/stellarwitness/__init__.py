@@ -10,7 +10,6 @@ from .boundary import (
     BoundaryPoint,
     certify_pair,
     gift_wrap,
-    sweep_family,
     sweep_family_ranks,
     tangent_witness,
 )
@@ -24,10 +23,8 @@ from .estimator import StellarRankCertifier
 from .fock_gaussian import (
     GaussianUnitaryParams,
     gaussian_block,
-    gaussian_matrix_element,
     oracle_columns,
     oracle_gaussian_matrix,
-    transform_coherent,
 )
 from .multimode import (
     MultimodeGaussianParams,

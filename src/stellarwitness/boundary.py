@@ -71,11 +71,15 @@ class CurveColumns(NamedTuple):
     floor: np.ndarray          # its threshold less MONOTONICITY_SLACK, NaN where flagged
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryCurve:
     """The swept points of one rank, stored column by column: one tuple per
     BoundaryPoint field, all of one length.  `points` and `columns` are
-    derived from these on first use and kept with the curve."""
+    derived from these on first use and kept with the curve.
+
+    Two curves are equal when their fields other than `repairs` are, a NaN
+    in a column counting as equal to a NaN at the same position.  Curves
+    are not hashable (the family is a dict)."""
 
     rank: int
     family: dict
@@ -92,6 +96,13 @@ class BoundaryCurve:
         lengths = [len(getattr(self, name)) for name in BoundaryPoint._fields]
         if len(set(lengths)) > 1:
             raise ValueError(f"curve columns differ in length: {lengths}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rank, self.family, self.hull) == (other.rank, other.family, other.hull) and all(
+            _same_column(getattr(self, name), getattr(other, name)) for name in BoundaryPoint._fields
+        )
 
     @classmethod
     def from_points(cls, rank: int, family: dict, points, hull=(), repairs=()) -> "BoundaryCurve":
@@ -129,6 +140,11 @@ class BoundaryCurve:
             omega,
             np.where(flagged, np.nan, threshold - MONOTONICITY_SLACK),
         )
+
+
+def _same_column(a: tuple, b: tuple) -> bool:
+    """Equal columns, NaN equal to NaN at the same position."""
+    return a == b or (len(a) == len(b) and all(x == y or x != x and y != y for x, y in zip(a, b)))
 
 
 def family_witness(family: dict, omega: float) -> WitnessOperator:
@@ -215,44 +231,46 @@ def sweep_family_ranks(
         raise ValueError("omega grid must be nonempty")
     cfg = replace(config, initial_points=tuple(config.initial_points) + _family_starts(checked))
 
-    rows, winners = [], []
-    for omega in omegas:
+    # the sweep's state over (omega, rank), NaN where a search failed
+    shape = (len(omegas), len(ranks))
+    pairs, thresholds = np.full(shape + (2,), np.nan), np.full(shape, np.nan)
+    flagged, winners = np.zeros(shape, dtype=bool), np.full(shape + (4,), np.nan)
+    for i, omega in enumerate(omegas):
         witness = _witness(checked, omega)
         try:
             results = compute_thresholds(witness, ranks, cfg)
         except OptimizerError:
-            rows.append([BoundaryPoint(omega, math.nan, math.nan, math.nan, True)] * len(ranks))
-            winners.append([None] * len(ranks))
+            flagged[i] = True
             continue
-        rows.append([
-            BoundaryPoint(omega, *_probability_pair(witness, result), result.value, False)
-            for result in results
-        ])
-        winners.append([result.params.vector() for result in results])
-    repairs = _repair(checked, ranks, cfg, rows, winners)
+        for j, result in enumerate(results):
+            pairs[i, j] = _probability_pair(witness, result)
+            thresholds[i, j] = result.value
+            winners[i, j] = result.params.vector()
+    repairs = _repair(checked, ranks, cfg, omegas, pairs, thresholds, flagged, winners)
+    # closure corner: both probabilities can vanish in the limit of the rank
+    # class, though no finite parameter attains it exactly.
+    omega_column = tuple(omegas) + (math.nan,)
     curves = []
     for j, rank in enumerate(ranks):
-        points = [row[j] for row in rows]
-        # closure corner: both probabilities can vanish in the limit of the
-        # rank class, though no finite parameter attains it exactly.
-        points.append(BoundaryPoint(math.nan, 0.0, 0.0, math.nan, False))
-        usable = [
-            (idx, (p.p_first, p.p_second))
-            for idx, p in enumerate(points)
-            if not p.flagged
-        ]
-        hull_local = gift_wrap([xy for _, xy in usable])
-        hull = tuple(usable[i][0] for i in hull_local)
-        curves.append(BoundaryCurve.from_points(rank, dict(family), points, hull, tuple(repairs[j])))
+        p_first, p_second = (tuple(pairs[:, j, k].tolist()) + (0.0,) for k in (0, 1))
+        flags = tuple(flagged[:, j].tolist()) + (False,)
+        usable = [idx for idx, flag in enumerate(flags) if not flag]
+        hull = tuple(usable[k] for k in gift_wrap([(p_first[idx], p_second[idx]) for idx in usable]))
+        threshold = tuple(thresholds[:, j].tolist()) + (math.nan,)
+        columns = (omega_column, p_first, p_second, threshold, flags)
+        curves.append(BoundaryCurve(rank, dict(family), *columns, hull, tuple(repairs[j])))
     return curves
 
 
-def _repair(family: dict, ranks: list, cfg: OptimizerConfig, rows: list, winners: list) -> list:
+def _repair(
+    family: dict, ranks: list, cfg: OptimizerConfig, omegas: list, pairs, thresholds, flagged, winners
+) -> list:
     """Audit the swept thresholds of a checked family descriptor against the
-    attained pairs and re-run the directions that fall short; `rows[i][j]`
-    (the point at omega i and rank j) and `winners[i][j]` (its winning
-    parameter vector) are updated in place.  Returns the Repairs of each
-    rank.
+    attained pairs and re-run the directions that fall short.  The sweep's
+    arrays, indexed [omega, rank], are updated in place: `pairs` (with a last
+    axis of 2) and `thresholds`, NaN where the search failed, `flagged`, and
+    `winners` (a last axis of 4), each point's winning parameter vector.
+    Returns the Repairs of each rank.
 
     Every pair of a searched point at rank j' <= j is attained by a state of
     rank below ranks[j], so the threshold at (i, j) is short of its supremum
@@ -266,15 +284,14 @@ def _repair(family: dict, ranks: list, cfg: OptimizerConfig, rows: list, winners
     after that is flagged.
     """
     repairs = [[] for _ in ranks]
-    pairs = np.array([[point[1:3] for point in row] for row in rows])  # NaN where the search failed
 
     def source(i, j):  # indices of the pair that beats (i, j) by the most, if by more than the tolerance
-        omega, _, _, threshold, _ = rows[i][j]
-        gains = math.cos(omega) * pairs[:, : j + 1, 0] + math.sin(omega) * pairs[:, : j + 1, 1]
+        threshold = thresholds[i, j]
+        gains = math.cos(omegas[i]) * pairs[:, : j + 1, 0] + math.sin(omegas[i]) * pairs[:, : j + 1, 1]
         best = np.unravel_index(int(np.argmax(np.fmax(gains, -np.inf))), gains.shape)
         return best if gains[best] - threshold > cfg.simplex_tolerance * (1.0 + abs(threshold)) else None
 
-    searched = [(i, j) for i, row in enumerate(rows) for j in range(len(ranks)) if not row[j].flagged]
+    searched = np.argwhere(~flagged).tolist()  # ascending omega, then rank
     for _ in range(_REPAIR_PASSES):
         rerun = False
         for i, j in searched:
@@ -282,21 +299,20 @@ def _repair(family: dict, ranks: list, cfg: OptimizerConfig, rows: list, winners
             if best is None:
                 continue
             rerun = True
-            point, witness = rows[i][j], _witness(family, rows[i][j].omega)
-            starts = tuple(cfg.initial_points) + (winners[i][j], winners[best[0]][best[1]])
+            witness = _witness(family, omegas[i])
+            starts = tuple(cfg.initial_points) + (winners[i, j], winners[best])
             try:
                 (result,) = compute_thresholds(witness, [ranks[j]], replace(cfg, initial_points=starts))
             except OptimizerError:
                 continue
+            repairs[j].append(Repair(omegas[i], float(thresholds[i, j]), result.value))
             pairs[i, j] = _probability_pair(witness, result)
-            rows[i][j] = BoundaryPoint(point.omega, *pairs[i, j].tolist(), result.value, False)
-            winners[i][j] = result.params.vector()
-            repairs[j].append(Repair(point.omega, point.threshold, result.value))
+            thresholds[i, j] = result.value
+            winners[i, j] = result.params.vector()
         if not rerun:
             return repairs
     for i, j in searched:
-        if source(i, j) is not None:
-            rows[i][j] = rows[i][j]._replace(flagged=True)
+        flagged[i, j] = source(i, j) is not None
     return repairs
 
 
@@ -316,16 +332,6 @@ def repair_log(curves: Sequence[BoundaryCurve]) -> dict:
             if flagged and not math.isnan(threshold)
         ],
     }
-
-
-def sweep_family(
-    family: dict,
-    n: int,
-    omegas: Sequence[float],
-    config: OptimizerConfig | None = None,
-) -> BoundaryCurve:
-    """The rank-n curve of `sweep_family_ranks`."""
-    return sweep_family_ranks(family, [n], omegas, config)[0]
 
 
 def gift_wrap(points) -> list:

@@ -50,13 +50,17 @@ EXIT_VALIDATION = 3
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object a file holds; any other top level is malformed input."""
     try:
         with open(path) as handle:
-            return json.load(handle)
+            obj = json.load(handle)
     except FileNotFoundError:
         raise ValueError(f"file not found: {path}")
     except json.JSONDecodeError as err:
         raise ValueError(f"malformed JSON in {path} at line {err.lineno}, column {err.colno}: {err.msg}")
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return obj
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -70,8 +74,6 @@ def _build_config(args) -> OptimizerConfig:
     base = {}
     if getattr(args, "config", None):
         base = _load_json(args.config)
-        if not isinstance(base, dict):
-            raise ValueError(f"optimizer config {args.config} must hold a JSON object")
     config = OptimizerConfig.from_json(base) if base else OptimizerConfig()
     overrides = {}
     if getattr(args, "seed", None) is not None:

@@ -13,6 +13,7 @@ import inspect
 import numpy as np
 
 from .boundary import certify_pairs, family_descriptor, repair_log, separations, sweep_family_ranks
+from .states import PROBABILITY_SLACK
 from .threshold import OptimizerConfig
 
 
@@ -25,7 +26,7 @@ def check_pair_array(X) -> np.ndarray:
         raise ValueError(f"expected an array of probability pairs with shape (n, 2), got {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("probability pairs must be finite")
-    if np.any(X < -1e-9) or np.any(X > 1.0 + 1e-9):
+    if np.any(X < -PROBABILITY_SLACK) or np.any(X > 1.0 + PROBABILITY_SLACK):
         raise ValueError("probability pairs must lie in [0, 1]")
     return np.clip(X, 0.0, 1.0)
 

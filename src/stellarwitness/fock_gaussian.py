@@ -39,7 +39,6 @@ import numpy as np
 from ._util import require_integer
 from .errors import TailBoundError
 from .numerics import matrix_exponential
-from .states import FockVector
 
 #: largest squeezing of a parameter point: cosh r overflows near r = 710.
 MAX_SQUEEZING = 700.0
@@ -301,14 +300,6 @@ def gaussian_block(
     return block_columns(params, row_max + 1, range(col_max + 1))
 
 
-def gaussian_matrix_element(params: GaussianUnitaryParams, k: int, m: int) -> complex:
-    """Analytic <k|U|m> for a single pair of Fock indices; the same bits as
-    that entry of any block that contains it."""
-    if k < 0 or m < 0:
-        raise ValueError("Fock indices must be >= 0")
-    return complex(block_columns(params, k + 1, [m])[k, 0])
-
-
 def params_from_vector(vec) -> GaussianUnitaryParams:
     """The point (r, Re alpha, Im alpha[, vartheta]) of the threshold search, theta = 0."""
     vartheta = float(vec[3]) if len(vec) > 3 else 0.0
@@ -363,21 +354,6 @@ def _coherent_columns(points: np.ndarray, betas: np.ndarray, k_max: int, theta) 
         turns = np.exp(np.outer(-1j * theta, np.arange(k_max + 1)))
         turns *= factor[:, None]
     return (turns * column[:, :, 0]).reshape(count, size, k_max + 1)
-
-
-def transform_coherent(
-    params: GaussianUnitaryParams, beta: complex, k_max: int
-) -> FockVector:
-    """Amplitudes <k|U|beta> for k <= k_max for a coherent input |beta>.
-
-    The one-row case of :func:`coherent_columns`, with the tail bound of the
-    returned vector.
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    amps = coherent_columns([params.vector()], [complex(beta)], k_max, theta=[params.theta])[0, 0]
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
-    return FockVector(amps, tail_bound=max(0.0, 1.0 - norm_sq))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from ._util import complex_pair, parse_complex, require_finite, require_integer
-from .fock_gaussian import GaussianUnitaryParams, _block_columns, check_box, checked_points
+from .fock_gaussian import _block_columns, check_box, checked_points
 from .numerics import hermitian_spectrum
 from .threshold import (
     OptimizerConfig,
@@ -140,11 +140,6 @@ class MultimodeGaussianParams:
     def from_generator(cls, X: np.ndarray, squeezings, displacements) -> "MultimodeGaussianParams":
         X = np.asarray(X, dtype=complex)
         return cls(_interferometer(X), tuple(squeezings), tuple(displacements), generator=X)
-
-    def mode_params(self, k: int) -> GaussianUnitaryParams:
-        return GaussianUnitaryParams(
-            theta=0.0, vartheta=0.0, r=self.squeezings[k], alpha=self.displacements[k]
-        )
 
     def mode_points(self) -> np.ndarray:
         """Rows (r, Re alpha, Im alpha) of the per-mode displaced squeezers."""

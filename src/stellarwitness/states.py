@@ -15,6 +15,8 @@ from ._util import complex_pair, parse_complex
 from .errors import TailBoundError
 
 _TAIL_TOL = 1e-6
+#: how far a measured probability may lie outside [0, 1] and be read as in it
+PROBABILITY_SLACK = 1e-9
 
 
 def default_cutoff(beta: complex) -> int:
@@ -248,8 +250,14 @@ def state_to_json(state) -> dict:
 
 
 def state_from_json(obj: dict):
-    """Parse a state file object into FockVector, FockDensity or a probability array."""
+    """Parse a state file object into FockVector, FockDensity or a probability array.
+
+    A missing "data" entry raises ValueError, and so do fock_probabilities
+    that are not a distribution: an entry not finite or outside [0, 1], or a
+    sum above 1 (each limit with PROBABILITY_SLACK)."""
     kind = obj.get("kind")
+    if kind in ("fock_vector", "density", "fock_probabilities") and "data" not in obj:
+        raise ValueError(f'a {kind} state needs a "data" entry')
     if kind == "fock_vector":
         amps = np.array([parse_complex(z) for z in obj["data"]], dtype=complex)
         return FockVector(amps, tail_bound=float(obj.get("tail_bound", 0.0)))
@@ -257,5 +265,13 @@ def state_from_json(obj: dict):
         rows = [[parse_complex(z) for z in row] for row in obj["data"]]
         return FockDensity(np.array(rows, dtype=complex), tail_bound=float(obj.get("tail_bound", 0.0)))
     if kind == "fock_probabilities":
-        return np.asarray(obj["data"], dtype=float)
+        probabilities = np.asarray(obj["data"], dtype=float)
+        if probabilities.ndim != 1 or not np.all(np.isfinite(probabilities)):
+            raise ValueError("fock_probabilities data must be a list of finite numbers")
+        low, high = -PROBABILITY_SLACK, 1.0 + PROBABILITY_SLACK
+        if np.any(probabilities < low) or np.any(probabilities > high):
+            raise ValueError("fock_probabilities entries must lie in [0, 1]")
+        if probabilities.sum() > high:
+            raise ValueError(f"fock_probabilities sum to {probabilities.sum():.17g}, above 1")
+        return probabilities
     raise ValueError(f"unknown state kind {kind!r}")

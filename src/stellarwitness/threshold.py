@@ -392,21 +392,19 @@ def compute_threshold(
     witness: WitnessOperator,
     n: int,
     config: OptimizerConfig | None = None,
-    fix_vartheta: bool | None = None,
 ) -> ThresholdResult:
     """Best threshold estimate over the multi-start search, with diagnostics.
 
     The returned value is re-evaluated from the winning parameters through the
     spectrum path, so `value` always reproduces from (params, core) exactly.
-    A box on which the kernels could overflow with the witness's coherent
-    inputs raises ValueError before the first round (:func:`check_box`).
+    A phase-invariant witness is searched with vartheta fixed at 0.  A box on
+    which the kernels could overflow with the witness's coherent inputs
+    raises ValueError before the first round (:func:`check_box`).
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
     config = config or OptimizerConfig()
-    if fix_vartheta is None:
-        fix_vartheta = witness.phase_invariant
-    dims = 3 if fix_vartheta else 4
+    dims = 3 if witness.phase_invariant else 4
     lo, hi = _box(config, dims)
     check_box(config.r_max, config.alpha_max, witness.conjugation_plan[0])
 
@@ -427,7 +425,7 @@ def compute_threshold(
     }
     diagnostics = search_diagnostics(
         outcomes, value, boundary, config,
-        vartheta_fixed=bool(fix_vartheta),
+        vartheta_fixed=bool(witness.phase_invariant),
         witness_tail_bound=float(witness.max_tail_bound()),
     )
     return ThresholdResult(
@@ -439,7 +437,6 @@ def compute_thresholds(
     witness: WitnessOperator,
     ranks,
     config: OptimizerConfig | None = None,
-    fix_vartheta: bool | None = None,
 ) -> list:
     """Thresholds for several ranks in one batch.
 
@@ -457,7 +454,7 @@ def compute_thresholds(
     carried = config.initial_points
     for n in ranks:
         cfg = replace(config, initial_points=carried)
-        result = compute_threshold(witness, n, cfg, fix_vartheta)
+        result = compute_threshold(witness, n, cfg)
         if results:
             ok = result.value >= results[-1].value - MONOTONICITY_SLACK
             result.diagnostics["monotonicity_ok"] = bool(ok)

@@ -1,5 +1,6 @@
 import math
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +21,13 @@ from stellarwitness.boundary import (
     repair_log,
     separations,
     signed_area,
-    sweep_family,
     sweep_family_ranks,
     tangent_witness,
 )
 from stellarwitness._util import dumps_stable, fmt17
 from stellarwitness.cli import main
-from stellarwitness.errors import DegenerateWitnessError
+from stellarwitness import boundary
+from stellarwitness.errors import DegenerateWitnessError, OptimizerError
 from stellarwitness.estimator import StellarRankCertifier
 from stellarwitness.threshold import MONOTONICITY_SLACK, OptimizerConfig
 from stellarwitness.validation import brute_force_hull
@@ -178,7 +179,7 @@ class TestSweep:
         assert abs(point.threshold - 1.0) < 1e-6
 
     def test_probability_normalization(self):
-        curve = sweep_family(FOCK12, 1, grid(8), FAST)
+        (curve,) = sweep_family_ranks(FOCK12, [1], grid(8), FAST)
         for point in curve.points:
             if point.is_corner:
                 continue
@@ -222,10 +223,10 @@ class TestSweep:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            sweep_family(FOCK02, 1, [], FAST)
+            sweep_family_ranks(FOCK02, [1], [], FAST)
 
     def test_single_omega_no_crash(self):
-        curve = sweep_family(FOCK02, 1, [0.0], FAST)
+        (curve,) = sweep_family_ranks(FOCK02, [1], [0.0], FAST)
         assert len(curve.hull) >= 1
 
 
@@ -252,6 +253,50 @@ class TestThresholdCalls:
         assert reruns > 0
         assert len(calls) == len(omegas) * 2 + reruns
         assert set(calls) == {(omega, n) for omega in omegas for n in (1, 2)}
+
+
+class TestSweepState:
+    """A sweep keeps each swept value once, in arrays over (omega, rank), and
+    builds every curve straight from their columns."""
+
+    CAT = {"type": "cat_pair", "beta": 2.0}
+    OMEGAS = [math.pi / 2, 3 * math.pi / 4, math.pi]  # the last direction's search fails
+    CONFIG = OptimizerConfig(starts=8, max_iterations=300, seed=202)
+
+    def sweep(self, monkeypatch, passes):
+        original = boundary.compute_thresholds
+
+        def failing(witness_op, ranks, config):
+            if witness_op.descriptor["omega"] == math.pi:
+                raise OptimizerError("forced failure")
+            return original(witness_op, ranks, config)
+
+        monkeypatch.setattr(boundary, "compute_thresholds", failing)
+        monkeypatch.setattr(boundary, "_REPAIR_PASSES", passes)
+        return sweep_family_ranks(self.CAT, [1, 2], self.OMEGAS, self.CONFIG)
+
+    @pytest.mark.parametrize("passes", [0, 4], ids=["unresolved", "repaired"])
+    def test_sweep_builds_no_rows(self, monkeypatch, passes):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built or replaced a point row")
+
+        for owner, name in ((BoundaryPoint, "__new__"), (BoundaryPoint, "_replace")):
+            monkeypatch.setattr(owner, name, refuse)
+        monkeypatch.setattr(BoundaryCurve, "from_points", classmethod(refuse))
+        curves = self.sweep(monkeypatch, passes)
+        log = repair_log(curves)
+        assert log["unresolved"] if passes == 0 else log["rerun"] and not log["unresolved"]
+        for curve in curves:
+            assert "points" not in curve.__dict__
+            assert curve.flagged[2] and all(math.isnan(c[2]) for c in (curve.p_first, curve.threshold))
+            assert (curve.p_first[-1], curve.p_second[-1], curve.flagged[-1]) == (0.0, 0.0, False)
+            assert math.isnan(curve.omega[-1]) and math.isnan(curve.threshold[-1])
+
+    def test_identical_sweeps_are_equal(self, monkeypatch):
+        # each sweep makes its own NaN objects where a search failed
+        first, second = (self.sweep(monkeypatch, 4) for _ in range(2))
+        assert first[0].threshold[2] is not second[0].threshold[2]
+        assert first == second
 
 
 class TestRepair:
@@ -441,7 +486,7 @@ class TestFamilies:
         import numpy as np
 
         family = {"type": "cat_pair", "beta": [0.01, 0.0]}
-        curve = sweep_family(family, 1, grid(16), FAST)
+        (curve,) = sweep_family_ranks(family, [1], grid(16), FAST)
         one = FockVector(np.eye(8)[1])
         pair = (
             expectation(cat_pair_witness(0.01, 0.0), one),
@@ -846,12 +891,22 @@ class TestColumnStore:
         assert empty.points == () and empty.omega == () and empty.hull_vertices() == []
 
     def test_equality_compares_the_columns(self):
-        # as tuples of points compared: equal fields, NaN only where it is the same object
+        # each read makes its own NaN objects for the closure corner: NaN
+        # equals NaN at the same position of a column
         (curve, *_) = curves_from_csv(certify_text(), FOCK02)
         (again, *_) = curves_from_csv(certify_text(), FOCK02)
-        assert (curve == again) == (curve.points == again.points)
+        assert curve.threshold[-1] is not again.threshold[-1]
+        assert curve == again and not curve != again
         changed = (curve.points[0]._replace(threshold=0.5),) + curve.points[1:]
         assert BoundaryCurve.from_points(curve.rank, curve.family, changed, curve.hull) != curve
+        # a NaN against a number stays unequal, either way round, in any column
+        for name in BoundaryPoint._fields[:4]:
+            column = getattr(curve, name)[:-1]
+            nan, other_nan, number = (
+                replace(curve, **{name: column + (value,)}) for value in (math.nan, float("nan"), 0.5)
+            )
+            assert nan == other_nan and nan != number and number != nan
+        assert curve != curve.points and BoundaryCurve.__hash__ is None  # unhashable: the family is a dict
 
     def test_columns_of_one_length(self):
         with pytest.raises(ValueError, match="differ in length"):

@@ -11,7 +11,7 @@ import pytest
 
 from stellarwitness import cli, validation
 from stellarwitness.cli import main
-from stellarwitness.states import state_to_json, coherent
+from stellarwitness.states import FockVector, state_to_json, coherent
 from stellarwitness._util import dumps_stable
 
 
@@ -526,12 +526,45 @@ class TestCertifyCommand:
     def test_state_pair_outside_unit_interval_exit_one(
         self, boundary_dir, tmp_path, capsys, probabilities, message
     ):
-        state = write_json(tmp_path / "p.json", state_to_json(np.array(probabilities)))
+        # amplitudes, not fock_probabilities, which the state file check refuses first
+        amplitudes = FockVector(np.sqrt(np.array(probabilities)))
+        state = write_json(tmp_path / "p.json", state_to_json(amplitudes))
         out = tmp_path / "report.json"
         code = main(["certify", "--state", state, "--curves", str(boundary_dir), "--out", str(out)])
         assert code == 1
         assert f"the pair of {state}: probability pairs {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "state, message",
+        [
+            ({"kind": "fock_probabilities", "data": [0.5, 7.0, 0.4, -3]}, "entries must lie in [0, 1]"),
+            ({"kind": "fock_probabilities", "data": [0.5, 0.1, -2e-9]}, "entries must lie in [0, 1]"),
+            ({"kind": "fock_probabilities", "data": [0.5, 0.1, 1.0 + 2e-9]}, "entries must lie in [0, 1]"),
+            ({"kind": "fock_probabilities", "data": [0.5, math.inf, 0.2]}, "list of finite numbers"),
+            ({"kind": "fock_probabilities", "data": [0.5, 0.1, math.nan]}, "list of finite numbers"),
+            ({"kind": "fock_probabilities", "data": [[0.5, 0.1, 0.2]]}, "list of finite numbers"),
+            ({"kind": "fock_probabilities", "data": [0.6, 0.1, 0.4]}, "sum to 1.1"),
+            ({"kind": "fock_probabilities", "cutoff": 2}, 'a fock_probabilities state needs a "data" entry'),
+            ({"kind": "fock_vector", "cutoff": 2}, 'a fock_vector state needs a "data" entry'),
+        ],
+        ids=["bench-example", "below-zero", "above-one", "inf", "nan", "nested", "sum-above-one",
+             "no-data", "vector-without-data"],
+    )
+    def test_state_not_a_distribution_exit_one(self, boundary_dir, tmp_path, capsys, state, message):
+        path = write_json(tmp_path / "p.json", state)
+        out = tmp_path / "report.json"
+        code = main(["certify", "--state", path, "--curves", str(boundary_dir), "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_distribution_within_the_slack_certifies(self, boundary_dir, tmp_path, capsys):
+        # entries and sum up to 1e-9 past their limits, as for measured pairs
+        state = {"kind": "fock_probabilities", "data": [-5e-10, 0.0, 1.0 + 5e-10]}
+        path = write_json(tmp_path / "p.json", state)
+        assert main(["certify", "--state", path, "--curves", str(boundary_dir)]) == 0
+        assert json.loads(capsys.readouterr().out)["certified_rank"] == 2
 
     def test_negative_margin_rejected_in_witness_mode(self, tmp_path, capsys):
         witness = write_json(tmp_path / "w.json",
@@ -541,6 +574,46 @@ class TestCertifyCommand:
                      "--threshold-file", tfile, "--margin", "-0.5"])
         assert code == 1
         assert "must be finite and >= 0" in capsys.readouterr().err
+
+
+class TestJsonTopLevel:
+    """Every JSON file the CLI reads must hold an object at its top level."""
+
+    @staticmethod
+    def command(kind, bad, boundary_dir, tmp_path):
+        witness = write_json(tmp_path / "w.json", {"type": "fock_pair", "j": 0, "k": 2, "omega": 0.0})
+        if kind == "threshold":
+            return ["threshold", bad, "--rank", "1", *FAST_FLAGS]
+        if kind == "state":
+            return ["certify", "--curves", str(boundary_dir), "--state", bad]
+        if kind == "witness-state":
+            return ["certify", "--witness", witness, "--rank", "1", "--state", bad]
+        if kind == "threshold-file":
+            return ["certify", "--witness", witness, "--rank", "1", "--pair", "0.5", "0.5",
+                    "--threshold-file", bad]
+        directory = tmp_path / "curves"
+        shutil.copytree(boundary_dir, directory)
+        shutil.copy(bad, directory / "manifest.json")
+        return ["certify", "--curves", str(directory), "--pair", "0.05", "0.9"]
+
+    @pytest.mark.parametrize("top", [[1], "x", 5], ids=["list", "string", "number"])
+    @pytest.mark.parametrize("kind", ["threshold", "state", "witness-state", "threshold-file", "manifest"])
+    def test_non_object_exit_one(self, boundary_dir, tmp_path, capsys, kind, top):
+        bad = write_json(tmp_path / "bad.json", top)
+        argv = self.command(kind, bad, boundary_dir, tmp_path)
+        path = str(tmp_path / "curves" / "manifest.json") if kind == "manifest" else bad
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path} must hold a JSON object" in err and "Traceback" not in err
+
+    def test_in_a_fresh_interpreter(self, tmp_path):
+        bad = write_json(tmp_path / "bad.json", [1])
+        run = subprocess.run(
+            [sys.executable, "-m", "stellarwitness.cli", "threshold", bad, "--rank", "1"],
+            capture_output=True, text=True,
+        )
+        assert run.returncode == 1
+        assert run.stderr == f"error: {bad} must hold a JSON object\n"
 
 
 class TestValidateCommand:

@@ -338,7 +338,7 @@ class TestKernel:
         n_rows, max_total = 2, modes * cutoff
         dim = max_total + 1
         passive = product_space_unitary(passive_params(X), max_total)
-        singles = [gaussian_block(params.mode_params(k), n_rows, max_total) for k in range(modes)]
+        singles = block_columns_batch(params.mode_points(), n_rows + 1, range(max_total + 1))
         rows = enumerate_subspace(modes, n_rows)
         cols = list(itertools.product(range(cutoff + 1), repeat=modes))
         expected = np.zeros((len(rows), len(cols)), dtype=complex)

@@ -14,8 +14,8 @@ from stellarwitness._util import dumps_stable
 from stellarwitness.errors import OptimizerError
 from stellarwitness.fock_gaussian import (
     GaussianUnitaryParams,
+    coherent_columns,
     params_from_vector,
-    transform_coherent,
 )
 from stellarwitness.states import FockDensity, FockVector
 from stellarwitness.threshold import (
@@ -127,9 +127,11 @@ class TestComputeThreshold:
             compute_threshold(vacuum_witness(), 0, FAST)
 
     def test_four_vector_start_truncated_when_vartheta_fixed(self):
+        assert single_photon_witness().phase_invariant  # so vartheta is fixed
+
         def run(point):
             cfg = OptimizerConfig(starts=4, max_iterations=400, seed=11, initial_points=(point,))
-            return compute_threshold(single_photon_witness(), 1, cfg, fix_vartheta=True)
+            return compute_threshold(single_photon_witness(), 1, cfg)
 
         full = run((0.4, 0.8, -0.3, 1.3))
         truncated = run((0.4, 0.8, -0.3))
@@ -232,8 +234,9 @@ class TestExtremalState:
 class TestInvariantProperties:
     def test_phase_free_vs_fixed(self):
         w = fock_pair_witness(0, 2, 0.7)
-        fixed = compute_threshold(w, 2, FAST, fix_vartheta=True)
-        free = compute_threshold(w, 2, FAST, fix_vartheta=False)
+        fixed = compute_threshold(w, 2, FAST)
+        free = compute_threshold(replace(w, phase_invariant=False), 2, FAST)
+        assert fixed.diagnostics["vartheta_fixed"] and not free.diagnostics["vartheta_fixed"]
         assert abs(fixed.value - free.value) <= 1e-7
 
     def test_gaussian_covariance_single_case(self):
@@ -257,7 +260,7 @@ class TestInvariantProperties:
                     r=rng.uniform(0, 1.2),
                     alpha=complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
                 )
-                state = transform_coherent(params, 0.0, 60)
+                state = FockVector(coherent_columns([params.vector()], [0.0], 60)[0, 0])
                 assert expectation(witness, state) <= w1 + 1e-7
 
 

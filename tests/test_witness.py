@@ -7,8 +7,8 @@ from stellarwitness import witness as witness_module
 from stellarwitness.errors import DegenerateWitnessError, HermiticityError
 from stellarwitness.fock_gaussian import (
     GaussianUnitaryParams,
+    coherent_columns,
     oracle_gaussian_matrix,
-    transform_coherent,
 )
 from stellarwitness.numerics import hermitian_spectrum
 from stellarwitness.states import FockDensity, FockVector, cat, coherent, thermal
@@ -233,7 +233,8 @@ class TestCoherentTransforms:
             for size, got in ((4, vec), (10, pure.data.amplitudes)):
                 expected = np.zeros(size, dtype=complex)
                 for coef, beta in term.data:
-                    expected += coef * transform_coherent(self.PARAMS, beta, size - 1).amplitudes
+                    column = coherent_columns([self.PARAMS.vector()], [beta], size - 1, [self.PARAMS.theta])
+                    expected += coef * column[0, 0]
                 assert got.tobytes() == expected.tobytes()
 
 
