@@ -27,7 +27,7 @@ from .threshold import MONOTONICITY_SLACK, OptimizerConfig, compute_thresholds
 from .witness import (
     WitnessOperator,
     cat_pair_witness,
-    conjugated_term_vectors,
+    conjugate_witness,
     fock_pair_witness,
 )
 
@@ -199,11 +199,11 @@ def _family_starts(family: dict) -> tuple:
 
 def _probability_pair(witness, result):
     """(p_first, p_second) of the extremal state against the two family terms."""
-    rank_one, _ = conjugated_term_vectors(witness, result.params, result.rank)
-    if len(rank_one) != 2:
+    terms = conjugate_witness(witness, result.params, result.rank - 1).terms
+    if len(terms) != 2:
         raise ValueError("probability pairs need a two-term witness family")
     q = result.core.coefficients
-    return tuple(float(abs(np.vdot(q, vec)) ** 2) for _, vec in rank_one)
+    return tuple(float(abs(np.vdot(q, term.data.amplitudes)) ** 2) for term in terms)
 
 
 def sweep_family_ranks(

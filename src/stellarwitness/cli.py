@@ -11,13 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from ._util import atomic_write_text, dumps_stable
+from ._util import atomic_write_text, dumps_stable, require_integer
 from .boundary import (
     certify_pairs,
     curves_from_csv,
@@ -32,7 +34,7 @@ from .errors import OptimizerError, TailBoundError
 from .estimator import check_pair_array
 from .fock_gaussian import GaussianUnitaryParams, block_in_range, gaussian_block
 from .multimode import MultimodeWitness, multimode_result_to_json, multimode_threshold
-from .states import FockDensity, FockVector, state_from_json
+from .states import PROBABILITY_SLACK, FockDensity, FockVector, state_from_json
 from .threshold import OptimizerConfig, compute_threshold, result_to_json
 from .validation import CHECKED_BLOCK_SIDE, ELEMENTS_TOL, block_deviation, run_suites
 from .witness import (
@@ -71,22 +73,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _build_config(args) -> OptimizerConfig:
-    base = {}
-    if getattr(args, "config", None):
-        base = _load_json(args.config)
-    config = OptimizerConfig.from_json(base) if base else OptimizerConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "starts", None) is not None:
-        overrides["starts"] = args.starts
-    if getattr(args, "max_iterations", None) is not None:
-        overrides["max_iterations"] = args.max_iterations
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
-    return config
+    """The optimizer config of the --config file (the defaults without one),
+    with each optimizer flag that was given in place of its field."""
+    base = _load_json(args.config) if args.config else {}
+    flags = {"seed": args.seed, "starts": args.starts, "max_iterations": args.max_iterations}
+    given = {name: value for name, value in flags.items() if value is not None}
+    return replace(OptimizerConfig.from_json(base), **given)
 
 
 def _threshold_text(witness_obj: dict, rank: int, config: OptimizerConfig) -> str:
@@ -223,6 +215,42 @@ def _pair_from_state(state, family: dict):
     return first, second
 
 
+def _load_state(path: str):
+    """The state a --state file holds (see `state_from_json`), refused, with
+    the file named, unless its entries are finite and the norm² of its
+    amplitudes or the trace of its density is at most 1 + PROBABILITY_SLACK."""
+    obj = _load_json(path)
+    try:
+        state = state_from_json(obj)
+        if isinstance(state, FockVector):
+            if not np.isfinite(state.amplitudes).all():
+                raise ValueError("fock_vector amplitudes must be finite")
+            mass, what = state.norm_sq(), "fock_vector amplitudes have norm squared"
+        elif isinstance(state, FockDensity):  # its entries were checked finite
+            mass, what = state.trace(), "density has trace"
+        else:
+            return state
+        if mass > 1.0 + PROBABILITY_SLACK:
+            raise ValueError(f"{what} {mass:.17g}, above 1")
+    except ValueError as err:
+        raise ValueError(f"state file {path}: {err}") from None
+    return state
+
+
+def _stored_threshold(path: str, rank: int) -> float:
+    """The value of a --threshold-file for `rank`: its "rank" must be an
+    integer >= 1 equal to `rank`, its "value" a finite number."""
+    stored = _load_json(path)
+    stored_rank = require_integer(stored.get("rank"), f'"rank" of threshold file {path}', 1)
+    if stored_rank != rank:
+        raise ValueError(f"threshold file {path} is for rank {stored_rank}, requested {rank}")
+    value = stored.get("value")
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (number and math.isfinite(value)):
+        raise ValueError(f'"value" of threshold file {path} must be a finite number, got {value!r}')
+    return float(value)
+
+
 def _checked_pair(pair, source: str) -> tuple:
     """A measured pair as floats, refused unless :func:`check_pair_array`
     accepts it (finite, in [0, 1])."""
@@ -249,7 +277,7 @@ def cmd_certify(args) -> int:
     if args.curves:
         family, curves = _load_curves(args.curves)
         if pair is None and args.state:
-            state_pair = _pair_from_state(state_from_json(_load_json(args.state)), family)
+            state_pair = _pair_from_state(_load_state(args.state), family)
             pair = _checked_pair(state_pair, f"the pair of {args.state}")
         elif pair is None:
             raise ValueError("certify needs --pair or --state")
@@ -274,7 +302,7 @@ def cmd_certify(args) -> int:
         witness_obj = _load_json(args.witness)
         witness = witness_from_json(witness_obj)
         if args.state:
-            state = state_from_json(_load_json(args.state))
+            state = _load_state(args.state)
             if isinstance(state, np.ndarray):
                 raise ValueError("witness certification needs amplitudes or a density matrix")
             value = expectation(witness, state)
@@ -287,12 +315,7 @@ def cmd_certify(args) -> int:
         else:
             raise ValueError("certify needs --pair or --state")
         if args.threshold_file:
-            stored = _load_json(args.threshold_file)
-            if int(stored["rank"]) != args.rank:
-                raise ValueError(
-                    f"threshold file is for rank {stored['rank']}, requested {args.rank}"
-                )
-            threshold = float(stored["value"])
+            threshold = _stored_threshold(args.threshold_file, args.rank)
         else:
             config = _build_config(args)
             threshold = compute_threshold(witness, args.rank, config).value

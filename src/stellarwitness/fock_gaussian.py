@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import require_integer
+from ._util import parse_complex, require_integer
 from .errors import TailBoundError
 from .numerics import matrix_exponential
 
@@ -104,8 +104,6 @@ class GaussianUnitaryParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GaussianUnitaryParams":
-        from ._util import parse_complex
-
         return cls(
             theta=float(obj.get("theta", 0.0)),
             vartheta=float(obj.get("vartheta", 0.0)),
@@ -286,18 +284,15 @@ def _block_columns(points: np.ndarray, rows: int, cols: list, theta) -> np.ndarr
     return out * (1 + 0j)  # not skipped: the product by 1 + 0i sets signed zeros
 
 
-def block_columns(params: GaussianUnitaryParams, rows: int, cols) -> np.ndarray:
-    """Columns <k|U|m>, k < rows, m in `cols`: one row of :func:`block_columns_batch`."""
-    return block_columns_batch([params.vector()], rows, cols, theta=[params.theta])[0]
-
-
 def gaussian_block(
     params: GaussianUnitaryParams, row_max: int, col_max: int
 ) -> np.ndarray:
-    """Matrix of <k|U|m> for 0 <= k <= row_max, 0 <= m <= col_max."""
+    """Matrix of <k|U|m> for 0 <= k <= row_max, 0 <= m <= col_max: one row of
+    :func:`block_columns_batch`."""
     if row_max < 0 or col_max < 0:
         raise ValueError("block extents must be >= 0")
-    return block_columns(params, row_max + 1, range(col_max + 1))
+    cols = range(col_max + 1)
+    return block_columns_batch([params.vector()], row_max + 1, cols, [params.theta])[0]
 
 
 def params_from_vector(vec) -> GaussianUnitaryParams:

@@ -112,7 +112,6 @@ class MultimodeGaussianParams:
     interferometer: np.ndarray
     squeezings: tuple
     displacements: tuple
-    generator: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         V = np.asarray(self.interferometer, dtype=complex)
@@ -138,8 +137,7 @@ class MultimodeGaussianParams:
 
     @classmethod
     def from_generator(cls, X: np.ndarray, squeezings, displacements) -> "MultimodeGaussianParams":
-        X = np.asarray(X, dtype=complex)
-        return cls(_interferometer(X), tuple(squeezings), tuple(displacements), generator=X)
+        return cls(_interferometer(X), tuple(squeezings), tuple(displacements))
 
     def mode_points(self) -> np.ndarray:
         """Rows (r, Re alpha, Im alpha) of the per-mode displaced squeezers."""
@@ -448,13 +446,11 @@ def _search_mode_points(points: np.ndarray, modes: int) -> np.ndarray:
 
 def _unpack_vector(vec: np.ndarray, modes: int) -> MultimodeGaussianParams:
     """The params of one search vector, with the same interferometer bits as
-    its row in :func:`multimode_objectives`."""
+    its row in :func:`_objectives`."""
     point = np.asarray(vec, dtype=float)[None]
     H = _generators(point, modes)
     r, re, im = _search_mode_points(point, modes)[0].T
-    return MultimodeGaussianParams(
-        _interferometers(H)[0], tuple(r), tuple(map(complex, re, im)), generator=1j * H[0]
-    )
+    return MultimodeGaussianParams(_interferometers(H)[0], tuple(r), tuple(map(complex, re, im)))
 
 
 def _multimode_box(config: OptimizerConfig, modes: int):
@@ -480,29 +476,18 @@ def multimode_objective(
     witness: MultimodeWitness, n: int, params: MultimodeGaussianParams
 ) -> float:
     """Top eigenvalue of the compressed conjugated witness; the one-row case
-    of :func:`multimode_objectives`."""
+    of :func:`_objectives`."""
     return _top_eigenvalue(compress_conjugated_multimode(witness, params, n))
 
 
-def multimode_objectives(witness: MultimodeWitness, n: int, points, modes: int) -> np.ndarray:
-    """:func:`multimode_objective` at every search vector (row) of `points`:
-    one stacked ``eigh`` for the interferometers, one ladder recurrence for
-    the mode columns, gathers for the sector blocks and one stacked eigen
-    step.  A witness that reads sector 0 alone, where V̂ is 1, gets no
-    interferometers; a non-finite generator entry is rejected all the same,
-    before the mode rows get the kernels' checks.
-    """
-    points = np.asarray(points, dtype=float).reshape(-1, modes * modes + 3 * modes)
-    if not np.isfinite(points[:, : modes * modes]).all():
-        raise ValueError("interferometer unitarity defect nan above 1e-10")
-    checked_points(_search_mode_points(points, modes).reshape(-1, 3))
-    return _objectives(witness, n, points, modes)
-
-
 def _objectives(witness: MultimodeWitness, n: int, points: np.ndarray, modes: int) -> np.ndarray:
-    """:func:`multimode_objectives` without the checks of the search vectors,
+    """:func:`multimode_objective` at every search vector (row) of `points`,
     for the rounds of one search, whose points lie in a box that passed
-    `check_box`; each interferometer is still checked to be unitary."""
+    `check_box`: one stacked ``eigh`` for the interferometers, one ladder
+    recurrence for the mode columns, gathers for the sector blocks and one
+    stacked eigen step.  A witness that reads sector 0 alone, where V̂ is 1,
+    gets no interferometers; each interferometer built is still checked to
+    be unitary."""
     V = _interferometers(_generators(points, modes)) if witness.conjugation_plan[0][-1] else None
     return _top_eigenvalues(_compressions(witness, n, V, _search_mode_points(points, modes)))
 

@@ -71,6 +71,8 @@ class FockDensity:
             raise ValueError("density matrix must be square")
         self.tail_bound = float(tail_bound)
         if validate:
+            if not np.isfinite(self.matrix).all():
+                raise ValueError("density matrix entries must be finite")
             scale = max(1.0, float(np.max(np.abs(self.matrix))))
             if float(np.max(np.abs(self.matrix - self.matrix.conj().T))) > 1e-10 * scale:
                 raise ValueError("density matrix is not Hermitian")

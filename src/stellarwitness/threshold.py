@@ -54,7 +54,6 @@ from .witness import (
     WitnessOperator,
     _compressions,
     compress_conjugated,
-    compress_conjugated_batch,
     witness_to_json,
 )
 
@@ -170,22 +169,17 @@ def objective(
 ) -> float:
     """Top eigenvalue of the compressed conjugated witness at fixed parameters.
 
-    The one-row case of :func:`objectives`: a search point gives the same
-    bits through either.
+    The one-row case of :func:`_round_objectives`: a search point gives the
+    same bits through either.
     """
     return _top_eigenvalue(compress_conjugated(witness, params, n))
 
 
-def objectives(witness: WitnessOperator, n: int, points) -> np.ndarray:
-    """:func:`objective` at every row (r, Re alpha, Im alpha[, vartheta]) of
-    `points`, theta = 0, from one batched compression and eigen step."""
-    return _top_eigenvalues(compress_conjugated_batch(witness, points, n))
-
-
 def _round_objectives(witness: WitnessOperator, n: int):
-    """:func:`objectives` for the rounds of one search: the witness's plan
-    bound once and the kernels' unchecked cores, for points clipped into a
-    box that passed :func:`check_box`; the same bits as :func:`objectives`."""
+    """:func:`objective` at every row (r, Re alpha, Im alpha[, vartheta]) of a
+    round's points, theta = 0, from one batched compression and eigen step:
+    the witness's plan bound once and the kernels' unchecked cores, for
+    points clipped into a box that passed :func:`check_box`."""
     plan, identity_weight = witness.conjugation_plan, witness.identity_weight
 
     def fun(points):

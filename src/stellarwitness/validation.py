@@ -25,6 +25,10 @@ from .states import click_statistics, q0_after_loss, thermal
 ELEMENTS_TOL = 1e-8
 Q0_TOL = 1e-8
 CLICK_TOL = 1e-9
+#: side of the square blocks the elements suite compares with the oracle
+ELEMENTS_BLOCK_SIDE = 8
+#: random point sets the hull suite compares with the brute-force hull
+HULL_SETS = 30
 
 #: largest side of a block of more than one column that `stellarwitness
 #: gaussian-elements` prints without comparing it with the oracle: over r <=
@@ -81,14 +85,15 @@ def _random_params(rng) -> GaussianUnitaryParams:
     )
 
 
-def elements_suite(seed: int = 703, tuples: int = 25, size: int = 8) -> dict:
+def elements_suite(seed: int = 703, tuples: int = 25) -> dict:
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_case = None
+    side = ELEMENTS_BLOCK_SIDE
     for _ in range(tuples):
         params = _random_params(rng)
-        analytic = gaussian_block(params, size - 1, size - 1)
-        oracle = oracle_columns(params, size - 1, range(size))
+        analytic = gaussian_block(params, side - 1, side - 1)
+        oracle = oracle_columns(params, side - 1, range(side))
         dev = np.abs(analytic - oracle)
         k, m = np.unravel_index(int(np.argmax(dev)), dev.shape)
         if _worse(dev[k, m], worst):
@@ -174,11 +179,11 @@ def brute_force_hull(points) -> set:
     return {int(v) for v in np.concatenate([i[edge], j[edge]])}
 
 
-def hull_suite(seed: int = 703, sets: int = 30) -> dict:
+def hull_suite(seed: int = 703) -> dict:
     rng = np.random.default_rng(seed)
     mismatches = 0
     worst_case = None
-    for trial in range(sets):
+    for trial in range(HULL_SETS):
         count = int(rng.integers(3, 40))
         points = [tuple(rng.random(2)) for _ in range(count)]
         jarvis = set(gift_wrap(points))
@@ -187,7 +192,8 @@ def hull_suite(seed: int = 703, sets: int = 30) -> dict:
             mismatches += 1
             if worst_case is None:
                 worst_case = {"trial": trial, "jarvis": sorted(jarvis), "brute": sorted(brute)}
-    return {"sets": sets, "mismatches": mismatches, "pass": mismatches == 0, "worst_case": worst_case}
+    passed = mismatches == 0
+    return {"sets": HULL_SETS, "mismatches": mismatches, "pass": passed, "worst_case": worst_case}
 
 
 SUITES = {"elements": elements_suite, "states": states_suite, "hull": hull_suite}

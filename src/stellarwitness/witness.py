@@ -274,17 +274,12 @@ def _conjugated_terms(plan: tuple, points: np.ndarray, n: int, theta=None) -> li
     return entries
 
 
-def compress_conjugated_batch(witness: WitnessOperator, points, n: int, theta=None) -> np.ndarray:
-    """Stack (rows, n, n) of Π_{n-1} U W U† Π_{n-1}, one matrix per row (r,
-    Re alpha, Im alpha[, vartheta]) of `points`, output phases `theta` (None:
-    0); the rank-one terms are summed first, then the density terms."""
-    points = _checked(witness, points, n)
-    return _compressions(witness.conjugation_plan, witness.identity_weight, points, n, theta)
-
-
 def _compressions(plan: tuple, identity_weight: float, points: np.ndarray, n: int, theta=None):
-    """:func:`compress_conjugated_batch` of a witness with this conjugation
-    plan and identity weight, without its checks: the search rounds' path."""
+    """Stack (rows, n, n) of Π_{n-1} U W U† Π_{n-1} of a witness with this
+    conjugation plan and identity weight, one matrix per row (r, Re alpha,
+    Im alpha[, vartheta]) of the checked float array `points`, output phases
+    `theta` (None: 0); the rank-one terms are summed first, then the density
+    terms.  It makes no checks: the search rounds' path."""
     entries = _conjugated_terms(plan, points, n, theta)
     out = np.zeros((len(points), n, n), dtype=complex)
     for weight, vec, sigma in entries:
@@ -300,33 +295,17 @@ def _compressions(plan: tuple, identity_weight: float, points: np.ndarray, n: in
     return out
 
 
-def conjugated_term_vectors(
-    witness: WitnessOperator, params: GaussianUnitaryParams, n: int
-):
-    """Rank-1 data for Π_{n-1} U W U† Π_{n-1}: per-term weights and the vectors
-    (<k|U|psi_t>)_{k<n}, plus (weight, block, density) triples for mixed terms.
-
-    Fock-projector terms share one analytic block; coherent-superposition
-    terms go through the exact coherent transform, so the only truncation
-    error is the witness's own declared tail bound.
-    """
-    points = _checked(witness, [params.vector()], n)
-    entries = _conjugated_terms(witness.conjugation_plan, points, n, [params.theta])
-    return (
-        [(weight, vec[0]) for weight, vec, sigma in entries if sigma is None],
-        [(weight, blocks[0], sigma) for weight, blocks, sigma in entries if sigma is not None],
-    )
-
-
 def compress_conjugated(
     witness: WitnessOperator, params: GaussianUnitaryParams, n: int
 ) -> np.ndarray:
     """The n x n Hermitian matrix Π_{n-1} U W U† Π_{n-1} assembled exactly.
 
-    The one-row case of :func:`compress_conjugated_batch`, with any output
-    phase theta; its bits equal that row's in any batch.
+    One row of :func:`_compressions`, with any output phase theta; its bits
+    equal that row's in any batch.
     """
-    return compress_conjugated_batch(witness, [params.vector()], n, [params.theta])[0]
+    points = _checked(witness, [params.vector()], n)
+    plan, identity_weight = witness.conjugation_plan, witness.identity_weight
+    return _compressions(plan, identity_weight, points, n, [params.theta])[0]
 
 
 def expectation(witness: WitnessOperator, state) -> float:

@@ -520,19 +520,77 @@ class TestCertifyCommand:
 
     @pytest.mark.parametrize(
         "probabilities, message",
-        [([0.1, 0.0, 1.5], "must lie in [0, 1]"), ([math.nan, 0.0, 0.2], "must be finite")],
+        [([0.1, 0.0, 1.5], "amplitudes have norm squared 1.5999999999999999, above 1"),
+         ([math.nan, 0.0, 0.2], "amplitudes must be finite")],
         ids=["above-one", "nan"],
     )
     def test_state_pair_outside_unit_interval_exit_one(
         self, boundary_dir, tmp_path, capsys, probabilities, message
     ):
-        # amplitudes, not fock_probabilities, which the state file check refuses first
+        # amplitudes whose pair would lie outside [0, 1] are no state: the
+        # state file check refuses them before a pair is formed
         amplitudes = FockVector(np.sqrt(np.array(probabilities)))
         state = write_json(tmp_path / "p.json", state_to_json(amplitudes))
         out = tmp_path / "report.json"
         code = main(["certify", "--state", state, "--curves", str(boundary_dir), "--out", str(out)])
         assert code == 1
-        assert f"the pair of {state}: probability pairs {message}" in capsys.readouterr().err
+        assert f"state file {state}: fock_vector {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    NOT_STATES = {
+        "vector-nan": ({"kind": "fock_vector", "data": [[math.nan, 0], [0, 0], [1, 0]]},
+                       "fock_vector amplitudes must be finite"),
+        "density-nan": ({"kind": "density", "data": [[[math.nan, 0]] * 3] * 3},
+                        "density matrix entries must be finite"),
+        "vector-norm-9": ({"kind": "fock_vector", "data": [[0, 0], [0, 0], [3, 0]]},
+                          "fock_vector amplitudes have norm squared 9, above 1"),
+        "density-trace-3": ({"kind": "density", "data": np.eye(3).tolist()}, "density has trace 3, above 1"),
+        "vector-norm-1.62": ({"kind": "fock_vector", "data": [[0.9, 0], [0, 0], [0.9, 0]]},
+                             "fock_vector amplitudes have norm squared 1.6200000000000001, above 1"),
+    }
+
+    @pytest.mark.parametrize("mode", ["curves", "witness"])
+    @pytest.mark.parametrize("name", list(NOT_STATES))
+    def test_state_file_must_hold_a_state(self, boundary_dir, tmp_path, capsys, name, mode):
+        state, message = self.NOT_STATES[name]
+        path = write_json(tmp_path / "s.json", state)
+        if mode == "curves":
+            source = ["--curves", str(boundary_dir)]
+        else:
+            witness = write_json(tmp_path / "w.json", {"type": "fock_pair", "j": 0, "k": 2, "omega": 0.7})
+            tfile = write_json(tmp_path / "t.json", {"rank": 2, "value": 0.9})
+            source = ["--witness", witness, "--rank", "2", "--threshold-file", tfile]
+        out = tmp_path / "report.json"
+        assert main(["certify", "--state", path, *source, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: state file {path}: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "stored, message",
+        [
+            ({"rank": 2}, '"value" of threshold file {} must be a finite number, got None'),
+            ({"rank": 2, "value": "0.9"}, '"value" of threshold file {} must be a finite number'),
+            ({"rank": 2, "value": [0.9]}, '"value" of threshold file {} must be a finite number'),
+            ({"rank": 2, "value": math.nan}, '"value" of threshold file {} must be a finite number'),
+            ({"rank": 2, "value": True}, '"value" of threshold file {} must be a finite number'),
+            ({"rank": "two", "value": 0.9}, '"rank" of threshold file {} must be an integer >= 1'),
+            ({"rank": 1.5, "value": 0.9}, '"rank" of threshold file {} must be an integer >= 1'),
+            ({"value": 0.9}, '"rank" of threshold file {} must be an integer >= 1, got None'),
+            ({"rank": 3, "value": 0.9}, "threshold file {} is for rank 3, requested 2"),
+        ],
+        ids=["no-value", "string-value", "list-value", "nan-value", "bool-value", "string-rank",
+             "fractional-rank", "no-rank", "other-rank"],
+    )
+    def test_malformed_threshold_file_exit_one(self, tmp_path, capsys, stored, message):
+        witness = write_json(tmp_path / "w.json", {"type": "fock_pair", "j": 0, "k": 2, "omega": 0.7})
+        tfile = write_json(tmp_path / "t.json", stored)
+        out = tmp_path / "report.json"
+        code = main(["certify", "--pair", "0", "1", "--witness", witness, "--rank", "2",
+                     "--threshold-file", tfile, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {message.format(tfile)}" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

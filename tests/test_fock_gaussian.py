@@ -14,7 +14,6 @@ from stellarwitness.fock_gaussian import (
     _ladder,
     _squeeze_chains,
     _vacuum_terms,
-    block_columns,
     block_columns_batch,
     coherent_columns,
     gaussian_block,
@@ -22,9 +21,9 @@ from stellarwitness.fock_gaussian import (
     oracle_gaussian_matrix,
     params_from_vector,
 )
-from stellarwitness.multimode import multimode_fock_projector, multimode_objectives
+from stellarwitness.multimode import _unpack_vector, multimode_fock_projector, multimode_objective
 from stellarwitness.states import FockDensity, FockVector
-from stellarwitness.threshold import _round_objectives, objectives
+from stellarwitness.threshold import _round_objectives, objective
 from stellarwitness.witness import (
     DENSITY,
     PURE,
@@ -93,49 +92,54 @@ class TestParams:
         assert GaussianUnitaryParams.from_json(p.to_json()) == p
 
 
+def element(params, k, m):
+    """<k|U|m>, read from the one-column block of one row that holds it."""
+    return block_columns_batch([params.vector()], k + 1, [m], [params.theta])[0, k, 0]
+
+
 class TestElement:
     """Single entries <k|U|m>, each read from the one-column block that holds it."""
 
     def test_identity_is_kronecker(self):
-        assert block_columns(IDENTITY, 4, [3])[3, 0] == 1.0
+        assert element(IDENTITY, 3, 3) == 1.0
         for k in range(4):
             for m in range(4):
                 if k != m:
-                    assert block_columns(IDENTITY, k + 1, [m])[k, 0] == 0.0
+                    assert element(IDENTITY, k, m) == 0.0
 
     def test_pure_displacement_vacuum(self):
         p = GaussianUnitaryParams(alpha=1.0)
-        assert abs(block_columns(p, 1, [0])[0, 0] - math.exp(-0.5)) < 1e-14
+        assert abs(element(p, 0, 0) - math.exp(-0.5)) < 1e-14
 
     def test_squeezed_vacuum_parity(self):
         p = GaussianUnitaryParams(r=0.5)
-        assert block_columns(p, 2, [0])[1, 0] == 0.0
+        assert element(p, 1, 0) == 0.0
 
     def test_squeezed_vacuum_value(self):
         p = GaussianUnitaryParams(r=0.5)
         expected = 1.0 / math.sqrt(math.cosh(0.5))
-        assert abs(block_columns(p, 1, [0])[0, 0] - expected) < 1e-14
+        assert abs(element(p, 0, 0) - expected) < 1e-14
 
     def test_rejects_negative_indices(self):
         with pytest.raises(ValueError, match="Fock indices"):
-            block_columns(IDENTITY, -1, [0])
+            block_columns_batch([IDENTITY.vector()], -1, [0])
         with pytest.raises(ValueError, match="Fock indices"):
-            block_columns(IDENTITY, 1, [-1])
+            block_columns_batch([IDENTITY.vector()], 1, [-1])
 
     def test_parity_exact_zero_without_displacement(self):
         p = GaussianUnitaryParams(r=1.3, vartheta=0.4, theta=0.2)
         for k in range(6):
             for m in range(6):
                 if (k + m) % 2 == 1:
-                    assert block_columns(p, k + 1, [m])[k, 0] == 0.0
+                    assert element(p, k, m) == 0.0
 
     def test_phase_covariance_prefactor(self):
         base = GaussianUnitaryParams(theta=0.0, vartheta=0.7, r=0.9, alpha=0.8 - 0.3j)
         shifted = GaussianUnitaryParams(theta=1.1, vartheta=0.7, r=0.9, alpha=0.8 - 0.3j)
         for k in range(5):
             for m in range(5):
-                expected = np.exp(-1j * k * 1.1) * block_columns(base, k + 1, [m])[k, 0]
-                got = block_columns(shifted, k + 1, [m])[k, 0]
+                expected = np.exp(-1j * k * 1.1) * element(base, k, m)
+                got = element(shifted, k, m)
                 assert abs(got - expected) < 1e-14
 
 
@@ -154,7 +158,7 @@ class TestBlock:
         block = gaussian_block(p, 5, 7)
         for k in range(6):
             for m in range(8):
-                assert block[k, m] == block_columns(p, k + 1, [m])[k, 0]
+                assert block[k, m] == element(p, k, m)
 
     def test_column_norms_against_oracle(self):
         p = GaussianUnitaryParams(theta=0.0, vartheta=0.3, r=1.0, alpha=2 + 1j)
@@ -654,11 +658,12 @@ class TestKernelsAgainstReference:
     @pytest.mark.parametrize("dims", [3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_round_path_is_the_public_objective(self, dims, n):
-        # a search round runs the unchecked cores: the same bits as the checked entry
+        # a search round runs the unchecked cores: at the kernels' edge rows,
+        # the bits of the checked one-row objective
         points, _ = self.points(dims)
         for witness in (cat_pair_witness(2.0, 0.7), fock_pair_witness(0, 2, 0.4), mixed_witness()):
-            public = objectives(witness, n, points)
-            assert _round_objectives(witness, n)(points).tobytes() == public.tobytes()
+            alone = [objective(witness, n, params_from_vector(x)) for x in points]
+            assert _round_objectives(witness, n)(points).tobytes() == np.array(alone).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_multimode_round_path_is_the_public_objective(self, n):
@@ -669,9 +674,9 @@ class TestKernelsAgainstReference:
                                    mode_rows[0::2, 1:3], mode_rows[1::2, 1:3]])
         for occupations in ((1, 1), (0, 0), (0, 2)):
             witness = multimode_fock_projector(occupations)
-            public = multimode_objectives(witness, n, vectors, 2)
+            alone = [multimode_objective(witness, n, _unpack_vector(x, 2)) for x in vectors]
             rounds = multimode._objectives(witness, n, vectors, 2)
-            assert rounds.tobytes() == public.tobytes()
+            assert rounds.tobytes() == np.array(alone).tobytes()
 
 
 class TestOracle:
@@ -781,7 +786,7 @@ class TestStagedOracle:
         got = oracle_columns(p, 3, [0, 1])
         assert len(dims) == 1 and dims[0] <= math.ceil((math.sqrt(3) + 6 + 6) ** 2 + 30)
         assert fock_gaussian._displacement_dimension(sizes[-1], p.alpha) > 15 * dims[0]
-        assert np.max(np.abs(got - block_columns(p, 4, [0, 1]))) < 1e-10
+        assert np.max(np.abs(got - gaussian_block(p, 3, 1))) < 1e-10
 
     def test_row_stage_tail_failure_raises(self, monkeypatch):
         # a row truncation too short for |alpha| = 4 trips the row check, not
@@ -837,7 +842,7 @@ class TestStagedOracle:
         p = GaussianUnitaryParams(theta=0.2, vartheta=0.9, r=r, alpha=alpha)
         with np.errstate(over="raise", invalid="raise"):
             got = oracle_columns(p, 3, [0, 1, 2])
-        assert np.max(np.abs(got - block_columns(p, 4, [0, 1, 2]))) < 1e-14
+        assert np.max(np.abs(got - gaussian_block(p, 3, 2))) < 1e-14
 
     def test_squeezing_beyond_reach_raises(self):
         with pytest.raises(TailBoundError, match="needs more than"):
@@ -849,7 +854,7 @@ class TestStagedOracle:
         # agrees as well (2.3e-15) but takes ~17 s a call
         p = GaussianUnitaryParams(theta=0.3, vartheta=1.1, r=2.5, alpha=alpha)
         got = oracle_columns(p, 3, range(11))
-        assert np.max(np.abs(got - block_columns(p, 4, range(11)))) < 1e-13
+        assert np.max(np.abs(got - gaussian_block(p, 3, 10))) < 1e-13
 
     @pytest.mark.parametrize(
         "row_max, cols",

@@ -17,7 +17,6 @@ from stellarwitness.multimode import (
     multimode_fock_projector,
     multimode_gaussian_block,
     multimode_objective,
-    multimode_objectives,
     multimode_result_to_json,
     multimode_threshold,
     sector_indices,
@@ -53,9 +52,11 @@ def product_index(occ, dim):
     return idx
 
 
-def product_space_unitary(params, cutoff):
-    """Full product-space oracle: exponentials of kron'd truncated generators."""
-    modes = params.modes
+def product_space_unitary(X, cutoff, params=None):
+    """Full product-space oracle: exponentials of kron'd truncated generators,
+    the passive one of the interferometer generator X, then the per-mode
+    squeezers and displacements of `params` (None: none)."""
+    modes = X.shape[0]
     dim = cutoff + 1
     a_single = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
     mode_ops = []
@@ -66,13 +67,14 @@ def product_space_unitary(params, cutoff):
         for factor in factors[1:]:
             full = np.kron(full, factor)
         mode_ops.append(full)
-    X = params.generator
     passive_gen = sum(
         X[j, k] * (mode_ops[j].conj().T @ mode_ops[k])
         for j in range(modes)
         for k in range(modes)
     )
     total = scipy.linalg.expm(passive_gen)
+    if params is None:
+        return total
     for k in range(modes):
         a = mode_ops[k]
         ad = a.conj().T
@@ -203,7 +205,7 @@ class TestBlocks:
         params = MultimodeGaussianParams.from_generator(X, (0.0, 0.0), (0.0, 0.0))
         cutoff = 3
         block = multimode_gaussian_block(params, 2, cutoff)
-        oracle = product_space_unitary(params, cutoff + 6)
+        oracle = product_space_unitary(X, cutoff + 6)
         rows = enumerate_subspace(2, 2)
         cols = list(itertools.product(range(cutoff + 1), repeat=2))
         for i, occ_row in enumerate(rows):
@@ -231,14 +233,12 @@ class TestBlocks:
                 assert abs(block[i, j] - expected) < 1e-8
 
     def test_general_params_match_oracle(self):
-        H = np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]])
-        params = MultimodeGaussianParams.from_generator(
-            1j * H, (0.3, 0.5), (0.4 - 0.1j, 0.2 + 0.3j)
-        )
+        X = 1j * np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]])
+        params = MultimodeGaussianParams.from_generator(X, (0.3, 0.5), (0.4 - 0.1j, 0.2 + 0.3j))
         cutoff = 2
         block = multimode_gaussian_block(params, 2, cutoff)
         dim = 26  # per-mode oracle truncation covering the r=0.5 spread
-        oracle = product_space_unitary(params, dim - 1)
+        oracle = product_space_unitary(X, dim - 1, params)
         rows = enumerate_subspace(2, 2)
         cols = list(itertools.product(range(cutoff + 1), repeat=2))
         worst = max(
@@ -287,8 +287,9 @@ MIXED = {
 
 
 class TestKernel:
-    """`multimode_objectives` is the one batched kernel: interferometers from
-    eigh, sector blocks as symmetric powers, gathers for the mode products."""
+    """`multimode._objectives`, the search rounds' objective, is the one
+    batched kernel: interferometers from eigh, sector blocks as symmetric
+    powers, gathers for the mode products."""
 
     @pytest.mark.parametrize("modes, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
     def test_rows_bit_identical_in_any_batch(self, modes, n):
@@ -296,18 +297,43 @@ class TestKernel:
         lo, hi = _multimode_box(OptimizerConfig(), modes)
         rng = np.random.default_rng(10 * modes + n)
         points = lo + rng.random((64, lo.size)) * (hi - lo)
-        full = multimode_objectives(witness, n, points, modes)
+        full = multimode._objectives(witness, n, points, modes)
         for size in (1, 7, 12):
             parts = [
-                multimode_objectives(witness, n, points[i : i + size], modes)
+                multimode._objectives(witness, n, points[i : i + size], modes)
                 for i in range(0, len(points), size)
             ]
             assert np.concatenate(parts).tobytes() == full.tobytes()
         order = rng.permutation(len(points))
-        shuffled = multimode_objectives(witness, n, points[order], modes)
+        shuffled = multimode._objectives(witness, n, points[order], modes)
         assert shuffled[np.argsort(order)].tobytes() == full.tobytes()
         alone = [multimode_objective(witness, n, _unpack_vector(x, modes)) for x in points]
         assert np.array(alone).tobytes() == full.tobytes()
+
+    @staticmethod
+    def nan_start(slot):
+        """The search config with one extra start whose entry `slot` is NaN."""
+        start = [0.0] * 10
+        start[slot] = math.nan
+        return replace(FAST, initial_points=(tuple(start),))
+
+    def test_nan_row_rejected(self):
+        # the rounds run unchecked: the search refuses a NaN start before its
+        # first round, also for the vacuum projector, which builds no
+        # interferometer (TestParams: the params refuse a NaN interferometer)
+        for witness in (MIXED[2], multimode_fock_projector((0, 0)), MultimodeWitness(2, ())):
+            with pytest.raises(ValueError, match="finite"):
+                multimode_threshold(witness, 2, 1, self.nan_start(2))
+
+    @pytest.mark.parametrize(
+        "witness", [MIXED[2], multimode_fock_projector((0, 0)), MultimodeWitness(2, ())],
+        ids=["mixed", "vacuum", "empty"],
+    )
+    def test_non_finite_mode_row_rejected(self, witness):
+        # a NaN squeezing or displacement of a start (TestParams: of the params)
+        for slot in (4, 7):
+            with pytest.raises(ValueError, match="finite"):
+                multimode_threshold(witness, 2, 1, self.nan_start(slot))
 
     @pytest.mark.parametrize("modes", [2, 3])
     def test_passive_sectors_match_dense_oracle(self, modes):
@@ -315,7 +341,7 @@ class TestKernel:
         which is exact there: a per-mode cutoff of 4 truncates no state with at
         most 4 photons."""
         X = 1j * random_hermitian(np.random.default_rng(7 + modes), modes)
-        oracle = product_space_unitary(passive_params(X), 4)
+        oracle = product_space_unitary(X, 4)
         worst = 0.0
         for t in range(5):
             for col in sector_indices(modes, t):
@@ -337,7 +363,7 @@ class TestKernel:
         params = MultimodeGaussianParams.from_generator(X, rs, alphas)
         n_rows, max_total = 2, modes * cutoff
         dim = max_total + 1
-        passive = product_space_unitary(passive_params(X), max_total)
+        passive = product_space_unitary(X, max_total)
         singles = block_columns_batch(params.mode_points(), n_rows + 1, range(max_total + 1))
         rows = enumerate_subspace(modes, n_rows)
         cols = list(itertools.product(range(cutoff + 1), repeat=modes))
@@ -391,27 +417,8 @@ class TestKernel:
             point = np.clip(np.zeros(lo.size), lo, hi)
             point[: modes * modes] = corner
             params = _unpack_vector(point, modes)
-            expected = scipy.linalg.expm(params.generator)
+            expected = scipy.linalg.expm(1j * _generators(point[None], modes)[0])
             assert np.max(np.abs(params.interferometer - expected)) < 1e-12
-
-    def test_nan_row_rejected(self):
-        # the vacuum projector builds no interferometer, and is rejected all the same
-        for witness in (MIXED[2], multimode_fock_projector((0, 0)), MultimodeWitness(2, ())):
-            for bad in (math.nan, math.inf):
-                points = np.zeros((3, 10))
-                points[1, 2] = bad
-                with pytest.raises(ValueError, match="unitarity"):
-                    multimode_objectives(witness, 1, points, 2)
-
-    @pytest.mark.parametrize(
-        "witness", [MIXED[2], multimode_fock_projector((0, 0)), MultimodeWitness(2, ())],
-        ids=["mixed", "vacuum", "empty"],
-    )
-    def test_non_finite_mode_row_rejected(self, witness):
-        points = np.zeros((3, 10))
-        points[2, 7] = math.nan
-        with pytest.raises(ValueError, match="finite"):
-            multimode_objectives(witness, 1, points, 2)
 
 
 def all_sector_columns(V, mode_points, row_total, max_total):
@@ -510,7 +517,7 @@ class TestPlan:
                 assert got[:, :, column].tobytes() == reference[:, :, position[occ]].tobytes()
         expected = reference_compressions(witness, n, V, mode_points)
         assert _compressions(witness, n, V, mode_points).tobytes() == expected.tobytes()
-        values = multimode_objectives(witness, n, points, modes)
+        values = multimode._objectives(witness, n, points, modes)
         assert values.tobytes() == _top_eigenvalues(expected).tobytes()
 
     def test_sector_zero_needs_no_interferometer(self):
@@ -545,7 +552,7 @@ class TestPlan:
         monkeypatch.setattr(multimode, "_interferometers", spy)
         result = multimode_threshold(multimode_fock_projector((0, 0)), 2, 1, FAST)
         assert len(calls) == 1 and calls[0].shape == (1, 2, 2)  # the winner's
-        assert np.array_equal(1j * calls[0][0], result.params.generator)
+        assert build(calls[0])[0].tobytes() == result.params.interferometer.tobytes()
         calls.clear()
         multimode_threshold(multimode_fock_projector((0, 1)), 2, 1, FAST)
         assert len(calls) > 1  # one per round, then the winner's

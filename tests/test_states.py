@@ -265,3 +265,13 @@ class TestStateFiles:
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError):
             FockDensity(bad)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.full((2, 2), math.nan), np.diag([0.5, math.nan]), [[0.5, math.inf], [math.inf, 0.5]]],
+        ids=["all-nan", "nan-diagonal", "inf-off-diagonal"],
+    )
+    def test_density_validation_rejects_non_finite(self, matrix):
+        # every comparison of the Hermitian and PSD checks with a NaN is False
+        with pytest.raises(ValueError, match="must be finite"):
+            FockDensity(matrix)

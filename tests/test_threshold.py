@@ -23,13 +23,13 @@ from stellarwitness.threshold import (
     _box,
     _clip,
     _nelder_mead,
+    _round_objectives,
     _start_points,
     compute_threshold,
     compute_thresholds,
     extremal_state,
     multistart,
     objective,
-    objectives,
     result_to_json,
 )
 from stellarwitness.witness import (
@@ -302,14 +302,21 @@ class TestBatchedObjective:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("dims", [3, 4])
     def test_rows_bit_identical_to_one_row(self, witness, n, dims):
+        """The search's round objective gives each row the bits of the
+        one-row `objective`, in any batch and in any order."""
         lo, hi = _box(OptimizerConfig(), dims)
         rng = np.random.default_rng(100 * n + dims)
         points = lo + rng.random((40, dims)) * (hi - lo)
         points[:5, 0] = 0.0  # displacement-only rows mixed in
         points[5, 1:3] = 0.0
-        values = objectives(witness, n, points)
-        expected = [objective(witness, n, params_from_vector(p)) for p in points]
-        assert values.tobytes() == np.array(expected).tobytes()
+        fun = _round_objectives(witness, n)
+        expected = np.array([objective(witness, n, params_from_vector(p)) for p in points])
+        assert fun(points).tobytes() == expected.tobytes()
+        for size in (1, 7):
+            parts = [fun(points[i : i + size]) for i in range(0, len(points), size)]
+            assert np.concatenate(parts).tobytes() == expected.tobytes()
+        order = rng.permutation(len(points))
+        assert fun(points[order]).tobytes() == expected[order].tobytes()
 
 
 class TestConjugationPlan:
@@ -551,7 +558,7 @@ class TestLockstep:
         config = OptimizerConfig(starts=6, max_iterations=150, seed=3)
         lo, hi = _box(config, 4)
         self.check(
-            lambda X: objectives(witness, n, X),
+            _round_objectives(witness, n),
             lambda x: objective(witness, n, params_from_vector(x)),
             lo, hi, config, [np.array([0.4, 0.8, -0.3, 1.3])],
         )
@@ -561,7 +568,7 @@ class TestLockstep:
         config = OptimizerConfig(starts=6, max_iterations=200, seed=5)
         lo, hi = _box(config, 3)
         self.check(
-            lambda X: objectives(witness, n, X),
+            _round_objectives(witness, n),
             lambda x: objective(witness, n, params_from_vector(x)),
             lo, hi, config,
         )
@@ -583,9 +590,7 @@ class TestLockstep:
         def one(x):
             return multimode.multimode_objective(witness, n, multimode._unpack_vector(x, modes))
 
-        self.check(
-            lambda X: multimode.multimode_objectives(witness, n, X, modes), one, lo, hi, config
-        )
+        self.check(lambda X: multimode._objectives(witness, n, X, modes), one, lo, hi, config)
 
     def test_two_mode(self):
         self.check_projector((1, 0), 2, 100)

@@ -8,11 +8,12 @@ from stellarwitness.errors import DegenerateWitnessError, HermiticityError
 from stellarwitness.fock_gaussian import (
     GaussianUnitaryParams,
     coherent_columns,
+    gaussian_block,
     oracle_gaussian_matrix,
 )
 from stellarwitness.numerics import hermitian_spectrum
 from stellarwitness.states import FockDensity, FockVector, cat, coherent, thermal
-from stellarwitness.threshold import objective, objectives
+from stellarwitness.threshold import _round_objectives, objective
 from stellarwitness.witness import (
     CoreState,
     WitnessOperator,
@@ -21,7 +22,6 @@ from stellarwitness.witness import (
     cat_pair_witness,
     compress_conjugated,
     conjugate_witness,
-    conjugated_term_vectors,
     expectation,
     fock_diagonal_witness,
     fock_pair_witness,
@@ -195,9 +195,7 @@ class TestCompress:
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
         # vacuum-core consistency: <0|U W U+|0> equals Tr[W |psi><psi|]
         # for psi = U+|0> (adjoint row of the analytic block)
-        from stellarwitness.fock_gaussian import block_columns
-
-        psi = FockVector(block_columns(params, 1, range(41)).conj()[0])
+        psi = FockVector(gaussian_block(params, 0, 40).conj()[0])
         assert abs(out[0, 0].real - expectation(w, psi)) < 1e-8
 
 
@@ -216,7 +214,6 @@ class TestCoherentTransforms:
         w = cat_pair_witness(2.0, 0.7)
         for run in (
             lambda: objective(w, 3, self.PARAMS),
-            lambda: conjugated_term_vectors(w, self.PARAMS, 3),
             lambda: conjugate_witness(w, self.PARAMS, 12),
         ):
             calls.clear()
@@ -227,10 +224,10 @@ class TestCoherentTransforms:
 
     def test_shared_columns_bit_identical_to_per_term_transforms(self):
         w = cat_pair_witness(1.3 + 0.4j, 2.2)
-        rank_one, _ = conjugated_term_vectors(w, self.PARAMS, 4)
+        short = conjugate_witness(w, self.PARAMS, 3)
         conjugated = conjugate_witness(w, self.PARAMS, 9)
-        for term, (_, vec), pure in zip(w.terms, rank_one, conjugated.terms):
-            for size, got in ((4, vec), (10, pure.data.amplitudes)):
+        for term, first, pure in zip(w.terms, short.terms, conjugated.terms):
+            for size, got in ((4, first.data.amplitudes), (10, pure.data.amplitudes)):
                 expected = np.zeros(size, dtype=complex)
                 for coef, beta in term.data:
                     column = coherent_columns([self.PARAMS.vector()], [beta], size - 1, [self.PARAMS.theta])
@@ -324,10 +321,8 @@ class TestConjugation:
         w = fock_pair_witness(0, 2, 0.7)
         v = GaussianUnitaryParams(vartheta=0.9, r=0.3, alpha=0.4 - 0.6j)
         conj = conjugate_witness(w, v, 40)
-        from stellarwitness.fock_gaussian import block_columns
-
         psi = coherent(0.5, 8)
-        moved = FockVector(block_columns(v, 41, range(9)) @ psi.amplitudes)
+        moved = FockVector(gaussian_block(v, 40, 8) @ psi.amplitudes)
         assert abs(expectation(conj, moved) - expectation(w, psi)) < 1e-9
 
     @staticmethod
@@ -379,7 +374,8 @@ class TestPureTermLayout:
         strided, contiguous = pure(block[:, 1]), pure(block[:, 1].copy())
         assert not strided.terms[0].data.amplitudes.flags.c_contiguous
         for n in (1, 2, 3):
-            assert objectives(strided, n, points).tobytes() == objectives(contiguous, n, points).tobytes()
+            got = _round_objectives(strided, n)(points)
+            assert got.tobytes() == _round_objectives(contiguous, n)(points).tobytes()
 
 
 class TestWitnessFiles:
