@@ -32,8 +32,9 @@ from .witness import (
 )
 
 CSV_HEADER = "omega,rank,p_first,p_second,threshold,on_hull,flagged"
-# pairs per step of the separation kernel, which bounds its temporaries
-_PAIR_BLOCK = 32
+# pairs per step of the separation kernel, the rows of its two work buffers
+# (of 32, 64 and 128, 128 certified the most pairs per second)
+_PAIR_BLOCK = 128
 # audit-and-repair passes over a sweep before a deficient point is flagged
 _REPAIR_PASSES = 4
 
@@ -122,8 +123,8 @@ class BoundaryCurve:
     def columns(self) -> CurveColumns:
         """The arrays that certification reads, derived on first use and kept
         with the curve."""
-        omega, threshold = np.array(self.omega, dtype=float), np.array(self.threshold, dtype=float)
-        flagged = np.array(self.flagged, dtype=bool)
+        omega, threshold = (np.fromiter(column, float, len(column)) for column in (self.omega, self.threshold))
+        flagged = np.fromiter(self.flagged, bool, len(self.flagged))
         # usable: unflagged, with a finite omega (an infinite one would score NaN,
         # counted as -inf, and never beat the leading NaN direction, which wins
         # where nothing scores more)
@@ -417,6 +418,17 @@ def hull_contains(vertices, point, slack: float = 1e-9) -> bool:
     return True
 
 
+def pair_rows(pairs) -> np.ndarray:
+    """Probability pairs as float rows of shape (n, 2): one pair of shape (2,)
+    becomes one row; any shape but these two raises ValueError."""
+    rows = np.asarray(pairs, dtype=float)
+    if rows.shape == (2,):
+        return rows.reshape(1, 2)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ValueError(f"expected an array of probability pairs with shape (n, 2), got {rows.shape}")
+    return rows
+
+
 def separations(curves: Sequence[BoundaryCurve], pairs) -> tuple:
     """Best (value - threshold, omega, threshold) of every pair against every curve.
 
@@ -424,21 +436,46 @@ def separations(curves: Sequence[BoundaryCurve], pairs) -> tuple:
     order over each curve's usable swept points (neither flagged nor a
     corner), with the omega and threshold of the first point attaining the
     maximum.  NaN separations count as -inf; (-inf, NaN, NaN) where no point
-    scores above -inf.  Each array has shape (n_pairs, n_curves).
+    scores above -inf.  `pairs` has shape (n_pairs, 2), or (2,) for one pair;
+    each array has shape (n_pairs, n_curves).
+
+    Curves whose cos and sin columns are byte-equal (the rank curves of one
+    sweep, unless the audit flagged a point at some ranks only) share one
+    projection cos(w) x + sin(w) y per block of pairs.  The block's
+    projection and separations are computed in two buffers made once per call.
     """
-    pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    pairs = pair_rows(pairs)
     best, best_omega, best_threshold = (np.empty((len(pairs), len(curves))) for _ in range(3))
-    columns = [curve.columns[:4] for curve in curves]
+    groups: list = []  # (cos, sin, [(curve index, omega, threshold), ...]) of each shared projection
+    widest = 0
+    for j, curve in enumerate(curves):
+        omega, threshold, cos, sin = curve.columns[:4]
+        for group in groups:
+            if group[0].tobytes() == cos.tobytes() and group[1].tobytes() == sin.tobytes():
+                break
+        else:
+            group = (cos, sin, [])
+            groups.append(group)
+            widest = max(widest, len(cos))
+        group[2].append((j, omega, threshold))
+    # a call of one block computes in the arrays its first operations make
+    buffers = np.empty((2, _PAIR_BLOCK, widest)) if len(pairs) > _PAIR_BLOCK else None
     for start in range(0, len(pairs), _PAIR_BLOCK):
         rows = slice(start, start + _PAIR_BLOCK)
         x, y = pairs[rows, :1], pairs[rows, 1:]
         block = np.arange(len(x))
-        for j, (omega, threshold, cos, sin) in enumerate(columns):
-            sep = np.fmax(cos * x + sin * y - threshold, -np.inf)
-            first = sep.argmax(axis=1)
-            best[rows, j] = sep[block, first]
-            best_omega[rows, j] = omega[first]
-            best_threshold[rows, j] = threshold[first]
+        for cos, sin, members in groups:
+            value, sep = (None, None) if buffers is None else buffers[:, : len(x), : len(cos)]
+            value = np.multiply(cos, x, out=value)
+            sep = np.multiply(sin, y, out=sep)
+            np.add(value, sep, out=value)
+            for j, omega, threshold in members:
+                np.subtract(value, threshold, out=sep)
+                np.fmax(sep, -np.inf, out=sep)
+                first = sep.argmax(axis=1)
+                best[rows, j] = sep[block, first]
+                best_omega[rows, j] = omega[first]
+                best_threshold[rows, j] = threshold[first]
     return best, best_omega, best_threshold
 
 
@@ -554,7 +591,7 @@ def curves_from_csv(text: str, family: dict) -> list:
     The fields are read column by column from one split of the whole text."""
     text = text.strip()
     if text.partition("\n")[0] != CSV_HEADER:
-        raise ValueError("boundary CSV must start with the standard header")
+        raise first_csv_error(text)[1]
     fields = text.replace("\n", ",\n,").split(",")  # each newline a field of its own
     rows = len(fields) // 8
     if not rows:
@@ -587,7 +624,7 @@ def curves_from_csv(text: str, family: dict) -> list:
             tuple(map(_FLAGS.__getitem__, columns[k])) for k in (6, 5)
         ]
     except (ValueError, KeyError):
-        raise _row_error(text.split("\n")[1:]) from None
+        raise first_csv_error(text)[1] from None
     *point_columns, on_hull = columns
     return [
         BoundaryCurve(
@@ -600,19 +637,25 @@ def curves_from_csv(text: str, family: dict) -> list:
     ]
 
 
-def _row_error(lines: list) -> ValueError:
-    """The error of the first malformed row, as a row-by-row read meets it."""
-    for line in lines:
+def first_csv_error(text: str) -> tuple | None:
+    """(line number, ValueError) of the first line of a boundary CSV that a
+    row-by-row read refuses, the header being line 1, or None if it refuses
+    none.  The error is the one :func:`curves_from_csv` raises."""
+    lines = text.strip().split("\n")
+    first = text[: len(text) - len(text.lstrip())].count("\n") + 1  # after any leading blank lines
+    if lines[0] != CSV_HEADER:
+        return first, ValueError("boundary CSV must start with the standard header")
+    for number, line in enumerate(lines[1:], first + 1):
         fields = line.split(",")
         if len(fields) != 7:
-            return ValueError(f"malformed boundary CSV row: {line!r}")
+            return number, ValueError(f"malformed boundary CSV row: {line!r}")
         try:
             int(fields[1])
             for value in (fields[0], *fields[2:5]):
                 float(value)
         except ValueError as error:
-            return error
+            return number, error
         for name, value in zip(("on_hull", "flagged"), fields[5:]):
             if value not in _FLAGS:
-                return ValueError(f"{name} must be 0 or 1, got {value!r}, in boundary CSV row: {line!r}")
-    raise AssertionError("no malformed row")
+                return number, ValueError(f"{name} must be 0 or 1, got {value!r}, in boundary CSV row: {line!r}")
+    return None

@@ -26,6 +26,7 @@ from .boundary import (
     curves_to_csv,
     family_descriptor,
     family_witness,
+    first_csv_error,
     hull_to_json,
     repair_log,
     sweep_family_ranks,
@@ -184,12 +185,26 @@ def cmd_boundary(args) -> int:
 
 
 def _load_curves(directory: str):
-    manifest = _load_json(os.path.join(directory, "manifest.json"))
+    """The family and curves of a `boundary` directory; a malformed
+    manifest.json or boundary.csv is refused with the file named, and the
+    key or the line."""
+    manifest_path = os.path.join(directory, "manifest.json")
+    manifest = _load_json(manifest_path)
     csv_path = os.path.join(directory, "boundary.csv")
     if not os.path.exists(csv_path):
         raise ValueError(f"missing boundary.csv in {directory}")
-    family = family_descriptor(manifest["family"])
-    curves = curves_from_csv(Path(csv_path).read_text(), family)
+    if "family" not in manifest:
+        raise ValueError(f'{manifest_path} has no "family"')
+    try:
+        family = family_descriptor(manifest["family"])
+    except (ValueError, TypeError) as err:
+        raise ValueError(f'"family" of {manifest_path}: {err}') from None
+    text = Path(csv_path).read_text()
+    try:
+        curves = curves_from_csv(text, family)
+    except ValueError as err:
+        line, _ = first_csv_error(text)
+        raise ValueError(f"{csv_path}, line {line}: {err}") from None
     ranks = [curve.rank for curve in curves]
     if ranks != manifest.get("ranks"):
         raise ValueError(

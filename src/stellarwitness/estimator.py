@@ -12,18 +12,21 @@ import inspect
 
 import numpy as np
 
-from .boundary import certify_pairs, family_descriptor, repair_log, separations, sweep_family_ranks
+from .boundary import (
+    certify_pairs,
+    family_descriptor,
+    pair_rows,
+    repair_log,
+    separations,
+    sweep_family_ranks,
+)
 from .states import PROBABILITY_SLACK
 from .threshold import OptimizerConfig
 
 
 def check_pair_array(X) -> np.ndarray:
     """Validate measured probability pairs: shape (n_samples, 2), finite, in [0, 1]."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1 and X.size == 2:
-        X = X.reshape(1, 2)
-    if X.ndim != 2 or X.shape[1] != 2:
-        raise ValueError(f"expected an array of probability pairs with shape (n, 2), got {X.shape}")
+    X = pair_rows(X)
     if not np.all(np.isfinite(X)):
         raise ValueError("probability pairs must be finite")
     if np.any(X < -PROBABILITY_SLACK) or np.any(X > 1.0 + PROBABILITY_SLACK):

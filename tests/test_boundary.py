@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -691,6 +692,56 @@ class TestAgainstPointReference:
             with np.errstate(invalid="ignore"):  # the reference takes cos(inf)
                 expected = reference_separations([curve], pairs)
             assert same_bits(separations([curve], pairs), expected)
+
+    @staticmethod
+    def differing_directions():
+        """Ranks 1-5 whose usable directions differ: the fixture grid (rank 3
+        with a NaN threshold, sharing rank 1's directions), a point flagged
+        at rank 2 only, a shorter curve and an all-flagged one."""
+        low, middle, high = curves_from_csv(certify_text(), FOCK02)
+        shifted = lambda delta: tuple(t + delta for t in high.threshold)
+        return [
+            low,
+            replace(middle, flagged=tuple(i == 9 for i in range(len(middle.flagged)))),
+            replace(high, threshold=high.threshold[:40] + (math.nan,) + high.threshold[41:]),
+            BoundaryCurve(4, FOCK02, *(column[:100] for column in (
+                high.omega, high.p_first, high.p_second, shifted(0.01), high.flagged))),
+            replace(high, rank=5, threshold=shifted(0.02), flagged=(True,) * len(high.flagged)),
+        ]
+
+    @pytest.mark.parametrize("count", [0, 1, boundary._PAIR_BLOCK - 1, boundary._PAIR_BLOCK,
+                                       boundary._PAIR_BLOCK + 1])
+    def test_curves_with_differing_directions(self, count):
+        curves = self.differing_directions()
+        # rank 1 and 3 share one projection, 2, 4 and 5 each have their own
+        assert len({(c.columns.cos.tobytes(), c.columns.sin.tobytes()) for c in curves}) == 4
+        pairs = fixture_pairs(count, 12)[:count]
+        expected = reference_separations(self.differing_directions(), pairs)
+        assert same_bits(separations(curves, pairs), expected)
+        certifier = StellarRankCertifier(max_rank=len(curves))
+        certifier.family_, certifier.curves_ = FOCK02, curves
+        assert same_bits([certifier.decision_function(pairs)], expected[:1])
+        ranks = [max((c.rank for c, s in zip(curves, row) if s > certifier.margin), default=0)
+                 for row in expected[0]]
+        assert certifier.predict(pairs).tolist() == ranks
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (3, 3), (2, 1), (2, 2, 2), (0,), (1,), ()])
+    def test_pairs_of_the_wrong_shape_refused(self, shape):
+        curves = curves_from_csv(certify_text(), FOCK02)
+        for call in (lambda p: separations(curves, p), lambda p: certify_pairs(p, curves)):
+            with pytest.raises(ValueError, match=re.escape(f"with shape (n, 2), got {shape}")):
+                call(np.full(shape, 0.25))
+
+    def test_four_numbers_are_not_a_pair(self):
+        curves = curves_from_csv(certify_text(), FOCK02)
+        quad = (0.05, 0.9, 0.5, 0.5)
+        with pytest.raises(ValueError, match=re.escape("got (1, 4)")):
+            certify_pair(quad, curves)
+        with pytest.raises(ValueError, match=re.escape("got (1, 4)")):
+            tangent_witness(curves[1], quad)
+        with pytest.raises(ValueError, match=re.escape("got (1, 4)")):
+            separations(curves, [quad])
+        assert same_bits(separations(curves, (0.05, 0.9)), separations(curves, [(0.05, 0.9)]))
 
     def test_certify_pair_and_tangent_on_parsed_curves(self):
         text = certify_text()

@@ -489,6 +489,28 @@ class TestCertifyCommand:
         assert "on_hull must be 0 or 1, got 'maybe'" in err and repr(first) in err
         assert not out.exists()
 
+    def test_manifest_without_family_names_file_and_key(self, boundary_dir, tmp_path, capsys):
+        directory = tmp_path / "curves"
+        shutil.copytree(boundary_dir, directory)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        del manifest["family"]
+        write_json(directory / "manifest.json", manifest)
+        code = main(["certify", "--pair", "0.9", "0.05", "--curves", str(directory)])
+        assert code == 1
+        assert capsys.readouterr().err == f'error: {directory / "manifest.json"} has no "family"\n'
+
+    def test_unparsed_csv_field_names_file_and_line(self, boundary_dir, tmp_path, capsys):
+        directory = tmp_path / "curves"
+        shutil.copytree(boundary_dir, directory)
+        header, *rows = (directory / "boundary.csv").read_text().splitlines()
+        rows[3] = ",".join(["foo", *rows[3].split(",")[1:]])
+        (directory / "boundary.csv").write_text("\n".join([header, *rows]) + "\n")
+        code = main(["certify", "--pair", "0.9", "0.05", "--curves", str(directory)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {directory / 'boundary.csv'}, line 5: could not convert string to float: 'foo'\n"
+        )
+
     @pytest.mark.parametrize(
         "flags", [["--pair", "0", "1", "--margin", "nan"], ["--pair", "nan", "1"],
                   ["--pair", "0", "inf"], ["--pair", "0", "1", "--margin=-inf"]]
