@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
 import tempfile
 
 
@@ -70,6 +71,23 @@ def require_finite(value, name: str):
     """`value`, a float or complex read from a file, if it is finite."""
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def require_real(value, name: str) -> float:
+    """`value` as a float if it is a finite real number; bools and strings
+    are rejected, not converted."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # false for NaN, an infinity and an integer past the largest double
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def require_list(value, name: str) -> list:
+    """`value` if it is a list (a JSON array)."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
     return value
 
 

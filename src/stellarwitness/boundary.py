@@ -12,7 +12,6 @@ even where the sampled hull cuts a corner.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -21,15 +20,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import complex_pair, fmt17, parse_complex, require_finite, require_integer
-from .errors import DegenerateWitnessError, OptimizerError
+from ._util import fmt17, parse_complex
+from .errors import OptimizerError
 from .threshold import MONOTONICITY_SLACK, OptimizerConfig, compute_thresholds
-from .witness import (
-    WitnessOperator,
-    cat_pair_witness,
-    conjugate_witness,
-    fock_pair_witness,
-)
+from .witness import conjugate_witness, family_descriptor, family_witness
 
 CSV_HEADER = "omega,rank,p_first,p_second,threshold,on_hull,flagged"
 # pairs per step of the separation kernel, the rows of its two work buffers
@@ -148,42 +142,11 @@ def _same_column(a: tuple, b: tuple) -> bool:
     return a == b or (len(a) == len(b) and all(x == y or x != x and y != y for x, y in zip(a, b)))
 
 
-def family_witness(family: dict, omega: float) -> WitnessOperator:
-    """Instantiate the swept witness of a family at a given omega; the
-    family's fields are checked by :func:`family_descriptor`."""
-    return _witness(family_descriptor(family), omega)
-
-
-def _witness(family: dict, omega: float) -> WitnessOperator:
-    """The swept witness of a checked family descriptor at omega."""
-    if family["type"] == "fock_pair":
-        return fock_pair_witness(family["j"], family["k"], omega)
-    return cat_pair_witness(parse_complex(family["beta"]), omega)
-
-
-def family_descriptor(family: dict) -> dict:
-    """The checked descriptor of a witness family, built from the fields of
-    `family`: a fock_pair needs distinct integers j, k >= 0, a cat_pair a
-    finite nonzero beta (a number or a [re, im] pair).  A bad field raises
-    ValueError naming it."""
-    ftype = family.get("type") if isinstance(family, dict) else None
-    if ftype == "fock_pair":
-        j, k = (require_integer(family.get(key), key, 0) for key in ("j", "k"))
-        if j == k:
-            raise DegenerateWitnessError(f"fock_pair family needs j != k, got j = k = {j}")
-        return {"type": "fock_pair", "j": j, "k": k}
-    if ftype == "cat_pair":
-        raw = family.get("beta")
-        if isinstance(raw, (list, tuple)):
-            beta = parse_complex(raw)
-        elif isinstance(raw, numbers.Number) and not isinstance(raw, bool):
-            beta = complex(raw)
-        else:
-            raise ValueError(f"beta must be a number or a [re, im] pair, got {raw!r}")
-        if require_finite(beta, "beta") == 0:
-            raise DegenerateWitnessError("cat_pair family needs beta != 0")
-        return {"type": "cat_pair", "beta": complex_pair(beta)}
-    raise ValueError(f"unknown witness family {ftype!r}")
+def omega_grid(count: int) -> list:
+    """The `count` sweep directions 2 pi i / count, i < count, over [0, 2 pi)."""
+    if count < 1:
+        raise ValueError(f"the omega count must be >= 1, got {count}")
+    return [2.0 * math.pi * i / count for i in range(count)]
 
 
 def _family_starts(family: dict) -> tuple:
@@ -237,7 +200,7 @@ def sweep_family_ranks(
     pairs, thresholds = np.full(shape + (2,), np.nan), np.full(shape, np.nan)
     flagged, winners = np.zeros(shape, dtype=bool), np.full(shape + (4,), np.nan)
     for i, omega in enumerate(omegas):
-        witness = _witness(checked, omega)
+        witness = family_witness(checked, omega)
         try:
             results = compute_thresholds(witness, ranks, cfg)
         except OptimizerError:
@@ -300,7 +263,7 @@ def _repair(
             if best is None:
                 continue
             rerun = True
-            witness = _witness(family, omegas[i])
+            witness = family_witness(family, omegas[i])
             starts = tuple(cfg.initial_points) + (winners[i, j], winners[best])
             try:
                 (result,) = compute_thresholds(witness, [ranks[j]], replace(cfg, initial_points=starts))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import os
 import sys
 from dataclasses import replace
@@ -19,15 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import atomic_write_text, dumps_stable, require_integer
+from ._util import atomic_write_text, dumps_stable, require_integer, require_real
 from .boundary import (
     certify_pairs,
     curves_from_csv,
     curves_to_csv,
-    family_descriptor,
-    family_witness,
     first_csv_error,
     hull_to_json,
+    omega_grid,
     repair_log,
     sweep_family_ranks,
 )
@@ -40,10 +38,11 @@ from .threshold import OptimizerConfig, compute_threshold, result_to_json
 from .validation import CHECKED_BLOCK_SIDE, ELEMENTS_TOL, block_deviation, run_suites
 from .witness import (
     expectation,
+    family_descriptor,
+    family_witness,
     rescale_to_unit,
     trace_distance_lower_bound,
     witness_from_json,
-    witness_to_json,
 )
 
 EXIT_OK = 0
@@ -130,16 +129,9 @@ def _complex_from_flags(values) -> complex:
     raise ValueError("complex flags take one or two floats (RE [IM])")
 
 
-def _omega_grid(count: int) -> list:
-    if count < 1:
-        raise ValueError("--omegas must be >= 1")
-    return [2.0 * math.pi * i / count for i in range(count)]
-
-
 def _boundary_outputs(family, ranks, omega_count, config):
     """The boundary directory's files by name."""
-    omegas = _omega_grid(omega_count)
-    curves = sweep_family_ranks(family, ranks, omegas, config)
+    curves = sweep_family_ranks(family, ranks, omega_grid(omega_count), config)
     manifest = {
         "family": family,
         "ranks": list(ranks),
@@ -211,15 +203,21 @@ def _load_curves(directory: str):
             f"boundary.csv in {directory} holds the curves of ranks {ranks}, "
             f"but manifest.json lists ranks {manifest.get('ranks')}"
         )
+    for curve in curves:  # -inf would certify every pair in its direction, inf or NaN none
+        omega, threshold = curve.columns[:2]
+        bad = ~np.isfinite(threshold[1:])
+        if bad.any():
+            at = bad.argmax() + 1
+            raise ValueError(
+                f"{csv_path}: the threshold at rank {curve.rank}, omega={omega[at]} is {threshold[at]}, "
+                "not a finite number"
+            )
     return family, curves
 
 
 def _pair_from_state(state, family: dict):
     if family["type"] == "fock_pair":
-        if isinstance(state, (FockVector, FockDensity)):
-            probs = state.probabilities()
-        else:
-            probs = np.asarray(state, dtype=float)
+        probs = state.probabilities() if isinstance(state, (FockVector, FockDensity)) else state
         j, k = family["j"], family["k"]
         get = lambda idx: float(probs[idx]) if idx < probs.size else 0.0
         return get(j), get(k)
@@ -232,16 +230,14 @@ def _pair_from_state(state, family: dict):
 
 def _load_state(path: str):
     """The state a --state file holds (see `state_from_json`), refused, with
-    the file named, unless its entries are finite and the norm² of its
-    amplitudes or the trace of its density is at most 1 + PROBABILITY_SLACK."""
+    the file named, unless the norm² of its amplitudes or the trace of its
+    density is at most 1 + PROBABILITY_SLACK."""
     obj = _load_json(path)
     try:
         state = state_from_json(obj)
         if isinstance(state, FockVector):
-            if not np.isfinite(state.amplitudes).all():
-                raise ValueError("fock_vector amplitudes must be finite")
             mass, what = state.norm_sq(), "fock_vector amplitudes have norm squared"
-        elif isinstance(state, FockDensity):  # its entries were checked finite
+        elif isinstance(state, FockDensity):
             mass, what = state.trace(), "density has trace"
         else:
             return state
@@ -259,11 +255,7 @@ def _stored_threshold(path: str, rank: int) -> float:
     stored_rank = require_integer(stored.get("rank"), f'"rank" of threshold file {path}', 1)
     if stored_rank != rank:
         raise ValueError(f"threshold file {path} is for rank {stored_rank}, requested {rank}")
-    value = stored.get("value")
-    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (number and math.isfinite(value)):
-        raise ValueError(f'"value" of threshold file {path} must be a finite number, got {value!r}')
-    return float(value)
+    return require_real(stored.get("value"), f'"value" of threshold file {path}')
 
 
 def _checked_pair(pair, source: str) -> tuple:
@@ -322,10 +314,9 @@ def cmd_certify(args) -> int:
                 raise ValueError("witness certification needs amplitudes or a density matrix")
             value = expectation(witness, state)
         elif pair is not None:
-            descriptor = witness_to_json(witness)
-            if descriptor.get("type") not in ("fock_pair", "cat_pair"):
+            omega = (witness.descriptor or {}).get("omega")  # only pair families have one
+            if omega is None:
                 raise ValueError("--pair certification needs a pair-family witness")
-            omega = descriptor["omega"]
             value = math.cos(omega) * pair[0] + math.sin(omega) * pair[1]
         else:
             raise ValueError("certify needs --pair or --state")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .boundary import (
     certify_pairs,
-    family_descriptor,
+    omega_grid,
     pair_rows,
     repair_log,
     separations,
@@ -22,6 +22,7 @@ from .boundary import (
 )
 from .states import PROBABILITY_SLACK
 from .threshold import OptimizerConfig
+from .witness import family_descriptor
 
 
 def check_pair_array(X) -> np.ndarray:
@@ -103,7 +104,6 @@ class StellarRankCertifier:
         family = family_descriptor(
             {"type": self.family, "j": self.j, "k": self.k, "beta": self.beta}
         )
-        omegas = [2.0 * np.pi * i / self.n_omegas for i in range(self.n_omegas)]
         config = OptimizerConfig(
             starts=self.starts,
             max_iterations=self.max_iterations,
@@ -111,7 +111,7 @@ class StellarRankCertifier:
         )
         self.family_ = family
         ranks = list(range(1, self.max_rank + 1))
-        self.curves_ = sweep_family_ranks(family, ranks, omegas, config)
+        self.curves_ = sweep_family_ranks(family, ranks, omega_grid(self.n_omegas), config)
         self.repairs_ = repair_log(self.curves_)
         return self
 

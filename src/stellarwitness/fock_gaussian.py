@@ -152,9 +152,7 @@ def checked_points(points, betas=()) -> np.ndarray:
     if not (np.abs(points) <= _POINT_BOUNDS[: points.shape[1]]).all():
         raise ValueError(_NOT_FINITE)
     if not _in_range(points[:, 0], np.abs(points[:, 1:3]).max(axis=1, initial=0.0), b).all():
-        if len(betas):
-            raise ValueError("coherent input and displacement must be finite")
-        raise ValueError("displacement out of the kernels' range: e^r |alpha| would overflow")
+        raise ValueError("displacement out of the kernels' range: e^r (|alpha| + |beta|) would overflow")
     return points
 
 

@@ -216,7 +216,7 @@ class MultimodeWitness:
         terms = []
         for entry in obj["terms"]:
             state = entry["state"]
-            if state.get("kind") != "multimode_fock_vector":
+            if not isinstance(state, dict) or state.get("kind") != "multimode_fock_vector":
                 raise ValueError("multimode witness terms must be multimode_fock_vector states")
             if state.get("modes", obj["modes"]) != obj["modes"]:
                 raise ValueError(
@@ -360,9 +360,7 @@ def _compressions(witness: MultimodeWitness, n: int, V, mode_points: np.ndarray)
     """Π_{n-1,N} U W U† Π_{n-1,N} for every unitary of the (B, N, N) stack `V`
     with its (B, N, 3) per-mode rows, shape (B, dim, dim): the columns of the
     witness's `conjugation_plan` only (V may be None when that reads sector 0
-    alone)."""
-    if n < 1:
-        raise ValueError("rank must be >= 1")
+    alone).  It makes no checks: the search rounds' path."""
     sectors, steps = witness.conjugation_plan
     columns = _conjugated_columns(V, mode_points, n - 1, sectors)
     count, dim = columns.shape[:2]
@@ -382,6 +380,8 @@ def compress_conjugated_multimode(
     witness: MultimodeWitness, params: MultimodeGaussianParams, n: int
 ) -> np.ndarray:
     """Π_{n-1,N} U W U† Π_{n-1,N} on the graded multi-index basis."""
+    if n < 1:
+        raise ValueError("rank must be >= 1")
     mode_points = checked_points(params.mode_points())
     return _compressions(witness, n, params.interferometer[None], mode_points[None])[0]
 

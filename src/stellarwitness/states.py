@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from ._util import complex_pair, parse_complex
+from ._util import complex_pair, parse_complex, require_real
 from .errors import TailBoundError
 
 _TAIL_TOL = 1e-6
@@ -254,18 +254,24 @@ def state_to_json(state) -> dict:
 def state_from_json(obj: dict):
     """Parse a state file object into FockVector, FockDensity or a probability array.
 
-    A missing "data" entry raises ValueError, and so do fock_probabilities
-    that are not a distribution: an entry not finite or outside [0, 1], or a
-    sum above 1 (each limit with PROBABILITY_SLACK)."""
+    Anything but an object with a "data" entry raises ValueError, and so do
+    non-finite fock_vector amplitudes or density entries, and
+    fock_probabilities that are not a distribution: an entry not finite or
+    outside [0, 1], or a sum above 1 (each limit with PROBABILITY_SLACK)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a state must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
     if kind in ("fock_vector", "density", "fock_probabilities") and "data" not in obj:
         raise ValueError(f'a {kind} state needs a "data" entry')
     if kind == "fock_vector":
         amps = np.array([parse_complex(z) for z in obj["data"]], dtype=complex)
-        return FockVector(amps, tail_bound=float(obj.get("tail_bound", 0.0)))
+        if not np.isfinite(amps).all():
+            raise ValueError("fock_vector amplitudes must be finite")
+        return FockVector(amps, tail_bound=require_real(obj.get("tail_bound", 0.0), "tail_bound"))
     if kind == "density":
         rows = [[parse_complex(z) for z in row] for row in obj["data"]]
-        return FockDensity(np.array(rows, dtype=complex), tail_bound=float(obj.get("tail_bound", 0.0)))
+        tail_bound = require_real(obj.get("tail_bound", 0.0), "tail_bound")
+        return FockDensity(np.array(rows, dtype=complex), tail_bound=tail_bound)
     if kind == "fock_probabilities":
         probabilities = np.asarray(obj["data"], dtype=float)
         if probabilities.ndim != 1 or not np.all(np.isfinite(probabilities)):

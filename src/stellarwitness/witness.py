@@ -13,13 +13,14 @@ probability pairs and :func:`conjugate_witness` all read it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from ._util import complex_pair, parse_complex, require_finite, require_integer
+from ._util import complex_pair, parse_complex, require_finite, require_integer, require_list, require_real
 from .errors import DegenerateWitnessError, HermiticityError
 from .fock_gaussian import GaussianUnitaryParams, _block_columns, _coherent_columns, checked_points
 from .states import (
@@ -108,7 +109,7 @@ def fock_pair_witness(j: int, k: int, omega: float) -> WitnessOperator:
     )
 
 
-def cat_pair_witness(beta: complex, omega: float, cutoff: int | None = None) -> WitnessOperator:
+def cat_pair_witness(beta: complex, omega: float) -> WitnessOperator:
     """cos(omega)|beta_-><beta_-| + sin(omega)|beta_+><beta_+|.
 
     The cat terms keep their coherent-superposition form so conjugation can use
@@ -120,8 +121,7 @@ def cat_pair_witness(beta: complex, omega: float, cutoff: int | None = None) -> 
             f"cat pair witness needs |beta| >= {MIN_CAT_BETA:g}, got beta = {beta}: "
             "the odd cat degenerates"
         )
-    if cutoff is None:
-        cutoff = default_cutoff(beta)
+    cutoff = default_cutoff(beta)
     c_minus = 1.0 / math.sqrt(2.0 * cat_normalization(beta, "odd"))
     c_plus = 1.0 / math.sqrt(2.0 * cat_normalization(beta, "even"))
     terms = (
@@ -134,6 +134,40 @@ def cat_pair_witness(beta: complex, omega: float, cutoff: int | None = None) -> 
         phase_invariant=False,
         descriptor={"type": "cat_pair", "beta": complex_pair(beta), "omega": float(omega)},
     )
+
+
+def family_descriptor(family: dict) -> dict:
+    """The checked descriptor of a witness family, built from the fields of
+    `family`: a fock_pair needs distinct integers j, k >= 0, a cat_pair a
+    finite nonzero beta (a number or a [re, im] pair).  A bad field raises
+    ValueError naming it."""
+    ftype = family.get("type") if isinstance(family, dict) else None
+    if ftype == "fock_pair":
+        j, k = (require_integer(family.get(key), key, 0) for key in ("j", "k"))
+        if j == k:
+            raise DegenerateWitnessError(f"fock_pair family needs j != k, got j = k = {j}")
+        return {"type": "fock_pair", "j": j, "k": k}
+    if ftype == "cat_pair":
+        raw = family.get("beta")
+        if isinstance(raw, (list, tuple)):
+            beta = parse_complex(raw)
+        elif isinstance(raw, numbers.Number) and not isinstance(raw, bool):
+            beta = complex(raw)
+        else:
+            raise ValueError(f"beta must be a number or a [re, im] pair, got {raw!r}")
+        if require_finite(beta, "beta") == 0:
+            raise DegenerateWitnessError("cat_pair family needs beta != 0")
+        return {"type": "cat_pair", "beta": complex_pair(beta)}
+    raise ValueError(f"unknown witness family {ftype!r}")
+
+
+def family_witness(family: dict, omega: float) -> WitnessOperator:
+    """The swept witness of a witness family at omega; the family's fields
+    are checked by :func:`family_descriptor`."""
+    family = family_descriptor(family)
+    if family["type"] == "fock_pair":
+        return fock_pair_witness(family["j"], family["k"], omega)
+    return cat_pair_witness(parse_complex(family["beta"]), omega)
 
 
 def fock_diagonal_witness(weights: Sequence[float]) -> WitnessOperator:
@@ -343,8 +377,19 @@ def rescale_to_unit(witness: WitnessOperator):
     value.  Witnesses already inside [0, 1] are returned unchanged.
     Thresholds transform as W_n -> a W_n + b.
     """
-    block = assemble_matrix(witness)
-    eigs = np.linalg.eigvalsh(block)
+    if all(term.kind == FOCK for term in witness.terms):
+        # a diagonal block, whose eigenvalues are its diagonal: each index's
+        # weights summed in assemble_matrix's order (0 where none lies), then
+        # the identity weight, without a block of (support_cutoff + 1)^2
+        sums = {}
+        for term in witness.terms:
+            sums[term.data] = sums.get(term.data, 0.0) + term.weight
+        eigs = list(sums.values()) + [0.0] * (len(sums) <= witness.support_cutoff)
+        if witness.identity_weight:
+            eigs = [value + witness.identity_weight for value in eigs]
+        eigs.sort()
+    else:
+        eigs = np.linalg.eigvalsh(assemble_matrix(witness))
     low = min(float(eigs[0]), witness.identity_weight)
     high = max(float(eigs[-1]), witness.identity_weight)
     if low >= 0.0 and high <= 1.0:
@@ -420,45 +465,41 @@ def witness_to_json(witness: WitnessOperator) -> dict:
 
 
 def witness_from_json(obj: dict) -> WitnessOperator:
-    """Parse a witness file object; non-finite numbers are rejected by name."""
+    """Parse a witness file object; a bad field raises ValueError naming it.
+    Pair families are checked by :func:`family_descriptor`, term states by
+    `state_from_json`."""
     wtype = obj.get("type")
     if wtype in ("fock_pair", "cat_pair"):
-        omega = require_finite(float(obj["omega"]), "omega")
-    if wtype == "fock_pair":
-        j, k = (require_integer(obj[key], key, 0) for key in ("j", "k"))
-        return fock_pair_witness(j, k, omega)
-    if wtype == "cat_pair":
-        return cat_pair_witness(require_finite(parse_complex(obj["beta"]), "beta"), omega)
+        return family_witness(obj, require_real(obj.get("omega"), "omega"))
     if wtype == "fock_diagonal":
-        return fock_diagonal_witness([require_finite(float(w), "weights") for w in obj["weights"]])
+        return fock_diagonal_witness([require_real(w, "weights") for w in require_list(obj.get("weights"), "weights")])
     if wtype == "terms":
         terms = []
         support = 0
         phase_invariant = True
-        for entry in obj["terms"]:
-            state = state_from_json(entry["state"])
-            weight = require_finite(float(entry["weight"]), "weight")
+        for number, entry in enumerate(require_list(obj.get("terms"), "terms")):
+            if not isinstance(entry, dict):
+                raise ValueError(f"witness term {number} must be an object, got {entry!r}")
+            try:
+                state = state_from_json(entry.get("state"))
+            except ValueError as err:
+                raise ValueError(f"state of witness term {number}: {err}") from None
+            weight = require_real(entry.get("weight"), "weight")
+            # a term is phase invariant if it is diagonal in the Fock basis
             if isinstance(state, FockVector):
-                entries = state.amplitudes
-                terms.append(WitnessTerm(weight, PURE, state))
-                support = max(support, state.cutoff)
-                nonzero = np.nonzero(np.abs(state.amplitudes) > 0)[0]
-                phase_invariant = phase_invariant and nonzero.size <= 1
+                kind, coherences = PURE, np.count_nonzero(state.amplitudes) > 1
             elif isinstance(state, FockDensity):
-                entries = state.matrix
-                terms.append(WitnessTerm(weight, DENSITY, state))
-                support = max(support, state.cutoff)
-                off_diag = state.matrix - np.diag(np.diag(state.matrix))
-                phase_invariant = phase_invariant and not np.any(np.abs(off_diag) > 0)
+                kind, coherences = DENSITY, np.count_nonzero(state.matrix - np.diag(np.diag(state.matrix))) > 0
             else:
                 raise ValueError("witness terms must be fock_vector or density states")
-            if not np.all(np.isfinite(entries)):
-                raise ValueError("witness term states must have finite entries")
+            terms.append(WitnessTerm(weight, kind, state))
+            support = max(support, state.cutoff)
+            phase_invariant = phase_invariant and not coherences
         return WitnessOperator(
             terms=tuple(terms),
             support_cutoff=support,
             phase_invariant=phase_invariant,
-            identity_weight=require_finite(float(obj.get("identity_weight", 0.0)), "identity_weight"),
+            identity_weight=require_real(obj.get("identity_weight", 0.0), "identity_weight"),
             descriptor=None,
         )
     raise ValueError(f"unknown witness type {wtype!r}")

@@ -19,6 +19,7 @@ from stellarwitness.boundary import (
     gift_wrap,
     hull_contains,
     hull_to_json,
+    omega_grid,
     repair_log,
     separations,
     signed_area,
@@ -430,6 +431,20 @@ class TestCertify:
         bad = [curve(1, (0.9, 0.9)), curve(2, (0.5, 0.9))]
         with pytest.raises(ValueError):
             certify_pair((0.1, 0.1), bad)
+
+
+class TestOmegaGrid:
+    @pytest.mark.parametrize("count", [1, 7, 64, 256])
+    def test_bits_of_the_cli_and_certifier_grids(self, count):
+        # the expressions the CLI (math.pi) and the certifier (np.pi) used
+        grid = omega_grid(count)
+        assert grid == [2.0 * math.pi * i / count for i in range(count)]
+        assert grid == [2.0 * np.pi * i / count for i in range(count)]
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_empty_grid_refused(self, count):
+        with pytest.raises(ValueError, match=f"the omega count must be >= 1, got {count}"):
+            omega_grid(count)
 
 
 class TestFamilies:

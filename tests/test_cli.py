@@ -10,9 +10,13 @@ import numpy as np
 import pytest
 
 from stellarwitness import cli, validation
+from stellarwitness import witness as witness_module
 from stellarwitness.cli import main
-from stellarwitness.states import FockVector, state_to_json, coherent
+from stellarwitness.states import FockDensity, FockVector, cat, state_to_json, coherent
+from stellarwitness.witness import cat_pair_witness, expectation
 from stellarwitness._util import dumps_stable
+
+CERTIFY_DIR = Path(__file__).resolve().parents[1] / "bench" / "data" / "certify"
 
 
 def write_json(path, obj):
@@ -285,6 +289,16 @@ class TestThresholdCommand:
                 "weight": 1.0, "state": state_to_json(coherent(0.5, 8))}]}, "identity_weight"),
             ({"type": "terms", "terms": [{"weight": 1.0, "state": {
                 "kind": "fock_vector", "data": [[math.nan, 0.0], [1.0, 0.0]]}}]}, "state"),
+            # pair families follow the manifest's rules, and a missing key is named
+            ({"type": "cat_pair", "beta": "2", "omega": 0.7}, "beta must be a number"),
+            ({"type": "cat_pair", "beta": True, "omega": 0.7}, "beta must be a number"),
+            ({"type": "fock_pair", "j": 0, "omega": 0.7}, "k must be an integer >= 0, got None"),
+            ({"type": "fock_pair", "j": 0, "k": 2}, "omega must be a finite number, got None"),
+            ({"type": "fock_pair", "j": 2, "k": 2, "omega": 0.7}, "j != k"),
+            ({"type": "terms", "terms": [{"weight": 1.0, "state": [1, 2]}]},
+             "state of witness term 0: a state must be a JSON object, got [1, 2]"),
+            ({"type": "terms", "terms": {"weight": 1.0}}, "terms must be a list"),
+            ({**two_mode_witness([0, 1]), "terms": [{"weight": 1.0, "state": [1, 2]}]}, "multimode_fock_vector"),
         ],
     )
     def test_malformed_witness_exit_one(self, tmp_path, capsys, witness, field):
@@ -351,6 +365,23 @@ class TestBoundaryCommand:
 
     def test_manifest_without_repairs_has_no_key(self, boundary_dir):
         assert "repairs" not in json.loads((boundary_dir / "manifest.json").read_text())
+
+    def test_recheck_of_changed_output_exit_three(self, tmp_path, monkeypatch, capsys):
+        outputs = cli._boundary_outputs
+
+        def changed_on_recheck(*args):
+            files = outputs(*args)
+            if calls:
+                files["boundary.csv"] += "\n"
+            calls.append(args)
+            return files
+
+        calls = []
+        monkeypatch.setattr(cli, "_boundary_outputs", changed_on_recheck)
+        code = main(["boundary", "--family", "fock_pair", "--j", "0", "--k", "2", "--ranks", "1",
+                     "--omegas", "2", *FAST_FLAGS, "--out", str(tmp_path / "x"), "--recheck"])
+        assert (code, len(calls)) == (3, 2)
+        assert capsys.readouterr().err == "recheck failed: boundary.csv differs\n"
 
     def test_invalid_family_args(self, tmp_path):
         assert main(["boundary", "--family", "fock_pair", "--omegas", "4",
@@ -420,6 +451,65 @@ class TestCertifyCommand:
                            state_to_json(np.array([0.0, 0.0, 1.0])))
         code = main(["certify", "--state", state, "--curves", str(boundary_dir)])
         assert code == 0
+
+    @pytest.mark.parametrize("kind", ["fock_vector", "density"])
+    def test_vector_or_density_state_against_fock_curves(self, boundary_dir, tmp_path, capsys, kind):
+        two = np.eye(3)[2]
+        state = FockVector(two) if kind == "fock_vector" else FockDensity(np.diag(two))
+        path = write_json(tmp_path / "two.json", state_to_json(state))
+        assert main(["certify", "--state", path, "--curves", str(boundary_dir)]) == 0
+        report = capsys.readouterr().out
+        assert main(["certify", "--pair", "0", "1", "--curves", str(boundary_dir)]) == 0
+        assert report == capsys.readouterr().out  # the pair (p_0, p_2) = (0, 1)
+
+    def test_state_against_cat_curves(self, tmp_path, capsys):
+        directory = tmp_path / "cat"
+        assert main(["boundary", "--family", "cat_pair", "--beta", "2", "--ranks", "1", "--omegas", "8",
+                     *FAST_FLAGS, "--out", str(directory)]) == 0
+        state = cat(2.0, "odd", 40)
+        path = write_json(tmp_path / "odd.json", state_to_json(state))
+        assert main(["certify", "--state", path, "--curves", str(directory)]) == 0
+        expected = [expectation(cat_pair_witness(2.0, omega), state) for omega in (0.0, math.pi / 2)]
+        assert json.loads(capsys.readouterr().out)["pair"] == pytest.approx(expected, abs=1e-15)
+        probabilities = write_json(tmp_path / "p.json", state_to_json(state.probabilities()))
+        assert main(["certify", "--state", probabilities, "--curves", str(directory)]) == 1
+        assert "cat fidelities need a fock_vector or density state file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-inf", "inf", "nan"])
+    def test_non_finite_usable_threshold_exit_one(self, tmp_path, capsys, value):
+        directory = tmp_path / "curves"
+        shutil.copytree(CERTIFY_DIR, directory)
+        lines = (directory / "boundary.csv").read_text().splitlines()
+        fields = lines[60].split(",")  # line 61: rank 1, an unflagged direction
+        assert fields[1] == "1" and fields[6] == "0"
+        fields[4] = value
+        lines[60] = ",".join(fields)
+        (directory / "boundary.csv").write_text("\n".join(lines) + "\n")
+        code = main(["certify", "--pair", "0.3", "0.3", "--curves", str(directory)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"error: {directory / 'boundary.csv'}: the threshold at rank 1, omega={fields[0]} is {value}, "
+            "not a finite number\n"
+        )
+
+    def test_fock_report_builds_no_dense_block(self, tmp_path, capsys, monkeypatch):
+        assert main(["certify", "--pair", "0.05", "0.9", "--curves", str(CERTIFY_DIR)]) == 0
+        expected = capsys.readouterr().out
+        directory = tmp_path / "curves"
+        shutil.copytree(CERTIFY_DIR, directory)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        manifest["family"]["j"] = 20000  # a dense block would take 6.4 GB
+        write_json(directory / "manifest.json", manifest)
+
+        def no_block(*args):
+            raise AssertionError("assembled a dense witness block")
+
+        monkeypatch.setattr(witness_module, "assemble_matrix", no_block)
+        assert main(["certify", "--pair", "0.05", "0.9", "--curves", str(directory)]) == 0
+        report = capsys.readouterr().out
+        assert json.loads(report)["certified_rank"] > 0
+        assert report == expected  # the same weights cos(omega), sin(omega) and a zero
 
     def test_witness_mode_with_pair(self, tmp_path):
         witness = write_json(tmp_path / "w.json",

@@ -500,11 +500,13 @@ class TestCoherentColumns:
          ([0.1, 1e308, 1e308], 2.0),  # |alpha + beta_tilde|^2 overflows
          ([700.0, 0.0, 2e4], 0.0),  # e^r Im(alpha + beta_tilde) overflows
          # Im(alpha conj(beta_tilde)) overflows, |alpha + beta_tilde|^2 does not
-         ([0.1, 2e154, 0.0], complex(-1.8e154 * math.exp(-0.1), 1e154 * math.exp(0.1)))],
+         ([0.1, 2e154, 0.0], complex(-1.8e154 * math.exp(-0.1), 1e154 * math.exp(0.1))),
+         ([5.0, 0.0, 0.0], 1e154)],  # e^r |beta| overflows, though both are finite
     )
     def test_overflow_from_finite_inputs_rejected(self, point, beta):
-        # with RuntimeWarning an error, a warning from a product fails this too
-        with pytest.raises(ValueError, match="finite"):
+        # with RuntimeWarning an error, a warning from a product fails this too;
+        # the inputs are finite, so the message says out of range, not "not finite"
+        with pytest.raises(ValueError, match="out of the kernels' range"):
             coherent_columns([point], [beta], 2)
 
     @pytest.mark.parametrize("beta", [math.inf, complex(0.0, math.nan)])

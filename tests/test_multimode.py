@@ -392,6 +392,13 @@ class TestKernel:
         got = compress_conjugated_multimode(witness, params, n)
         assert np.max(np.abs(got - expected)) < 1e-12
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rank_checked_at_the_public_entry(self, n):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            compress_conjugated_multimode(MIXED[2], identity_params(2), n)
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            multimode_objective(MIXED[2], n, identity_params(2))
+
     @pytest.mark.parametrize("modes", [1, 2, 3])
     def test_zero_generator_gives_identity(self, modes):
         V = passive_params(np.zeros((modes, modes), dtype=complex)).interferometer

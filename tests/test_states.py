@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -275,3 +276,15 @@ class TestStateFiles:
         # every comparison of the Hermitian and PSD checks with a NaN is False
         with pytest.raises(ValueError, match="must be finite"):
             FockDensity(matrix)
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [([1, 2], "a state must be a JSON object, got [1, 2]"),
+         (None, "a state must be a JSON object, got None"),
+         ({"kind": "fock_vector", "data": [[math.nan, 0.0], [1.0, 0.0]]}, "fock_vector amplitudes must be finite"),
+         ({"kind": "fock_vector", "data": [[1.0, math.inf]]}, "fock_vector amplitudes must be finite"),
+         ({"kind": "density", "data": [[[1.0, 0.0]]], "tail_bound": "0"}, "tail_bound must be a finite number")],
+    )
+    def test_entries_checked_where_they_are_read(self, obj, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            state_from_json(obj)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -293,6 +294,27 @@ class TestRescale:
         assert eigs.min() >= -1e-12 and eigs.max() <= 1.0 + 1e-12
         assert scaled.identity_weight == b
 
+    def test_fock_witnesses_take_the_dense_extremes(self):
+        # a Fock-only witness's extremes come from its weight sums; the same
+        # block made of pure unit-vector terms goes through eigvalsh
+        def dense(w):
+            terms = tuple(WitnessTerm(t.weight, witness_module.PURE, fock_vector(t.data, w.support_cutoff))
+                          for t in w.terms)
+            return WitnessOperator(terms, w.support_cutoff, True, w.identity_weight)
+
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            j, k = rng.choice(8, 2, replace=False)
+            pair = fock_pair_witness(int(j), int(k), rng.uniform(0.0, 2.0 * math.pi))
+            weights = rng.choice([-1.0, 1.0], 6) * 10.0 ** rng.uniform(-3, 3, 6) * (rng.random(6) < 0.7)
+            diagonal = fock_diagonal_witness(weights.tolist())
+            # repeated indices, and an identity weight
+            repeated = WitnessOperator(pair.terms + diagonal.terms, max(pair.support_cutoff, 5), True,
+                                       rng.uniform(-2.0, 2.0))
+            for w in (pair, diagonal, repeated):
+                if w.terms:
+                    assert rescale_to_unit(w)[:2] == rescale_to_unit(dense(w))[:2]
+
     def test_degenerate_spread(self):
         # a pure multiple of the identity cannot be mapped onto [0, 1]
         w = WitnessOperator(
@@ -396,6 +418,48 @@ class TestWitnessFiles:
         again = witness_from_json(witness_to_json(conj))
         state = coherent(0.4, 20)
         assert abs(expectation(again, state) - expectation(conj, state)) < 1e-12
+
+    def test_density_terms_and_identity_weight_round_trip(self):
+        w = WitnessOperator(
+            terms=(WitnessTerm(-0.5, witness_module.DENSITY, thermal(0.3, cutoff=20)),
+                   WitnessTerm(1.0, witness_module.PURE, coherent(0.5, 8))),
+            support_cutoff=20, phase_invariant=False, identity_weight=0.25,
+        )
+        obj = witness_to_json(w)
+        assert obj["identity_weight"] == 0.25 and obj["terms"][0]["state"]["kind"] == "density"
+        again = witness_from_json(obj)
+        assert witness_to_json(again) == obj
+        assert [t.kind for t in again.terms] == [witness_module.DENSITY, witness_module.PURE]
+        assert again.identity_weight == 0.25 and not again.phase_invariant
+        state = coherent(0.4, 20)
+        assert expectation(again, state) == expectation(w, state)
+
+    def test_pair_families_read_through_family_descriptor(self, monkeypatch):
+        from stellarwitness import boundary
+
+        assert boundary.family_descriptor is witness_module.family_descriptor
+        assert boundary.family_witness is witness_module.family_witness
+        calls = []
+        checked = witness_module.family_descriptor
+        monkeypatch.setattr(witness_module, "family_descriptor", lambda f: calls.append(f) or checked(f))
+        obj = {"type": "cat_pair", "beta": 2, "omega": 0.7}
+        assert witness_from_json(obj).descriptor == {"type": "cat_pair", "beta": [2.0, 0.0], "omega": 0.7}
+        assert calls == [obj]
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [({"type": "cat_pair", "beta": "2", "omega": 0.7}, "beta must be a number or a [re, im] pair"),
+         ({"type": "fock_pair", "k": 2, "omega": 0.7}, "j must be an integer >= 0, got None"),
+         ({"type": "fock_pair", "j": 0, "k": 2, "omega": "0.7"}, "omega must be a finite number"),
+         ({"type": "fock_diagonal", "weights": 1.0}, "weights must be a list"),
+         ({"type": "terms", "terms": [5]}, "witness term 0 must be an object"),
+         ({"type": "terms", "terms": [{"weight": 1.0, "state": {"kind": "fock_vector", "data": [[1, 0]],
+                                                                "tail_bound": math.nan}}]},
+          "state of witness term 0: tail_bound must be a finite number")],
+    )
+    def test_malformed_files_name_the_key(self, obj, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            witness_from_json(obj)
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
