@@ -58,13 +58,14 @@ def complex_pair(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
 
-def parse_complex(value) -> complex:
-    """Accept [re, im] pairs or bare numbers from JSON input."""
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ValueError(f"complex value must be a [re, im] pair, got {value!r}")
-        return complex(float(value[0]), float(value[1]))
-    return complex(float(value), 0.0)
+def parse_complex(value, name: str) -> complex:
+    """`value`, a [re, im] pair or a bare real number, as a complex; each
+    part goes through :func:`require_real`, which names `name` if it fails."""
+    if not isinstance(value, (list, tuple)):
+        return complex(require_real(value, name), 0.0)
+    if len(value) != 2:
+        raise ValueError(f"{name} must be a [re, im] pair, got {value!r}")
+    return complex(require_real(value[0], name), require_real(value[1], name))
 
 
 def require_finite(value, name: str):
@@ -77,7 +78,8 @@ def require_finite(value, name: str):
 def require_real(value, name: str) -> float:
     """`value` as a float if it is a finite real number; bools and strings
     are rejected, not converted."""
-    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # exact types first: a JSON float or int passes at once, a bool does not
+    number = type(value) in (float, int) or isinstance(value, numbers.Real) and not isinstance(value, bool)
     # false for NaN, an infinity and an integer past the largest double
     if not (number and abs(value) <= sys.float_info.max):
         raise ValueError(f"{name} must be a finite number, got {value!r}")

@@ -153,7 +153,7 @@ def _family_starts(family: dict) -> tuple:
     """Domain-informed extra starts of a checked family descriptor: cat
     families peak near displacements ±beta."""
     if family["type"] == "cat_pair":
-        beta = parse_complex(family["beta"])
+        beta = parse_complex(family["beta"], "beta")
         return (
             (0.0, beta.real, beta.imag, 0.0),
             (0.0, -beta.real, -beta.imag, 0.0),

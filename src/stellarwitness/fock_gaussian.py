@@ -108,7 +108,7 @@ class GaussianUnitaryParams:
             theta=float(obj.get("theta", 0.0)),
             vartheta=float(obj.get("vartheta", 0.0)),
             r=float(obj["r"]),
-            alpha=parse_complex(obj["alpha"]),
+            alpha=parse_complex(obj["alpha"], "alpha"),
         )
 
 

@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._util import complex_pair, parse_complex, require_finite, require_integer
+from ._util import complex_pair, parse_complex, require_finite, require_integer, require_list, require_real
 from .fock_gaussian import _block_columns, check_box, checked_points
 from .numerics import hermitian_spectrum
 from .threshold import (
@@ -42,6 +42,7 @@ from .threshold import (
     multistart,
     search_diagnostics,
 )
+from .witness import term_list_from_json, term_list_to_json
 
 
 def enumerate_subspace(modes: int, total: int) -> list:
@@ -152,11 +153,11 @@ class MultimodeGaussianParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MultimodeGaussianParams":
-        V = np.array([[parse_complex(z) for z in row] for row in obj["interferometer"]])
+        V = np.array([[parse_complex(z, "interferometer entry") for z in row] for row in obj["interferometer"]])
         return cls(
             V,
             tuple(float(r) for r in obj["squeezings"]),
-            tuple(parse_complex(a) for a in obj["displacements"]),
+            tuple(parse_complex(a, "displacement") for a in obj["displacements"]),
         )
 
 
@@ -165,7 +166,7 @@ class MultimodeWitness:
     """Weighted finite-support multimode pure terms plus a symbolic identity."""
 
     modes: int
-    terms: tuple  # ((weight, {occupations: amplitude, ...}), ...)
+    terms: tuple  # ((weight, {occupations: amplitude, ...}), ...), or pairs in place of the dicts
     identity_weight: float = 0.0
 
     def __post_init__(self):
@@ -173,13 +174,15 @@ class MultimodeWitness:
         terms = []
         for weight, amplitudes in self.terms:
             checked = {}
-            for occ, value in amplitudes.items():
+            for occ, value in amplitudes.items() if isinstance(amplitudes, dict) else amplitudes:
                 occ = tuple(require_integer(o, "occupations", 0) for o in occ)
                 if len(occ) != modes:
                     raise ValueError(f"occupations {occ} do not match the {modes} declared modes")
+                if occ in checked:
+                    raise ValueError(f"occupations {list(occ)} listed twice in one state")
                 checked[occ] = require_finite(complex(value), "amplitude")
-            terms.append((require_finite(float(weight), "weight"), checked))
-        identity = require_finite(float(self.identity_weight), "identity_weight")
+            terms.append((require_real(weight, "weight"), checked))
+        identity = require_real(self.identity_weight, "identity_weight")
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "terms", tuple(terms))
         object.__setattr__(self, "identity_weight", identity)
@@ -191,46 +194,30 @@ class MultimodeWitness:
         return _conjugation_plan(self.modes, self.terms)
 
     def to_json(self) -> dict:
-        terms = []
-        for weight, amplitudes in self.terms:
-            terms.append(
-                {
-                    "weight": float(weight),
-                    "state": {
-                        "kind": "multimode_fock_vector",
-                        "modes": self.modes,
-                        "amplitudes": [
-                            {"occupations": list(occ), "value": complex_pair(val)}
-                            for occ, val in amplitudes.items()
-                        ],
-                    },
-                }
-            )
-        out = {"type": "terms", "modes": self.modes, "terms": terms}
-        if self.identity_weight:
-            out["identity_weight"] = float(self.identity_weight)
-        return out
+        terms = [(weight, {"kind": "multimode_fock_vector", "modes": self.modes, "amplitudes": [
+            {"occupations": list(occ), "value": complex_pair(val)} for occ, val in amplitudes.items()]})
+            for weight, amplitudes in self.terms]
+        return {"type": "terms", "modes": self.modes, **term_list_to_json(terms, self.identity_weight)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "MultimodeWitness":
-        terms = []
-        for entry in obj["terms"]:
-            state = entry["state"]
-            if not isinstance(state, dict) or state.get("kind") != "multimode_fock_vector":
-                raise ValueError("multimode witness terms must be multimode_fock_vector states")
-            if state.get("modes", obj["modes"]) != obj["modes"]:
-                raise ValueError(
-                    f"state modes {state['modes']} do not match the witness's modes {obj['modes']}"
-                )
-            amplitudes = {}
-            for item in state["amplitudes"]:
-                occ = tuple(item["occupations"])
-                if occ in amplitudes:
-                    raise ValueError(f"occupations {list(occ)} listed twice in one state")
-                amplitudes[occ] = parse_complex(item["value"])
-            terms.append((float(entry["weight"]), amplitudes))
-        identity = float(obj.get("identity_weight", 0.0))
-        return cls(modes=obj["modes"], terms=tuple(terms), identity_weight=identity)
+        modes = require_integer(obj.get("modes"), "modes", 1)
+        terms, identity = term_list_from_json(obj, lambda state: _amplitudes_from_json(state, modes))
+        return cls(modes=modes, terms=terms, identity_weight=identity)
+
+
+def _amplitudes_from_json(state, modes: int) -> list:
+    """The (occupations, amplitude) pairs of a multimode_fock_vector state
+    object of `modes` modes, in file order; `MultimodeWitness` checks them."""
+    if not isinstance(state, dict) or state.get("kind") != "multimode_fock_vector":
+        raise ValueError("multimode witness terms must be multimode_fock_vector states")
+    if state.get("modes", modes) != modes:
+        raise ValueError(f"state modes {state['modes']} do not match the witness's modes {modes}")
+    items = require_list(state.get("amplitudes"), "amplitudes")
+    if not all(isinstance(item, dict) for item in items):
+        raise ValueError(f"amplitudes must be a list of objects, got {items!r}")
+    return [(require_list(item.get("occupations"), "occupations"), parse_complex(item.get("value"), "amplitude value"))
+            for item in items]
 
 
 def multimode_fock_projector(occupations) -> MultimodeWitness:

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from ._util import complex_pair, parse_complex, require_real
+from ._util import complex_pair, parse_complex, require_list, require_real
 from .errors import TailBoundError
 
 _TAIL_TOL = 1e-6
@@ -255,7 +255,8 @@ def state_from_json(obj: dict):
     """Parse a state file object into FockVector, FockDensity or a probability array.
 
     Anything but an object with a "data" entry raises ValueError, and so do
-    non-finite fock_vector amplitudes or density entries, and
+    fock_vector amplitudes or density entries that are not finite numbers
+    or [re, im] pairs of them (see `parse_complex`), and
     fock_probabilities that are not a distribution: an entry not finite or
     outside [0, 1], or a sum above 1 (each limit with PROBABILITY_SLACK)."""
     if not isinstance(obj, dict):
@@ -264,12 +265,11 @@ def state_from_json(obj: dict):
     if kind in ("fock_vector", "density", "fock_probabilities") and "data" not in obj:
         raise ValueError(f'a {kind} state needs a "data" entry')
     if kind == "fock_vector":
-        amps = np.array([parse_complex(z) for z in obj["data"]], dtype=complex)
-        if not np.isfinite(amps).all():
-            raise ValueError("fock_vector amplitudes must be finite")
+        amps = [parse_complex(z, "fock_vector amplitude") for z in require_list(obj["data"], "data")]
         return FockVector(amps, tail_bound=require_real(obj.get("tail_bound", 0.0), "tail_bound"))
     if kind == "density":
-        rows = [[parse_complex(z) for z in row] for row in obj["data"]]
+        rows = [[parse_complex(z, "density entry") for z in require_list(row, "density row")]
+                for row in require_list(obj["data"], "data")]
         tail_bound = require_real(obj.get("tail_bound", 0.0), "tail_bound")
         return FockDensity(np.array(rows, dtype=complex), tail_bound=tail_bound)
     if kind == "fock_probabilities":

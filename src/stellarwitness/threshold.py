@@ -38,6 +38,7 @@ from operator import add
 
 import numpy as np
 
+from ._util import require_real
 from .errors import OptimizerError
 from .fock_gaussian import (
     _NOT_FINITE,
@@ -95,13 +96,15 @@ class OptimizerConfig:
             raise ValueError("starts must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        tol = self.simplex_tolerance
-        if not (math.isfinite(tol) and tol > 0) or self.max_iterations < 1:
-            raise ValueError("tolerances and iteration budgets must be positive and finite")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        for name in ("r_max", "alpha_max", "simplex_tolerance"):
+            object.__setattr__(self, name, require_real(getattr(self, name), name))
+        if not self.simplex_tolerance > 0:
+            raise ValueError(f"simplex_tolerance must be > 0, got {self.simplex_tolerance}")
         for name in ("r_max", "alpha_max"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.r_max > MAX_SQUEEZING:
             raise ValueError(f"r_max must be <= {MAX_SQUEEZING}, got {self.r_max}")
 

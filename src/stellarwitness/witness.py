@@ -150,7 +150,7 @@ def family_descriptor(family: dict) -> dict:
     if ftype == "cat_pair":
         raw = family.get("beta")
         if isinstance(raw, (list, tuple)):
-            beta = parse_complex(raw)
+            beta = parse_complex(raw, "beta")
         elif isinstance(raw, numbers.Number) and not isinstance(raw, bool):
             beta = complex(raw)
         else:
@@ -167,7 +167,7 @@ def family_witness(family: dict, omega: float) -> WitnessOperator:
     family = family_descriptor(family)
     if family["type"] == "fock_pair":
         return fock_pair_witness(family["j"], family["k"], omega)
-    return cat_pair_witness(parse_complex(family["beta"]), omega)
+    return cat_pair_witness(parse_complex(family["beta"], "beta"), omega)
 
 
 def fock_diagonal_witness(weights: Sequence[float]) -> WitnessOperator:
@@ -377,10 +377,12 @@ def rescale_to_unit(witness: WitnessOperator):
     value.  Witnesses already inside [0, 1] are returned unchanged.
     Thresholds transform as W_n -> a W_n + b.
     """
-    if all(term.kind == FOCK for term in witness.terms):
-        # a diagonal block, whose eigenvalues are its diagonal: each index's
-        # weights summed in assemble_matrix's order (0 where none lies), then
-        # the identity weight, without a block of (support_cutoff + 1)^2
+    cat_pair = witness.descriptor is not None and witness.descriptor["type"] == "cat_pair"
+    if cat_pair or all(term.kind == FOCK for term in witness.terms):
+        # the eigenvalues without a block of (support_cutoff + 1)^2: Fock
+        # projectors, and the odd and even cats, are orthonormal, so they are
+        # each index's (cat's) weights summed in assemble_matrix's order, 0
+        # where no term lies, then the identity weight
         sums = {}
         for term in witness.terms:
             sums[term.data] = sums.get(term.data, 0.0) + term.weight
@@ -447,59 +449,70 @@ def conjugate_witness(
 # ---------------------------------------------------------------------------
 
 
+def term_list_to_json(terms, identity_weight: float) -> dict:
+    """The term list of a `terms` witness file of (weight, state object) pairs."""
+    out = {"terms": [{"weight": float(weight), "state": state} for weight, state in terms]}
+    if identity_weight:
+        out["identity_weight"] = float(identity_weight)
+    return out
+
+
+def term_list_from_json(obj: dict, read_state) -> tuple:
+    """((weight, state), ...) and the identity weight of a `terms` witness file
+    object, each weight a finite number and each state read by `read_state`,
+    whose ValueError gets the term's position as a prefix."""
+    terms = []
+    for number, entry in enumerate(require_list(obj.get("terms"), "terms")):
+        if not isinstance(entry, dict):
+            raise ValueError(f"witness term {number} must be an object, got {entry!r}")
+        try:
+            state = read_state(entry.get("state"))
+        except ValueError as err:
+            raise ValueError(f"state of witness term {number}: {err}") from None
+        terms.append((require_real(entry.get("weight"), "weight"), state))
+    return tuple(terms), require_real(obj.get("identity_weight", 0.0), "identity_weight")
+
+
 def witness_to_json(witness: WitnessOperator) -> dict:
+    """A witness's file object: its descriptor, or its terms, pure and density
+    ones as held, Fock and coherent-sum ones as amplitudes to support_cutoff."""
     if witness.descriptor is not None:
         return dict(witness.descriptor)
     terms = []
     for term in witness.terms:
-        if term.kind == DENSITY:
-            state = state_to_json(term.data)
-        else:
-            amps = term_amplitudes(term, witness.support_cutoff)
-            state = state_to_json(FockVector(amps, tail_bound=term.tail_bound()))
-        terms.append({"weight": float(term.weight), "state": state})
-    out = {"type": "terms", "terms": terms}
-    if witness.identity_weight:
-        out["identity_weight"] = float(witness.identity_weight)
-    return out
+        state = term.data if term.kind in (PURE, DENSITY) else FockVector(term_amplitudes(term, witness.support_cutoff))
+        terms.append((term.weight, state_to_json(state)))
+    return {"type": "terms", **term_list_to_json(terms, witness.identity_weight)}
+
+
+def _term_state(obj) -> tuple:
+    """(kind, state, diagonal) of a witness file term's state object: a pure
+    or density term, and whether it is diagonal in the Fock basis (and so
+    phase invariant)."""
+    state = state_from_json(obj)
+    if isinstance(state, FockVector):
+        return PURE, state, np.count_nonzero(state.amplitudes) <= 1
+    if isinstance(state, FockDensity):
+        return DENSITY, state, not np.count_nonzero(state.matrix - np.diag(np.diag(state.matrix)))
+    raise ValueError("witness terms must be fock_vector or density states")
 
 
 def witness_from_json(obj: dict) -> WitnessOperator:
     """Parse a witness file object; a bad field raises ValueError naming it.
-    Pair families are checked by :func:`family_descriptor`, term states by
-    `state_from_json`."""
+    Pair families are checked by :func:`family_descriptor`, term lists by
+    :func:`term_list_from_json` and term states by `state_from_json`."""
     wtype = obj.get("type")
     if wtype in ("fock_pair", "cat_pair"):
         return family_witness(obj, require_real(obj.get("omega"), "omega"))
     if wtype == "fock_diagonal":
         return fock_diagonal_witness([require_real(w, "weights") for w in require_list(obj.get("weights"), "weights")])
     if wtype == "terms":
-        terms = []
-        support = 0
-        phase_invariant = True
-        for number, entry in enumerate(require_list(obj.get("terms"), "terms")):
-            if not isinstance(entry, dict):
-                raise ValueError(f"witness term {number} must be an object, got {entry!r}")
-            try:
-                state = state_from_json(entry.get("state"))
-            except ValueError as err:
-                raise ValueError(f"state of witness term {number}: {err}") from None
-            weight = require_real(entry.get("weight"), "weight")
-            # a term is phase invariant if it is diagonal in the Fock basis
-            if isinstance(state, FockVector):
-                kind, coherences = PURE, np.count_nonzero(state.amplitudes) > 1
-            elif isinstance(state, FockDensity):
-                kind, coherences = DENSITY, np.count_nonzero(state.matrix - np.diag(np.diag(state.matrix))) > 0
-            else:
-                raise ValueError("witness terms must be fock_vector or density states")
-            terms.append(WitnessTerm(weight, kind, state))
-            support = max(support, state.cutoff)
-            phase_invariant = phase_invariant and not coherences
+        entries, identity_weight = term_list_from_json(obj, _term_state)
         return WitnessOperator(
-            terms=tuple(terms),
-            support_cutoff=support,
-            phase_invariant=phase_invariant,
-            identity_weight=require_real(obj.get("identity_weight", 0.0), "identity_weight"),
+            terms=tuple(WitnessTerm(weight, kind, state) for weight, (kind, state, _) in entries),
+            support_cutoff=max((state.cutoff for _, (_, state, _) in entries), default=0),
+            phase_invariant=all(diagonal for _, (_, _, diagonal) in entries),
+            identity_weight=identity_weight,
             descriptor=None,
         )
     raise ValueError(f"unknown witness type {wtype!r}")

@@ -462,7 +462,7 @@ class TestFamilies:
         ({"type": "fock_pair", "j": True, "k": 2}, ValueError, "j must be"),
         ({"type": "fock_pair", "j": 1}, ValueError, "k must be"),
         ({"type": "fock_pair", "j": 2, "k": 2}, DegenerateWitnessError, "j != k"),
-        ({"type": "cat_pair", "beta": [math.nan, 0.0]}, ValueError, "beta must be finite"),
+        ({"type": "cat_pair", "beta": [math.nan, 0.0]}, ValueError, "beta must be a finite number"),
         ({"type": "cat_pair", "beta": "2"}, ValueError, "beta must be a number"),
         ({"type": "cat_pair", "beta": 0.0}, DegenerateWitnessError, "beta != 0"),
     ]

@@ -4,6 +4,8 @@ import os
 import shutil
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from stellarwitness import cli, validation
 from stellarwitness import witness as witness_module
 from stellarwitness.cli import main
-from stellarwitness.states import FockDensity, FockVector, cat, state_to_json, coherent
+from stellarwitness.states import FockDensity, FockVector, cat, coherent, state_to_json, thermal
 from stellarwitness.witness import cat_pair_witness, expectation
 from stellarwitness._util import dumps_stable
 
@@ -215,6 +217,27 @@ class TestThresholdCommand:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [({"simplex_tolerance": True}, "simplex_tolerance must be a finite number, got True"),
+         ({"simplex_tolerance": "1e-9"}, "simplex_tolerance must be a finite number, got '1e-9'"),
+         ({"simplex_tolerance": 0}, "simplex_tolerance must be > 0, got 0.0"),
+         ({"r_max": "3"}, "r_max must be a finite number, got '3'"),
+         ({"alpha_max": False}, "alpha_max must be a finite number, got False"),
+         ({"alpha_max": None}, "alpha_max must be a finite number, got None"),
+         ({"max_iterations": 0}, "max_iterations must be >= 1, got 0")],
+        ids=["bool-tolerance", "string-tolerance", "zero-tolerance", "string-r_max", "bool-alpha_max",
+             "null-alpha_max", "zero-iterations"],
+    )
+    def test_non_real_config_field_exit_one(self, tmp_path, capsys, fock_pair_file, config, message):
+        # a bool or string is refused, not read as a number
+        path = write_json(tmp_path / "config.json", config)
+        out = tmp_path / "result.json"
+        code = main(["threshold", fock_pair_file, "--rank", "1", "--config", path, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_box_past_the_kernels_for_the_witness_exit_one(self, tmp_path, capsys):
         # fine for a cat of beta = 2, but e^700 |beta| overflows at beta = 1e5
         config = write_json(tmp_path / "config.json", {"r_max": 700.0, "alpha_max": 6.0})
@@ -308,6 +331,53 @@ class TestThresholdCommand:
         assert code == 1
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "witness, message",
+        [({"type": "terms", "modes": 2}, "terms must be a list, got None"),
+         ({**two_mode_witness([1, 1]), "modes": None}, "modes must be an integer >= 1, got None"),
+         (two_mode_witness([1, 1], weight="1.0"), "weight must be a finite number, got '1.0'"),
+         ({**two_mode_witness([1, 1]), "identity_weight": True}, "identity_weight must be a finite number, got True"),
+         (two_mode_witness([1, 1], value=("1", 0.0)),
+          "state of witness term 0: amplitude value must be a finite number, got '1'"),
+         ({**two_mode_witness([1, 1]), "terms": [{"weight": 1.0, "state": {"kind": "multimode_fock_vector"}}]},
+          "state of witness term 0: amplitudes must be a list, got None"),
+         ({**two_mode_witness([1, 1]), "terms": [{"weight": 1.0, "state": {
+             "kind": "multimode_fock_vector", "amplitudes": [{"value": [1.0, 0.0]}]}}]},
+          "state of witness term 0: occupations must be a list, got None"),
+         ({"type": "terms", "terms": [{"weight": "1.0", "state": state_to_json(coherent(0.5, 8))}]},
+          "weight must be a finite number, got '1.0'"),
+         ({"type": "cat_pair", "beta": ["2", True], "omega": 0.7}, "beta must be a finite number, got '2'"),
+         ({"type": "cat_pair", "beta": [2.0, True], "omega": 0.7}, "beta must be a finite number, got True"),
+         ({"type": "cat_pair", "beta": [2.5, 0.5, 1.5], "omega": 0.7},
+          "beta must be a [re, im] pair, got [2.5, 0.5, 1.5]")],
+        ids=["multimode-no-terms", "multimode-null-modes", "multimode-string-weight",
+             "multimode-bool-identity-weight", "multimode-string-value", "multimode-no-amplitudes",
+             "multimode-no-occupations", "string-weight", "string-beta", "bool-beta", "three-part-beta"],
+    )
+    def test_malformed_witness_message(self, tmp_path, capsys, witness, message):
+        # the multimode reader names the key as the single-mode one does, and
+        # neither reads a string or a bool as a number
+        path = write_json(tmp_path / "w.json", witness)
+        out = tmp_path / "result.json"
+        code = main(["threshold", path, "--rank", "1", *FAST_FLAGS, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_recheck_of_mixed_term_lengths(self, tmp_path):
+        # a 9-amplitude pure term beside a 21-row density: the threshold file
+        # writes each term at its own length, so the witness it holds is the
+        # one searched, and the regenerated file is the same
+        obj = {"type": "terms", "terms": [
+            {"weight": 1.0, "state": state_to_json(coherent(0.5, 8))},
+            {"weight": -0.5, "state": state_to_json(thermal(0.2, 20))}]}
+        path = write_json(tmp_path / "w.json", obj)
+        out = tmp_path / "result.json"
+        code = main(["threshold", path, "--rank", "1", "--starts", "4", "--max-iterations", "200",
+                     "--out", str(out), "--recheck"])
+        assert code == 0
+        assert json.loads(out.read_text())["witness"] == json.loads(Path(path).read_text())
 
     def test_no_partial_output_on_failure(self, tmp_path):
         bad = write_json(tmp_path / "w.json", {"type": "mystery"})
@@ -511,6 +581,32 @@ class TestCertifyCommand:
         assert json.loads(report)["certified_rank"] > 0
         assert report == expected  # the same weights cos(omega), sin(omega) and a zero
 
+    def test_cat_report_builds_no_dense_block(self, tmp_path, capsys, monkeypatch):
+        # a dense block at beta = 100 would have side 10 809 and take 1.9 GB;
+        # the odd and even cats are orthonormal, so the extremes are
+        # min/max(cos omega, sin omega, 0)
+        def no_block(*args):
+            raise AssertionError("assembled a dense witness block")
+
+        monkeypatch.setattr(witness_module, "assemble_matrix", no_block)
+        omega = 2.0
+        witness = write_json(tmp_path / "w.json", {"type": "cat_pair", "beta": [100.0, 0.0], "omega": omega})
+        tfile = write_json(tmp_path / "t.json", {"rank": 1, "value": 0.5})
+        tracemalloc.start()
+        start = time.perf_counter()
+        code = main(["certify", "--witness", witness, "--rank", "1", "--threshold-file", tfile,
+                     "--pair", "0.1", "0.9"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == 0 and elapsed < 1.0 and peak < 100e6
+        report = json.loads(capsys.readouterr().out)
+        low, high = math.cos(omega), math.sin(omega)
+        value = low * 0.1 + high * 0.9
+        a, b = 1.0 / (high - low), -low / (high - low)
+        assert report["certified_rank"] == 1
+        assert report["trace_distance_lower_bound"] == (a * value + b) - (a * 0.5 + b)
+
     def test_witness_mode_with_pair(self, tmp_path):
         witness = write_json(tmp_path / "w.json",
                              {"type": "fock_pair", "j": 0, "k": 2, "omega": math.pi / 2})
@@ -633,7 +729,7 @@ class TestCertifyCommand:
     @pytest.mark.parametrize(
         "probabilities, message",
         [([0.1, 0.0, 1.5], "amplitudes have norm squared 1.5999999999999999, above 1"),
-         ([math.nan, 0.0, 0.2], "amplitudes must be finite")],
+         ([math.nan, 0.0, 0.2], "amplitude must be a finite number, got nan")],
         ids=["above-one", "nan"],
     )
     def test_state_pair_outside_unit_interval_exit_one(
@@ -651,9 +747,9 @@ class TestCertifyCommand:
 
     NOT_STATES = {
         "vector-nan": ({"kind": "fock_vector", "data": [[math.nan, 0], [0, 0], [1, 0]]},
-                       "fock_vector amplitudes must be finite"),
+                       "fock_vector amplitude must be a finite number, got nan"),
         "density-nan": ({"kind": "density", "data": [[[math.nan, 0]] * 3] * 3},
-                        "density matrix entries must be finite"),
+                        "density entry must be a finite number, got nan"),
         "vector-norm-9": ({"kind": "fock_vector", "data": [[0, 0], [0, 0], [3, 0]]},
                           "fock_vector amplitudes have norm squared 9, above 1"),
         "density-trace-3": ({"kind": "density", "data": np.eye(3).tolist()}, "density has trace 3, above 1"),

@@ -281,8 +281,9 @@ class TestStateFiles:
         "obj, message",
         [([1, 2], "a state must be a JSON object, got [1, 2]"),
          (None, "a state must be a JSON object, got None"),
-         ({"kind": "fock_vector", "data": [[math.nan, 0.0], [1.0, 0.0]]}, "fock_vector amplitudes must be finite"),
-         ({"kind": "fock_vector", "data": [[1.0, math.inf]]}, "fock_vector amplitudes must be finite"),
+         ({"kind": "fock_vector", "data": [[math.nan, 0.0], [1.0, 0.0]]},
+          "fock_vector amplitude must be a finite number, got nan"),
+         ({"kind": "fock_vector", "data": [[1.0, math.inf]]}, "fock_vector amplitude must be a finite number, got inf"),
          ({"kind": "density", "data": [[[1.0, 0.0]]], "tail_bound": "0"}, "tail_bound must be a finite number")],
     )
     def test_entries_checked_where_they_are_read(self, obj, message):

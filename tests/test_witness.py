@@ -315,6 +315,29 @@ class TestRescale:
                 if w.terms:
                     assert rescale_to_unit(w)[:2] == rescale_to_unit(dense(w))[:2]
 
+    def test_cat_witnesses_take_the_closed_form_extremes(self, monkeypatch):
+        # the odd and even cats are orthonormal: the extremes are
+        # min/max(cos omega, sin omega, 0), within rounding of the dense
+        # block's, which is not assembled
+        rng = np.random.default_rng(64)
+        cases = [(beta, omega) for beta in (0.5, 1.0, 2.0, 3.0) for omega in rng.uniform(0.0, 2.0 * math.pi, 16)]
+        dense = [np.linalg.eigvalsh(assemble_matrix(cat_pair_witness(*case)))[[0, -1]] for case in cases]
+
+        def no_block(*args):
+            raise AssertionError("assembled a dense witness block")
+
+        monkeypatch.setattr(witness_module, "assemble_matrix", no_block)
+        for (beta, omega), (dense_low, dense_high) in zip(cases, dense):
+            low = min(math.cos(omega), math.sin(omega), 0.0)
+            high = max(math.cos(omega), math.sin(omega), 0.0)
+            assert abs(dense_low - low) < 1e-14 and abs(dense_high - high) < 1e-14
+            a, b, scaled = rescale_to_unit(cat_pair_witness(beta, omega))
+            if low == 0.0:  # inside [0, 1] already
+                assert (a, b) == (1.0, 0.0)
+            else:
+                assert (a, b) == (1.0 / (high - low), -low / (high - low))
+                assert scaled.identity_weight == b
+
     def test_degenerate_spread(self):
         # a pure multiple of the identity cannot be mapped onto [0, 1]
         w = WitnessOperator(

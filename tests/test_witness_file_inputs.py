@@ -3,7 +3,8 @@ exits 0 or 1, never with an exception escaping `main` (a traceback at the
 command line), and exit 1 comes with a message on stderr.  With
 `--threshold-file` and `--pair` the command reads the witness and runs no
 search.  A file with "modes" also goes through the multimode reader, which
-`threshold` uses, and may raise only what `main` turns into exit 1."""
+`threshold` uses, and may raise only ValueError, which `main` turns into
+exit 1.  A written `terms` witness reads back to the same conjugation plan."""
 
 import contextlib
 import copy
@@ -18,8 +19,20 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+import numpy as np  # noqa: E402
+
+from stellarwitness._util import dumps_stable  # noqa: E402
 from stellarwitness.cli import main  # noqa: E402
 from stellarwitness.multimode import MultimodeWitness  # noqa: E402
+from stellarwitness.states import FockDensity, FockVector  # noqa: E402
+from stellarwitness.witness import (  # noqa: E402
+    DENSITY,
+    PURE,
+    WitnessOperator,
+    WitnessTerm,
+    witness_from_json,
+    witness_to_json,
+)
 
 VALID = {
     "fock_pair": {"type": "fock_pair", "j": 0, "k": 2, "omega": 0.7},
@@ -35,14 +48,18 @@ VALID = {
     "two_mode": {"type": "terms", "modes": 2, "terms": [{"weight": 1.0, "state": {
         "kind": "multimode_fock_vector", "modes": 2,
         "amplitudes": [{"occupations": [1, 1], "value": [1.0, 0.0]}]}}]},
+    "two_mode_terms": {"type": "terms", "modes": 2, "identity_weight": 0.25, "terms": [
+        {"weight": -0.5, "state": {"kind": "multimode_fock_vector", "modes": 2, "amplitudes": [
+            {"occupations": [0, 1], "value": [0.6, 0.0]}, {"occupations": [2, 0], "value": [0.0, 0.8]}]}},
+        {"weight": 1.0, "state": {"kind": "multimode_fock_vector", "amplitudes": [
+            {"occupations": [0, 0], "value": 1.0}]}}]},
 }
 
-# no magnitudes between 3 and 1e154: a cat witness's report assembles a dense
-# block of side ~|beta|^2, which such a beta would make huge
-ODD_VALUES = [None, True, False, "x", "2", "", 0, 1, -1, 2, 0.5, 1e-9, 1e300, math.nan, math.inf,
-              -math.inf, [], [1.0], [1.0, 0.0], [math.nan, 0.0], [[1.0, 0.0]], [1, 2, 3], {},
-              {"kind": "fock_vector"}, {"kind": "fock_vector", "data": [[1.0, 0.0]]},
-              "fock_pair", "cat_pair", "terms"]
+ODD_VALUES = [None, True, False, "x", "2", "", 0, 1, -1, 2, 0.5, 25, 100.0, 1e6, 1e100, 1e-9, 1e300,
+              math.nan, math.inf, -math.inf, [], [1.0], [1.0, 0.0], [math.nan, 0.0], ["2", True],
+              [[1.0, 0.0]], [1, 2, 3], {}, {"kind": "fock_vector"},
+              {"kind": "fock_vector", "data": [[1.0, 0.0]]}, {"kind": "multimode_fock_vector"},
+              {"occupations": [0, 1], "value": [1.0, 0.0]}, "fock_pair", "cat_pair", "terms"]
 
 
 def paths(node, prefix=()):
@@ -118,10 +135,14 @@ def test_exit_zero_or_one_with_a_message(mutation):
     else:
         assert err.getvalue() == "" and json.loads(out.getvalue())["certified_rank"] in (0, 1)
     if isinstance(obj, dict) and "modes" in obj:
+        # the multimode reader names the key of every malformed input, and
+        # what it reads writes back as it was read
         try:
-            MultimodeWitness.from_json(obj)
-        except (ValueError, KeyError, TypeError):  # what main reports with exit 1
-            pass
+            witness = MultimodeWitness.from_json(obj)
+        except ValueError as err:
+            assert str(err)
+        else:
+            assert MultimodeWitness.from_json(witness.to_json()) == witness
 
 
 def test_every_valid_file_reads():
@@ -137,5 +158,48 @@ def test_every_valid_file_reads():
             source = ["--pair", "0.1", "0.2"] if pair else ["--state", str(state)]
             code = main(["certify", "--witness", str(witness), "--rank", "1",
                          "--threshold-file", str(threshold), *source])
-            assert code == (1 if name == "two_mode" else 0), name
+            assert code == (1 if name.startswith("two_mode") else 0), name
     assert MultimodeWitness.from_json(VALID["two_mode"]).modes == 2
+    assert MultimodeWitness.from_json(VALID["two_mode_terms"]).to_json() == {
+        **VALID["two_mode_terms"], "terms": [
+            VALID["two_mode_terms"]["terms"][0],
+            {"weight": 1.0, "state": {"kind": "multimode_fock_vector", "modes": 2, "amplitudes": [
+                {"occupations": [0, 0], "value": [1.0, 0.0]}]}}]}
+
+
+@st.composite
+def mixed_length_witnesses(draw):
+    """`terms` witnesses of 1-3 pure terms of 1-9 amplitudes (some zero, a
+    trailing one among them) and a density term longer than all of them, in
+    any order, with or without an identity weight."""
+    weights = st.floats(-3.0, 3.0, allow_nan=False)
+    lengths = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    side = draw(st.integers(max(lengths) + 1, max(lengths) + 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = []
+    for n in lengths:
+        amplitudes = rng.normal(size=n) + 1j * rng.normal(size=n)
+        amplitudes[rng.random(n) < 0.3] = 0.0
+        terms.append(WitnessTerm(draw(weights), PURE, FockVector(amplitudes)))
+    block = rng.normal(size=(side, 2)) + 1j * rng.normal(size=(side, 2))
+    density = FockDensity(block @ block.conj().T / side, tail_bound=draw(st.sampled_from([0.0, 1e-12])))
+    terms.insert(draw(st.integers(0, len(terms))), WitnessTerm(draw(weights), DENSITY, density))
+    identity_weight = draw(st.sampled_from([0.0, 0.25, -1.5]))
+    return WitnessOperator(tuple(terms), side - 1, False, identity_weight)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(mixed_length_witnesses())
+def test_written_terms_witness_reads_back_to_the_same_plan(witness):
+    # the plan fixes the search's bits, so `threshold --recheck` regenerates
+    # a threshold file only if the witness it holds reads back to this plan
+    again = witness_from_json(json.loads(dumps_stable(witness_to_json(witness))))
+    (betas, cols, steps), (betas_again, cols_again, steps_again) = witness.conjugation_plan, again.conjugation_plan
+    assert betas.tobytes() == betas_again.tobytes() and cols == cols_again
+    assert [kind for kind, _, _ in steps] == [kind for kind, _, _ in steps_again]
+    # a weight of -0.0 is written "-0" and reads back as 0.0, an equal value
+    assert [weight for _, weight, _ in steps] == [weight for _, weight, _ in steps_again]
+    for (_, _, data), (_, _, data_again) in zip(steps, steps_again):
+        assert data.shape == data_again.shape and data.tobytes() == data_again.tobytes()
+    assert (again.support_cutoff, again.identity_weight) == (witness.support_cutoff, witness.identity_weight)
+    assert [term.tail_bound() for term in again.terms] == [term.tail_bound() for term in witness.terms]
